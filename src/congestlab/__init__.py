@@ -40,23 +40,21 @@ from .diamond_congest import (
     Cluster,
     Decomposition,
     DiamondRunStats,
-    cluster_conductance_advisory,
+    cluster_neighbors,
     coverage_tags,
     decompose_by_peeling,
-    heavy_map,
-    light_map,
     list_induced_diamonds_congest,
     min_peel_degree,
     run_heavy_phase,
     run_light_phase,
     run_sparse_phase,
+    split_heavy_light,
 )
 from .diamond_family import (
     DiamondFixture,
     build_diamond_family,
     build_diamond_fixture,
     diamond_cut_size,
-    find_fixture_seed,
     has_two_two_diamond,
     list_two_two_diamonds,
 )
@@ -102,6 +100,7 @@ from .graphs import (
     list_induced_cycles_naive,
     list_induced_diamonds,
     list_induced_diamonds_naive,
+    norm_edge,
     random_graph,
 )
 from .twoparty import (

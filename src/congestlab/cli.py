@@ -25,8 +25,8 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from .bitstrings import bits_intersect, hex_to_bits, random_bits
-from .bundles import SCHEMA_VERSION, canonical_json_bytes, read_bundle, write_bundle
+from .bitstrings import hex_to_bits, random_bits
+from .bundles import SCHEMA_VERSION, canonical_json_bytes, write_bundle
 from .congest import PROGRAMS, SimConfig, cut_traffic_bound_check, default_bandwidth, run
 from .diamond_congest import list_induced_diamonds_congest
 from .diamond_family import build_diamond_family, build_diamond_fixture
@@ -41,11 +41,12 @@ from .graphs import (
     DEFAULT_WORK_BUDGET,
     Graph,
     WorkBudgetExceeded,
+    crossing_edges,
     list_induced_cycles,
     list_induced_diamonds,
     random_graph,
 )
-from .twoparty import cycle_listing_protocol, diamond_listing_protocol, make_views
+from .twoparty import cycle_listing_protocol, diamond_listing_protocol
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -300,9 +301,7 @@ def _bench_rows(args):
             rng = random.Random(f"{args.seed}:{n}:{density}")
             g = random_graph(n, density, rng)
             side_a = frozenset(v for v in range(n) if rng.random() < 0.5)
-            cut = len(
-                [e for e in g.edges if (e[0] in side_a) != (e[1] in side_a)]
-            )
+            cut = len(crossing_edges(g, side_a))
             if args.suite == "cycle-protocol":
                 for k in (4, 5, 6, 7):
                     t0 = time.perf_counter()

@@ -55,10 +55,9 @@ arithmetic; floats never decide a classification.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import Iterable
 
 from .bundles import canonical_json_bytes
 from .congest import (
@@ -75,24 +74,24 @@ from .graphs import (
     Graph,
     connected_components,
     list_induced_diamonds,
+    norm_edge,
 )
 
 __all__ = [
     "Cluster",
     "Decomposition",
     "DiamondRunStats",
-    "cluster_conductance_advisory",
+    "cluster_neighbors",
     "coverage_tags",
     "decompose_by_peeling",
     "frac_pow_ceil",
     "frac_pow_floor",
-    "heavy_map",
-    "light_map",
     "list_induced_diamonds_congest",
     "min_peel_degree",
     "run_heavy_phase",
     "run_light_phase",
     "run_sparse_phase",
+    "split_heavy_light",
 ]
 
 DEFAULT_DELTA = Fraction(5, 6)
@@ -136,20 +135,15 @@ def frac_pow_ceil(n: int, exponent: Fraction) -> int:
 
 
 def min_peel_degree(n: int, delta: Fraction, constant: int) -> int:
-    """max(2, ceil(n^delta / constant)), exactly."""
-    delta = _as_fraction(delta)
-    p, q = delta.numerator, delta.denominator
-    target = n**p
-    d = 0
-    lo, hi = 0, n + 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if (mid * constant) ** q >= target:
-            hi = mid
-        else:
-            lo = mid + 1
-    d = lo
-    return max(2, d)
+    """max(2, min(n + 1, ceil(n^delta / constant))), exactly.
+
+    The n + 1 cap (no vertex has that many neighbors) only bites for
+    delta > 1, where it keeps d_min at "peel everything".
+    """
+    if constant < 1:
+        raise ValueError(f"min degree constant must be positive, got {constant}")
+    ceil_pow = frac_pow_ceil(n, delta)
+    return max(2, min(n + 1, (ceil_pow + constant - 1) // constant))
 
 
 @dataclass
@@ -286,44 +280,46 @@ def decompose_by_peeling(
     )
 
 
-def heavy_map(
-    g: Graph, dec: Decomposition, epsilon: Fraction = DEFAULT_EPSILON
-) -> dict[int, frozenset[int]]:
-    """Per cluster: non-members with more than n^epsilon member neighbors."""
-    light_max = frac_pow_floor(g.n, _as_fraction(epsilon))
-    out: dict[int, frozenset[int]] = {}
-    for c in dec.clusters:
-        heavies = frozenset(
-            v
-            for v in range(g.n)
-            if v not in c.members and len(g.adj[v] & c.members) > light_max
-        )
-        out[c.index] = heavies
-    return out
+def cluster_neighbors(
+    nbrs: Iterable[int], leaders: dict[int, int | None], v: int
+) -> dict[int, list[int]]:
+    """v's neighbors inside clusters other than v's own, grouped by
+    cluster leader, each group sorted."""
+    by_leader: dict[int, list[int]] = {}
+    for u in sorted(nbrs):
+        lu = leaders[u]
+        if lu is not None and lu != leaders[v]:
+            by_leader.setdefault(lu, []).append(u)
+    return by_leader
 
 
-def light_map(
+def split_heavy_light(
     g: Graph, dec: Decomposition, epsilon: Fraction = DEFAULT_EPSILON
-) -> dict[int, frozenset[int]]:
-    """Per cluster: non-members with 1..n^epsilon member neighbors."""
+) -> tuple[dict[int, dict[int, list[int]]], dict[int, dict[int, list[int]]]]:
+    """Per cluster index: its heavy and its light non-members, each mapped
+    to its sorted member neighbors.
+
+    A non-member is heavy for a cluster with more than n^epsilon member
+    neighbors and light with 1..n^epsilon of them.
+    """
     light_max = frac_pow_floor(g.n, _as_fraction(epsilon))
-    out: dict[int, frozenset[int]] = {}
-    for c in dec.clusters:
-        out[c.index] = frozenset(
-            v
-            for v in range(g.n)
-            if v not in c.members and 1 <= len(g.adj[v] & c.members) <= light_max
-        )
-    return out
+    leaders = {v: dec.leader_of(v) for v in range(g.n)}
+    heavy: dict[int, dict[int, list[int]]] = {c.index: {} for c in dec.clusters}
+    light: dict[int, dict[int, list[int]]] = {c.index: {} for c in dec.clusters}
+    for v in range(g.n):
+        for lu, members in cluster_neighbors(g.adj[v], leaders, v).items():
+            side = heavy if len(members) > light_max else light
+            side[dec.cluster_index[lu]][v] = members
+    return heavy, light
+
+
+def _member_incident_edges(g: Graph, members: frozenset[int]) -> set[tuple[int, int]]:
+    return {norm_edge(v, u) for v in members for u in g.adj[v]}
 
 
 # ---------------------------------------------------------------------------
 # Sparse phase.
 # ---------------------------------------------------------------------------
-
-
-def _norm(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u < v else (v, u)
 
 
 def _sparse_finds(
@@ -350,7 +346,7 @@ def _sparse_finds(
     for i in range(len(es_nb)):
         for j in range(i + 1, len(es_nb)):
             a, b = es_nb[i], es_nb[j]
-            if _norm(a, b) not in known_es:
+            if norm_edge(a, b) not in known_es:
                 continue
             # Wing rule: spine (a, b), far wing d.
             for d in sorted((es_adj[a] & es_adj[b]) - {v}):
@@ -361,7 +357,7 @@ def _sparse_finds(
         for i in range(len(common)):
             for j in range(i + 1, len(common)):
                 c, d = common[i], common[j]
-                if _norm(c, d) in known_es:
+                if norm_edge(c, d) in known_es:
                     continue
                 lc, ld = nbr_leader.get(c), nbr_leader.get(d)
                 if lc is not None and lc == ld:
@@ -420,7 +416,7 @@ def run_sparse_phase(
             else:
                 a = decode_uint(bits[:w])
                 b = decode_uint(bits[w:])
-                state["known_es"].add(_norm(a, b))
+                state["known_es"].add(norm_edge(a, b))
         outbox: list[tuple[int, str]] = []
         if r == 0:
             payload = _cluster_flag_payload(state["leader"], len(state["own"]), w)
@@ -490,7 +486,7 @@ def run_heavy_phase(
     n = g.n
     w = word_bits(n)
     light_max = frac_pow_floor(n, epsilon)
-    heavies = heavy_map(g, dec, epsilon)
+    heavies, _ = split_heavy_light(g, dec, epsilon)
     engaged = [c for c in dec.clusters if heavies[c.index]]
     accounting: dict = {
         "engaged_clusters": len(engaged),
@@ -511,15 +507,7 @@ def run_heavy_phase(
         nbrs = tuple(neighbors)
         plans: dict[int, list[int]] = {}
         full = sorted(nbrs)
-        by_leader: dict[int, list[int]] = {}
-        for u in full:
-            lu = leaders[u]
-            if lu is not None:
-                by_leader.setdefault(lu, []).append(u)
-        own_leader = leaders[v]
-        for lu, members in by_leader.items():
-            if lu == own_leader:
-                continue
+        for members in cluster_neighbors(full, leaders, v).values():
             if len(members) > light_max:
                 chunk = math.ceil(len(full) / len(members))
                 for t, m in enumerate(members):
@@ -550,16 +538,11 @@ def run_heavy_phase(
     def collect(state):
         return {"fragments": {u: tuple(ids) for u, ids in state["fragments"].items()}}
 
-    max_chunk = 0
-    for v in range(n):
-        by_leader: dict[int, list[int]] = {}
-        for u in g.adj[v]:
-            lu = leaders[u]
-            if lu is not None and lu != leaders[v]:
-                by_leader.setdefault(lu, []).append(u)
-        for members in by_leader.values():
-            if len(members) > light_max:
-                max_chunk = max(max_chunk, math.ceil(g.degree(v) / len(members)))
+    max_chunk = max(
+        math.ceil(g.degree(h) / len(members))
+        for hs in heavies.values()
+        for h, members in hs.items()
+    )
     schedule_end = 2 + max_chunk
 
     program = NodeProgram(name="diamond-heavy", init=init, step=step, collect=collect)
@@ -575,8 +558,9 @@ def run_heavy_phase(
         exp_gather = Fraction(0)
     if exp_route < 0:
         exp_route = Fraction(0)
-    sqrt_ceil = math.isqrt(n) if math.isqrt(n) ** 2 == n else math.isqrt(n) + 1
-    charged_one = frac_pow_ceil(n, exp_gather) + sqrt_ceil * frac_pow_ceil(n, exp_route)
+    charged_one = frac_pow_ceil(n, exp_gather) + frac_pow_ceil(
+        n, Fraction(1, 2)
+    ) * frac_pow_ceil(n, exp_route)
 
     found: set[tuple[int, ...]] = set()
     gathered_max = 0
@@ -593,12 +577,10 @@ def run_heavy_phase(
         for h, ids in assembled.items():
             if ids != set(g.adj[h]):
                 raise AssertionError(f"heavy neighborhood of {h} arrived incomplete")
-        knowledge = set(
-            e for e in g.edges if e[0] in c.members or e[1] in c.members
-        )
+        knowledge = _member_incident_edges(g, c.members)
         for h, ids in assembled.items():
             for x in ids:
-                knowledge.add(_norm(h, x))
+                knowledge.add(norm_edge(h, x))
         kg = Graph(n, knowledge)
         cluster_heavy = heavies[c.index]
         for d in list_induced_diamonds(kg, budget=budget):
@@ -608,7 +590,7 @@ def run_heavy_phase(
             if not any(
                 e[0] in c.members and e[1] in c.members
                 for e in (
-                    _norm(a, b)
+                    norm_edge(a, b)
                     for i, a in enumerate(d)
                     for b in d[i + 1 :]
                 )
@@ -664,41 +646,21 @@ def run_light_phase(
 
     leaders = {v: dec.leader_of(v) for v in range(n)}
     member_sets = {c.leader: c.members for c in dec.clusters}
-    heavies = heavy_map(g, dec, epsilon)
+    heavies, lights = split_heavy_light(g, dec, epsilon)
 
     # Central schedule: exact per-segment maxima, derivable from the
     # decomposition (a synchronizer would publish the same constants).
-    entries: dict[int, list[int]] = {}
-    for u in range(n):
-        if leaders[u] is not None:
-            entries[u] = []
-            continue
-        by_leader: dict[int, list[int]] = {}
-        for x in sorted(g.adj[u]):
-            lx = leaders[x]
-            if lx is not None:
-                by_leader.setdefault(lx, []).append(x)
-        ent: list[int] = []
-        for lx, members in sorted(by_leader.items()):
-            if 1 <= len(members) <= light_max:
-                ent.extend(members)
-        entries[u] = sorted(ent)
-    queries: dict[int, dict[int, list[int]]] = {}
-    for v in range(n):
-        qmap: dict[int, list[int]] = {}
-        if leaders[v] is None:
-            by_leader = {}
-            for x in sorted(g.adj[v]):
-                lx = leaders[x]
-                if lx is not None:
-                    by_leader.setdefault(lx, []).append(x)
-            for lx, members in sorted(by_leader.items()):
-                if 1 <= len(members) <= light_max:
-                    for c1 in members:
-                        qs = [c2 for c2 in members if c2 != c1]
-                        if qs:
-                            qmap[c1] = qs
-        queries[v] = qmap
+    # entries[u]: u's member neighbors in every cluster it is light for;
+    # queries[u][c1]: the other member neighbors of c1's cluster.
+    entries: dict[int, list[int]] = {v: [] for v in range(n)}
+    queries: dict[int, dict[int, list[int]]] = {v: {} for v in range(n)}
+    for light in lights.values():
+        for u, members in light.items():
+            entries[u] = sorted(entries[u] + members)
+            for c1 in members:
+                qs = [c2 for c2 in members if c2 != c1]
+                if qs:
+                    queries[u][c1] = qs
 
     lb = 1 + max((len(e) for e in entries.values()), default=0)
     max_qlen = max(
@@ -812,7 +774,7 @@ def run_light_phase(
             for i in range(len(lights)):
                 for j in range(i + 1, len(lights)):
                     u1, u2 = lights[i], lights[j]
-                    if _norm(u1, u2) in state["known_es"]:
+                    if norm_edge(u1, u2) in state["known_es"]:
                         continue
                     shared = (
                         set(state["recv_entries"][u1])
@@ -847,10 +809,7 @@ def run_light_phase(
     # cluster decides them; zero messages charged.
     reconcile: set[tuple[int, ...]] = set()
     for c in dec.clusters:
-        incident = frozenset(
-            e for e in g.edges if e[0] in c.members or e[1] in c.members
-        )
-        kg = Graph(n, incident)
+        kg = Graph(n, _member_incident_edges(g, c.members))
         for d in list_induced_diamonds(kg, budget=budget):
             ds = set(d)
             if len(ds & c.members) < 3:
@@ -872,7 +831,7 @@ def run_light_phase(
 
 
 # ---------------------------------------------------------------------------
-# Orchestration, coverage, advisory.
+# Orchestration and coverage.
 # ---------------------------------------------------------------------------
 
 
@@ -1017,11 +976,11 @@ def coverage_tags(
     if diamonds is None:
         diamonds = tuple(list_induced_diamonds(g, budget=budget))
     es = dec.es_edges()
-    heavies = heavy_map(g, dec, epsilon)
+    heavies, _ = split_heavy_light(g, dec, epsilon)
     tags: dict[tuple[int, ...], str] = {}
     for d in diamonds:
         edges = [
-            _norm(a, b)
+            norm_edge(a, b)
             for i, a in enumerate(d)
             for b in d[i + 1 :]
             if g.has_edge(a, b)
@@ -1044,29 +1003,3 @@ def coverage_tags(
             )
     return tags
 
-
-def cluster_conductance_advisory(
-    g: Graph, dec: Decomposition, max_size: int = 400
-) -> dict[int, float]:
-    """Second-smallest normalized-Laplacian eigenvalue per cluster.
-
-    Purely advisory: a low value flags a cluster that a finer split
-    would cut, which affects constants, not correctness.  Clusters
-    larger than max_size are skipped.
-    """
-    out: dict[int, float] = {}
-    for c in dec.clusters:
-        k = len(c.members)
-        if k > max_size or k < 2:
-            continue
-        idx = {v: i for i, v in enumerate(sorted(c.members))}
-        a = np.zeros((k, k))
-        for u, v in c.edges:
-            a[idx[u], idx[v]] = a[idx[v], idx[u]] = 1.0
-        deg = a.sum(axis=1)
-        with np.errstate(divide="ignore"):
-            dinv = np.where(deg > 0, 1.0 / np.sqrt(deg), 0.0)
-        lap = np.eye(k) - (a * dinv).T * dinv
-        eigs = np.linalg.eigvalsh(lap)
-        out[c.index] = float(np.sort(eigs)[1])
-    return out

@@ -47,7 +47,6 @@ __all__ = [
     "build_diamond_family",
     "build_diamond_fixture",
     "diamond_cut_size",
-    "find_fixture_seed",
     "good_pair_ratio",
     "has_two_two_diamond",
     "list_two_two_diamonds",
@@ -183,16 +182,6 @@ def good_pair_ratio(fixture: DiamondFixture) -> float:
     """Good pairs per n^2.  Concentrates near (1 - 1/sqrt(n))^{sqrt(n) - 1}
     times the cross-block pair fraction, so it stays bounded away from 0."""
     return len(fixture.good_pairs) / fixture.n**2
-
-
-def find_fixture_seed(n: int, start_seed: int = 0, min_ratio: float = 0.01) -> int:
-    """First seed at or after start_seed whose fixture has enough slots."""
-    seed = start_seed
-    while True:
-        fx = build_diamond_fixture(n, seed)
-        if good_pair_ratio(fx) >= min_ratio and fx.bit_count > 0:
-            return seed
-        seed += 1
 
 
 def build_diamond_family(fixture: DiamondFixture, pair: InputPair) -> FamilyInstance:

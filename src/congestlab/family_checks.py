@@ -39,7 +39,7 @@ from .families import (
     build_cycle_family,
     build_long_cycle_family,
 )
-from .graphs import DEFAULT_WORK_BUDGET, list_induced_cycles
+from .graphs import DEFAULT_WORK_BUDGET, induced_edges, list_induced_cycles
 
 __all__ = [
     "FamilyCheckReport",
@@ -195,11 +195,6 @@ def _all_pairs(k: int) -> list[InputPair]:
     return [InputPair(x, y) for x in strings for y in strings]
 
 
-def _internal_edges(inst: FamilyInstance, side: tuple[int, ...]) -> frozenset:
-    s = set(side)
-    return frozenset(e for e in inst.graph.edges if e[0] in s and e[1] in s)
-
-
 def verify_family_conditions(
     harness: FamilyHarness,
     samples: int = 40,
@@ -250,8 +245,8 @@ def verify_family_conditions(
         inst = harness.build(pair)
         if (inst.graph.n, inst.side_a, inst.side_b, inst.cut_edges) != ref_shape:
             flag("fixed_structure", {"x": pair.x, "y": pair.y})
-        a_edges = _internal_edges(inst, inst.side_a)
-        b_edges = _internal_edges(inst, inst.side_b)
+        a_edges = induced_edges(inst.graph, inst.side_a)
+        b_edges = induced_edges(inst.graph, inst.side_b)
         if pair.x in a_by_x:
             if a_by_x[pair.x] != a_edges:
                 flag("side_a_edges_from_x", {"x": pair.x, "y": pair.y})
@@ -280,14 +275,12 @@ def verify_family_conditions(
     if not exhaustive and k > 0:
         for pair in pairs[: min(8, len(pairs))]:
             inst = harness.build(InputPair(pair.x, zeros(k)))
-            if a_by_x.get(pair.x, _internal_edges(inst, inst.side_a)) != (
-                _internal_edges(inst, inst.side_a)
-            ):
+            a_edges = induced_edges(inst.graph, inst.side_a)
+            if a_by_x.get(pair.x, a_edges) != a_edges:
                 flag("side_a_edges_from_x", {"x": pair.x, "y": zeros(k)})
             inst = harness.build(InputPair(zeros(k), pair.y))
-            if b_by_y.get(pair.y, _internal_edges(inst, inst.side_b)) != (
-                _internal_edges(inst, inst.side_b)
-            ):
+            b_edges = induced_edges(inst.graph, inst.side_b)
+            if b_by_y.get(pair.y, b_edges) != b_edges:
                 flag("side_b_edges_from_y", {"x": zeros(k), "y": pair.y})
 
     return FamilyCheckReport(

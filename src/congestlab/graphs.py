@@ -38,6 +38,7 @@ __all__ = [
     "list_induced_cycles_naive",
     "list_induced_diamonds",
     "list_induced_diamonds_naive",
+    "norm_edge",
     "random_graph",
 ]
 
@@ -51,9 +52,8 @@ class WorkBudgetExceeded(RuntimeError):
         self.budget = budget
 
 
-def _normalize_edge(u: int, v: int) -> tuple[int, int]:
-    if u == v:
-        raise ValueError(f"self-loop at vertex {u}")
+def norm_edge(u: int, v: int) -> tuple[int, int]:
+    """The pair {u, v} as stored: smaller endpoint first."""
     return (u, v) if u < v else (v, u)
 
 
@@ -67,7 +67,9 @@ class Graph:
             raise ValueError("vertex count must be nonnegative")
         normalized = set()
         for u, v in edges:
-            u, v = _normalize_edge(u, v)
+            if u == v:
+                raise ValueError(f"self-loop at vertex {u}")
+            u, v = norm_edge(u, v)
             if not (0 <= u and v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             normalized.add((u, v))

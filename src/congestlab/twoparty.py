@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .bitstrings import bits_intersect
 from .congest import (
@@ -39,8 +40,10 @@ from .graphs import (
     DEFAULT_WORK_BUDGET,
     Graph,
     crossing_edges,
+    induced_edges,
     list_induced_cycles,
     list_induced_diamonds,
+    norm_edge,
 )
 
 __all__ = [
@@ -87,11 +90,9 @@ def make_views(g: Graph, side_a) -> tuple[PartyView, PartyView]:
     sa = frozenset(side_a)
     sb = frozenset(g.vertices()) - sa
     cut = crossing_edges(g, sa)
-    internal_a = frozenset(e for e in g.edges if e[0] in sa and e[1] in sa)
-    internal_b = frozenset(e for e in g.edges if e[0] in sb and e[1] in sb)
     return (
-        PartyView("a", g.n, sa, internal_a, cut),
-        PartyView("b", g.n, sb, internal_b, cut),
+        PartyView("a", g.n, sa, induced_edges(g, sa), cut),
+        PartyView("b", g.n, sb, induced_edges(g, sb), cut),
     )
 
 
@@ -173,6 +174,10 @@ class CycleListingResult:
 
 def _cut_touching(view: PartyView) -> frozenset[int]:
     return frozenset(v for e in view.cut_edges for v in e if v in view.own_vertices)
+
+
+def _far_cut_touching(view: PartyView) -> frozenset[int]:
+    return frozenset(v for e in view.cut_edges for v in e if v not in view.own_vertices)
 
 
 def _edges_near_cut(view: PartyView) -> frozenset[tuple[int, int]]:
@@ -285,12 +290,51 @@ def _heavy_vertices(view: PartyView) -> frozenset[int]:
     )
 
 
-def _count_present(pairs, present: set[tuple[int, int]]) -> int:
+def _count_present(pairs, present: frozenset[tuple[int, int]]) -> int:
     return sum(1 for p in pairs if p in present)
 
 
-def _norm(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u < v else (v, u)
+def _majority_diamonds(view: PartyView, budget: int) -> list[tuple[int, ...]]:
+    """Diamonds with >= 3 own vertices: every pair touches this side, so
+    the party's own view decides them."""
+    known = Graph(view.n, view.internal_edges | view.cut_edges)
+    return [
+        d
+        for d in list_induced_diamonds(known, budget=budget)
+        if sum(1 for v in d if v in view.own_vertices) >= 3
+    ]
+
+
+def _balanced_diamonds(
+    view: PartyView,
+    present: frozenset[tuple[int, int]],
+    anchors: frozenset[int],
+    keep: Callable[[int, int], bool],
+) -> set[tuple[int, ...]]:
+    """Diamonds {v, q, b1, b2} with anchor v, two cut neighbors b1, b2 of
+    v, and q a cut neighbor of b1 or b2 accepted by keep(v, q), whose six
+    pair statuses show exactly five edges in *present*."""
+    found: set[tuple[int, ...]] = set()
+    for v in sorted(anchors):
+        nb = sorted(view.cut_neighbors(v))
+        for i in range(len(nb)):
+            for j in range(i + 1, len(nb)):
+                b1, b2 = nb[i], nb[j]
+                partners = view.cut_neighbors(b1) | view.cut_neighbors(b2)
+                for q in sorted(partners - {v}):
+                    if not keep(v, q):
+                        continue
+                    pairs = [
+                        norm_edge(v, q),
+                        norm_edge(v, b1),
+                        norm_edge(v, b2),
+                        norm_edge(q, b1),
+                        norm_edge(q, b2),
+                        norm_edge(b1, b2),
+                    ]
+                    if _count_present(pairs, present) == 5:
+                        found.add(tuple(sorted((v, q, b1, b2))))
+    return found
 
 
 def _diamond_list_a(
@@ -307,39 +351,13 @@ def _diamond_list_a(
     pairs is missing), so the far pair lies inside that vertex's window
     and its status arrived in the window batch.
     """
-    known = Graph(view.n, view.internal_edges | view.cut_edges)
-    local = [
-        d
-        for d in list_induced_diamonds(known, budget=budget)
-        if sum(1 for v in d if v in view.own_vertices) >= 3
-    ]
-    present = set(view.internal_edges) | set(view.cut_edges) | set(window_edges)
-    found: set[tuple[int, ...]] = set(local)
-    for v in sorted(_cut_touching(view) - heavy):
-        wnb = sorted(view.cut_neighbors(v))
-        for i in range(len(wnb)):
-            for j in range(i + 1, len(wnb)):
-                b1, b2 = wnb[i], wnb[j]
-                partners = set()
-                for b in (b1, b2):
-                    partners |= {
-                        e[0] if e[1] == b else e[1]
-                        for e in view.cut_edges
-                        if b in e
-                    }
-                for q in sorted(partners - {v}):
-                    if q in heavy or q not in view.own_vertices:
-                        continue
-                    pairs = [
-                        _norm(v, q),
-                        _norm(v, b1),
-                        _norm(v, b2),
-                        _norm(q, b1),
-                        _norm(q, b2),
-                        _norm(b1, b2),
-                    ]
-                    if _count_present(pairs, present) == 5:
-                        found.add(tuple(sorted((v, q, b1, b2))))
+    found = set(_majority_diamonds(view, budget))
+    found |= _balanced_diamonds(
+        view,
+        view.internal_edges | view.cut_edges | window_edges,
+        _cut_touching(view) - heavy,
+        lambda v, q: q not in heavy and q in view.own_vertices,
+    )
     return tuple(sorted(found))
 
 
@@ -352,44 +370,13 @@ def _diamond_list_b(
     """Side B's share: all diamonds with >= 3 B vertices, plus the balanced
     ones with at least one heavy A vertex (their A-pair status is pinned
     by the heavy-incident batch)."""
-    known = Graph(view.n, view.internal_edges | view.cut_edges)
-    local = [
-        d
-        for d in list_induced_diamonds(known, budget=budget)
-        if sum(1 for v in d if v in view.own_vertices) >= 3
-    ]
-    present = set(view.internal_edges) | set(view.cut_edges) | set(heavy_edges)
-    far_cut_touching = frozenset(
-        v for e in view.cut_edges for v in e if v not in view.own_vertices
+    found = set(_majority_diamonds(view, budget))
+    found |= _balanced_diamonds(
+        view,
+        view.internal_edges | view.cut_edges | heavy_edges,
+        _far_cut_touching(view),
+        lambda u, q: q not in view.own_vertices and (u in heavy or q in heavy),
     )
-    found: set[tuple[int, ...]] = set(local)
-    for u in sorted(far_cut_touching):
-        bnb = sorted(view.cut_neighbors(u))
-        for i in range(len(bnb)):
-            for j in range(i + 1, len(bnb)):
-                b1, b2 = bnb[i], bnb[j]
-                partners = set()
-                for b in (b1, b2):
-                    partners |= {
-                        e[0] if e[1] == b else e[1]
-                        for e in view.cut_edges
-                        if b in e
-                    }
-                for q in sorted(partners - {u}):
-                    if q in view.own_vertices:
-                        continue
-                    if u not in heavy and q not in heavy:
-                        continue
-                    pairs = [
-                        _norm(u, q),
-                        _norm(u, b1),
-                        _norm(u, b2),
-                        _norm(q, b1),
-                        _norm(q, b2),
-                        _norm(b1, b2),
-                    ]
-                    if _count_present(pairs, present) == 5:
-                        found.add(tuple(sorted((u, q, b1, b2))))
     return tuple(sorted(found))
 
 
@@ -441,15 +428,12 @@ def diamond_listing_protocol(
         recv_heavy = decode_vertex_list(transcript.messages[0].bits, w)
         # Side B derives the light windows from shared knowledge alone:
         # far-side cut endpoints minus the received heavy ids.
-        far_touching = frozenset(
-            v for e in view_b.cut_edges for v in e if v not in view_b.own_vertices
-        )
         windows: set[tuple[int, int]] = set()
-        for v in sorted(far_touching - recv_heavy):
+        for v in sorted(_far_cut_touching(view_b) - recv_heavy):
             window = sorted(view_b.cut_neighbors(v))
             for i in range(len(window)):
                 for j in range(i + 1, len(window)):
-                    e = _norm(window[i], window[j])
+                    e = norm_edge(window[i], window[j])
                     if e in view_b.internal_edges:
                         windows.add(e)
         transcript.add("b->a", "light-windows", encode_edge_list(windows, w))

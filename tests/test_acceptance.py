@@ -195,10 +195,12 @@ def test_criterion_02_subdivided_family_iff():
     assert seconds < 30.0
     assert counts[6] == 0, violations[6][:3]
     assert not any(counts.values()), (
-        f"odd target lengths admit off-design cycles on disjoint inputs: "
+        f"odd target lengths admit off-design cycles: "
         f"k=5 fails {counts[5]}/256 (first {violations[5][0] if violations[5] else None}), "
-        f"k=7 fails {counts[7]}/256; the parity shape is pinned in "
-        f"test_families.py and described in the README known-limitations section"
+        f"k=7 fails {counts[7]}/256; the odd-k wiring and its cycle-length case "
+        f"analysis are in the build_cycle_family docstring, and "
+        f"TestSubdividedCycleFamily::test_odd_lengths_close_no_cycle_from_x_alone "
+        f"in test_families.py checks the repaired shape"
     )
 
 
@@ -254,11 +256,13 @@ def test_criterion_03_long_cycle_family_iff_and_block_counts():
     assert single_mism == []
     assert count_clause_failures == []
     assert paired_iff_mism == [], (
-        f"paired-code instances admit induced target-length cycles on "
-        f"{len(paired_iff_mism)} disjoint input pairs (first "
-        f"{paired_iff_mism[0]}); the cycles stitch strands of two different "
-        f"codes together, pass both block-count clauses, and are pinned in "
-        f"test_families.py; see the README known-limitations section"
+        f"paired-code instances disagree with intersection on "
+        f"{len(paired_iff_mism)} input pairs (first {paired_iff_mism[0]}); "
+        f"stitched two-code cycles pass both block-count clauses; the ell >= 2 "
+        f"wiring is described in the build_long_cycle_family docstring and the "
+        f"README known-limitations section, and TestLongCycleFamily in "
+        f"test_families.py checks it (test_paired_codes_admit_no_chimera_cycles, "
+        f"test_paired_codes_stay_clean_on_disjoint_pairs_at_n3)"
     )
 
 

@@ -14,13 +14,12 @@ from congestlab.diamond_congest import (
     decompose_by_peeling,
     frac_pow_ceil,
     frac_pow_floor,
-    heavy_map,
-    light_map,
     list_induced_diamonds_congest,
     min_peel_degree,
     run_heavy_phase,
     run_light_phase,
     run_sparse_phase,
+    split_heavy_light,
 )
 from congestlab.graphs import (
     Graph,
@@ -79,6 +78,12 @@ class TestExactPowers:
         assert min_peel_degree(96, FIVE_SIXTHS, 4) == 12
         assert min_peel_degree(128, FIVE_SIXTHS, 4) == 15
         assert min_peel_degree(4, FIVE_SIXTHS, 4) == 2
+        # delta > 1: capped at n + 1, so every vertex peels.
+        assert min_peel_degree(10, Fraction(2), 4) == 11
+
+    def test_min_peel_degree_rejects_a_nonpositive_constant(self):
+        with pytest.raises(ValueError):
+            min_peel_degree(64, FIVE_SIXTHS, 0)
 
 
 class TestDecomposition:
@@ -135,15 +140,14 @@ class TestHeavyLightSplit:
         g = Graph(100, edges)
         dec = decompose_by_peeling(g)
         assert [len(c.members) for c in dec.clusters] == [20]
-        hm = heavy_map(g, dec)
-        lm = light_map(g, dec)
-        assert hm[0] == frozenset({20})
+        hm, lm = split_heavy_light(g, dec)
+        assert set(hm[0]) == {20}
         assert 20 not in lm[0]
 
     def test_light_map_needs_at_least_one_member_neighbor(self):
         g = Graph(26, _clique_edges(range(24)) + [(0, 24)])
         dec = decompose_by_peeling(g)
-        lm = light_map(g, dec)
+        _, lm = split_heavy_light(g, dec)
         assert 24 in lm[0]
         assert 25 not in lm[0]
 

@@ -11,7 +11,6 @@ from congestlab.diamond_family import (
     build_diamond_family,
     build_diamond_fixture,
     diamond_cut_size,
-    find_fixture_seed,
     good_pair_ratio,
     has_two_two_diamond,
     list_two_two_diamonds,
@@ -78,11 +77,6 @@ class TestFixtureStructure:
             build_diamond_fixture(16, 5).quadruples
             != build_diamond_fixture(16, 6).quadruples
         )
-
-    def test_find_fixture_seed_returns_a_usable_seed(self):
-        seed = find_fixture_seed(4)
-        fx = build_diamond_fixture(4, seed)
-        assert fx.bit_count > 0
 
     def test_good_pair_ratio_stays_usable_at_small_sizes(self):
         for n in (16, 64):

@@ -1,0 +1,60 @@
+"""Import hygiene, checked with the standard library alone: the package
+pulls in no third-party runtime dependency, and no module imports a
+name it never uses."""
+
+from __future__ import annotations
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import congestlab
+
+PACKAGE_DIR = Path(congestlab.__file__).resolve().parent
+
+
+def test_importing_the_package_loads_no_numpy():
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, congestlab; print('numpy' in sys.modules)"],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
+
+
+def _unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    # Names listed in __all__ are re-exported, which counts as a use.
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= {
+                elt.value for elt in node.value.elts if isinstance(elt, ast.Constant)
+            }
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+def test_modules_import_no_unused_names():
+    unused = {}
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        names = _unused_imports(path.read_text(encoding="utf-8"))
+        if names:
+            unused[path.name] = names
+    assert unused == {}
