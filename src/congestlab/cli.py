@@ -7,9 +7,9 @@ and the full parameter set, so identical invocations produce identical
 bytes; bench additionally reports oracle wall time, which is the one
 intentionally non-reproducible column.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error,
-3 work budget exceeded.  CONGESTLAB_WORK_BUDGET overrides the default
-enumeration budget.
+Exit codes: 0 success, 1 verification failure, 2 usage error or a
+simulator model violation, 3 work budget exceeded.
+CONGESTLAB_WORK_BUDGET overrides the default enumeration budget.
 """
 
 from __future__ import annotations
@@ -27,7 +27,14 @@ from pathlib import Path
 
 from .bitstrings import hex_to_bits, random_bits
 from .bundles import SCHEMA_VERSION, canonical_json_bytes, write_bundle
-from .congest import PROGRAMS, SimConfig, cut_traffic_bound_check, default_bandwidth, run
+from .congest import (
+    PROGRAMS,
+    ProtocolViolation,
+    SimConfig,
+    cut_traffic_bound_check,
+    default_bandwidth,
+    run,
+)
 from .diamond_congest import list_induced_diamonds_congest
 from .diamond_family import build_diamond_family, build_diamond_fixture
 from .families import InputPair, build_cycle_family, build_long_cycle_family
@@ -92,6 +99,13 @@ def _fraction(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a fraction: {text!r}") from exc
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _make_inputs(args, bit_count: int) -> InputPair:
@@ -449,8 +463,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run-congest", help="run a node program on the simulator")
     p.add_argument("--graph", required=True)
     p.add_argument("--program", required=True, help="name or name:arg")
-    p.add_argument("--bandwidth", type=int, default=None)
-    p.add_argument("--max-rounds", type=int, default=10_000)
+    p.add_argument("--bandwidth", type=_positive_int, default=None)
+    p.add_argument("--max-rounds", type=_positive_int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cut", help="bundle dir or meta.json supplying cut edges")
     p.add_argument("--stats-out")
@@ -505,7 +519,7 @@ def main(argv: list[str] | None = None) -> int:
     except WorkBudgetExceeded as exc:
         print(f"work budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ValueError, FileNotFoundError, KeyError) as exc:
+    except (ValueError, FileNotFoundError, KeyError, ProtocolViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

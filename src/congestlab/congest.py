@@ -18,7 +18,6 @@ links simulated runs to two-party communication lower bounds.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 from typing import Any, Callable
@@ -47,7 +46,7 @@ __all__ = [
 
 def word_bits(n: int) -> int:
     """Bits needed to address n vertices; at least 1."""
-    return max(1, math.ceil(math.log2(n))) if n > 1 else 1
+    return max(1, (n - 1).bit_length())
 
 
 def default_bandwidth(n: int) -> int:
@@ -67,7 +66,8 @@ def decode_uint(bits: str) -> int:
 
 class ProtocolViolation(RuntimeError):
     """A program broke the model: bad destination, oversized or duplicate
-    message, or a changed output."""
+    message, or a changed output.  The message names the program, the
+    node and the round."""
 
 
 @dataclass(frozen=True)
@@ -144,6 +144,10 @@ def run(
     rounds_used = 0
     timed_out = True
 
+    def violation(v: int, r: int, what: str) -> ProtocolViolation:
+        where = f"program {program.name}: node {v}"
+        return ProtocolViolation(f"{where} {what} in round {r}")
+
     for r in range(config.max_rounds):
         inboxes = inbox_next
         inbox_next = {}
@@ -153,27 +157,21 @@ def run(
             states[v] = state
             if out is not None:
                 if out not in (0, 1):
-                    raise ProtocolViolation(f"node {v} output {out!r}, want 0 or 1")
+                    raise violation(v, r, f"output {out!r} (want 0 or 1)")
                 if outputs[v] is not None and outputs[v] != out:
-                    raise ProtocolViolation(
-                        f"node {v} changed output {outputs[v]} -> {out} in round {r}"
-                    )
+                    raise violation(v, r, f"changed output {outputs[v]} -> {out}")
                 outputs[v] = out
             sent_to: set[int] = set()
             for dst, bits in outbox:
                 if dst not in g.adj[v]:
-                    raise ProtocolViolation(
-                        f"node {v} sent to non-neighbor {dst} in round {r}"
-                    )
+                    raise violation(v, r, f"sent to non-neighbor {dst}")
                 if dst in sent_to:
-                    raise ProtocolViolation(
-                        f"node {v} sent twice over edge to {dst} in round {r}"
-                    )
+                    raise violation(v, r, f"sent twice over edge to {dst}")
                 if not isinstance(bits, str) or any(c not in "01" for c in bits):
-                    raise ProtocolViolation(f"node {v} sent non-bitstring {bits!r}")
+                    raise violation(v, r, f"sent non-bitstring {bits!r}")
                 if len(bits) > bandwidth:
-                    raise ProtocolViolation(
-                        f"node {v} sent {len(bits)} bits > bandwidth {bandwidth}"
+                    raise violation(
+                        v, r, f"sent {len(bits)} bits > bandwidth {bandwidth}"
                     )
                 sent_to.add(dst)
                 inbox_next.setdefault(dst, {})[v] = bits

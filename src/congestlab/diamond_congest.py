@@ -57,6 +57,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable
 
 from .bundles import canonical_json_bytes
@@ -72,7 +73,12 @@ from .congest import (
 from .graphs import (
     DEFAULT_WORK_BUDGET,
     Graph,
+    _as_fraction,
+    ceil_sqrt,
     connected_components,
+    frac_pow_ceil,
+    frac_pow_floor,
+    induced_edges,
     list_induced_diamonds,
     norm_edge,
 )
@@ -97,41 +103,6 @@ __all__ = [
 DEFAULT_DELTA = Fraction(5, 6)
 DEFAULT_EPSILON = Fraction(1, 2)
 DEFAULT_MIN_DEGREE_CONSTANT = 4
-
-
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, float):
-        raise TypeError(
-            "pass fractional exponents as Fraction (or str/int); floats would "
-            "make threshold comparisons inexact"
-        )
-    return Fraction(x)
-
-
-def frac_pow_floor(n: int, exponent: Fraction) -> int:
-    """floor(n ** exponent), computed in exact integer arithmetic."""
-    exponent = _as_fraction(exponent)
-    if n < 0 or exponent < 0:
-        raise ValueError("need n >= 0 and exponent >= 0")
-    if n == 0:
-        return 0
-    p, q = exponent.numerator, exponent.denominator
-    target = n**p
-    lo, hi = 0, n ** ((p + q - 1) // q) + 1
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if mid**q <= target:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
-
-
-def frac_pow_ceil(n: int, exponent: Fraction) -> int:
-    exponent = _as_fraction(exponent)
-    f = frac_pow_floor(n, exponent)
-    p, q = exponent.numerator, exponent.denominator
-    return f if n == 0 or f**q == n**p else f + 1
 
 
 def min_peel_degree(n: int, delta: Fraction, constant: int) -> int:
@@ -164,6 +135,7 @@ class Decomposition:
     es_assigned: dict[int, tuple[tuple[int, int], ...]]
     clusters: tuple[Cluster, ...]
     cluster_index: dict[int, int | None]
+    leaders: dict[int, int | None]
 
     def es_edges(self) -> frozenset[tuple[int, int]]:
         return frozenset(e for edges in self.es_assigned.values() for e in edges)
@@ -175,14 +147,11 @@ class Decomposition:
         return self.cluster_index.get(v) is not None
 
     def leader_of(self, v: int) -> int | None:
-        ci = self.cluster_index.get(v)
-        return None if ci is None else self.clusters[ci].leader
+        return self.leaders.get(v)
 
     def es_cap(self) -> int:
         """Per-vertex assigned-edge cap: n^delta * log2(n), rounded up."""
-        return frac_pow_ceil(self.n, self.delta) * max(
-            1, math.ceil(math.log2(max(2, self.n)))
-        )
+        return frac_pow_ceil(self.n, self.delta) * word_bits(self.n)
 
     def validate(self, g: Graph) -> list[str]:
         """Structural invariants; returns human-readable violations."""
@@ -256,18 +225,16 @@ def decompose_by_peeling(
         adj[v] = set()
         active.discard(v)
         peel_order.append(v)
-    clusters = []
-    for idx, comp in enumerate(connected_components(g, within=active)):
-        edges = frozenset(
-            e for e in g.edges if e[0] in comp and e[1] in comp
-        )
-        clusters.append(
-            Cluster(index=idx, leader=min(comp), members=comp, edges=edges)
-        )
+    clusters = [
+        Cluster(index=idx, leader=min(comp), members=comp, edges=induced_edges(g, comp))
+        for idx, comp in enumerate(connected_components(g, within=active))
+    ]
     cluster_index: dict[int, int | None] = {v: None for v in range(g.n)}
+    leaders: dict[int, int | None] = {v: None for v in range(g.n)}
     for c in clusters:
         for v in c.members:
             cluster_index[v] = c.index
+            leaders[v] = c.leader
     return Decomposition(
         n=g.n,
         delta=delta,
@@ -277,6 +244,7 @@ def decompose_by_peeling(
         es_assigned=es_assigned,
         clusters=tuple(clusters),
         cluster_index=cluster_index,
+        leaders=leaders,
     )
 
 
@@ -303,11 +271,10 @@ def split_heavy_light(
     neighbors and light with 1..n^epsilon of them.
     """
     light_max = frac_pow_floor(g.n, _as_fraction(epsilon))
-    leaders = {v: dec.leader_of(v) for v in range(g.n)}
     heavy: dict[int, dict[int, list[int]]] = {c.index: {} for c in dec.clusters}
     light: dict[int, dict[int, list[int]]] = {c.index: {} for c in dec.clusters}
     for v in range(g.n):
-        for lu, members in cluster_neighbors(g.adj[v], leaders, v).items():
+        for lu, members in cluster_neighbors(g.adj[v], dec.leaders, v).items():
             side = heavy if len(members) > light_max else light
             side[dec.cluster_index[lu]][v] = members
     return heavy, light
@@ -343,26 +310,22 @@ def _sparse_finds(
         es_adj.setdefault(b, set()).add(a)
     found: set[tuple[int, ...]] = set()
     es_nb = sorted(es_adj.get(v, ()))
-    for i in range(len(es_nb)):
-        for j in range(i + 1, len(es_nb)):
-            a, b = es_nb[i], es_nb[j]
-            if norm_edge(a, b) not in known_es:
-                continue
-            # Wing rule: spine (a, b), far wing d.
-            for d in sorted((es_adj[a] & es_adj[b]) - {v}):
-                if d not in real_neighbors:
-                    found.add(tuple(sorted((v, a, b, d))))
+    for a, b in combinations(es_nb, 2):
+        if (a, b) not in known_es:
+            continue
+        # Wing rule: spine (a, b), far wing d.
+        for d in sorted((es_adj[a] & es_adj[b]) - {v}):
+            if d not in real_neighbors:
+                found.add(tuple(sorted((v, a, b, d))))
     for b in es_nb:
         common = sorted((es_adj[v] & es_adj[b]) - {b, v})
-        for i in range(len(common)):
-            for j in range(i + 1, len(common)):
-                c, d = common[i], common[j]
-                if norm_edge(c, d) in known_es:
-                    continue
-                lc, ld = nbr_leader.get(c), nbr_leader.get(d)
-                if lc is not None and lc == ld:
-                    continue
-                found.add(tuple(sorted((v, b, c, d))))
+        for c, d in combinations(common, 2):
+            if (c, d) in known_es:
+                continue
+            lc, ld = nbr_leader.get(c), nbr_leader.get(d)
+            if lc is not None and lc == ld:
+                continue
+            found.add(tuple(sorted((v, b, c, d))))
     return found
 
 
@@ -376,7 +339,6 @@ def run_sparse_phase(
     g: Graph,
     dec: Decomposition,
     seed: int = 0,
-    max_rounds: int | None = None,
 ) -> tuple[set[tuple[int, ...]], RunStats]:
     """Execute the sparse broadcast and listing on the simulator.
 
@@ -388,14 +350,13 @@ def run_sparse_phase(
     n = g.n
     w = word_bits(n)
     assigned = {v: dec.es_assigned.get(v, ()) for v in range(n)}
-    leaders = {v: dec.leader_of(v) for v in range(n)}
 
     def init(v, neighbors, n_, rng):
         return {
             "v": v,
             "nbrs": frozenset(neighbors),
             "own": assigned[v],
-            "leader": leaders[v],
+            "leader": dec.leaders[v],
             "counts": {},
             "nbr_leader": {},
             "known_es": set(assigned[v]),
@@ -441,16 +402,10 @@ def run_sparse_phase(
         return {
             "found": tuple(sorted(state["found"] or ())),
             "known_es": frozenset(state["known_es"]),
-            "nbr_leader": dict(state["nbr_leader"]),
         }
 
     program = NodeProgram(name="diamond-sparse", init=init, step=step, collect=collect)
-    cap = dec.d_min + 3
-    stats = run(
-        g,
-        program,
-        SimConfig(max_rounds=max_rounds or max(cap, 4), seed=seed),
-    )
+    stats = run(g, program, SimConfig(max_rounds=max(dec.d_min + 3, 4), seed=seed))
     if stats.timed_out:
         raise RuntimeError("sparse phase exceeded its round schedule")
     found: set[tuple[int, ...]] = set()
@@ -490,7 +445,6 @@ def run_heavy_phase(
     engaged = [c for c in dec.clusters if heavies[c.index]]
     accounting: dict = {
         "engaged_clusters": len(engaged),
-        "charged_rounds_per_cluster": {},
         "charged_rounds_max": 0,
         "charged_rounds_sum": 0,
         "gathered_entries_max": 0,
@@ -499,15 +453,13 @@ def run_heavy_phase(
     if not engaged:
         return set(), None, accounting
 
-    leaders = {v: dec.leader_of(v) for v in range(n)}
-
     # Chunk plans are derived from knowledge every node obtains in the
     # round-0 flag exchange: its neighbors' cluster leaders.
     def init(v, neighbors, n_, rng):
         nbrs = tuple(neighbors)
         plans: dict[int, list[int]] = {}
         full = sorted(nbrs)
-        for members in cluster_neighbors(full, leaders, v).values():
+        for members in cluster_neighbors(full, dec.leaders, v).values():
             if len(members) > light_max:
                 chunk = math.ceil(len(full) / len(members))
                 for t, m in enumerate(members):
@@ -525,7 +477,7 @@ def run_heavy_phase(
                 state["fragments"].setdefault(src, []).append(decode_uint(bits))
         outbox: list[tuple[int, str]] = []
         if r == 0:
-            payload = _cluster_flag_payload(leaders[state["v"]], 0, w)
+            payload = _cluster_flag_payload(dec.leaders[state["v"]], 0, w)
             outbox = [(u, payload) for u in sorted(state["nbrs"])]
         else:
             for m, chunk in sorted(state["plans"].items()):
@@ -550,18 +502,14 @@ def run_heavy_phase(
     if stats.timed_out:
         raise RuntimeError("heavy phase exceeded its round schedule")
 
+    exp_gather = max(Fraction(0), 2 - dec.delta - epsilon)
+    exp_route = max(Fraction(0), 2 - 2 * dec.delta)
+    charged_one = frac_pow_ceil(n, exp_gather) + ceil_sqrt(n) * frac_pow_ceil(
+        n, exp_route
+    )
+
     # Reassemble each heavy neighborhood from the fragments its cluster
     # members received; completeness is by construction, asserted anyway.
-    exp_gather = Fraction(2) - dec.delta - epsilon
-    exp_route = Fraction(2) - 2 * dec.delta
-    if exp_gather < 0:
-        exp_gather = Fraction(0)
-    if exp_route < 0:
-        exp_route = Fraction(0)
-    charged_one = frac_pow_ceil(n, exp_gather) + frac_pow_ceil(
-        n, Fraction(1, 2)
-    ) * frac_pow_ceil(n, exp_route)
-
     found: set[tuple[int, ...]] = set()
     gathered_max = 0
     for c in engaged:
@@ -578,30 +526,18 @@ def run_heavy_phase(
             if ids != set(g.adj[h]):
                 raise AssertionError(f"heavy neighborhood of {h} arrived incomplete")
         knowledge = _member_incident_edges(g, c.members)
-        for h, ids in assembled.items():
-            for x in ids:
-                knowledge.add(norm_edge(h, x))
+        knowledge |= {norm_edge(h, x) for h, ids in assembled.items() for x in ids}
         kg = Graph(n, knowledge)
         cluster_heavy = heavies[c.index]
         for d in list_induced_diamonds(kg, budget=budget):
-            ds = set(d)
-            if not any(v in cluster_heavy for v in ds):
+            if not any(v in cluster_heavy for v in d):
                 continue
-            if not any(
-                e[0] in c.members and e[1] in c.members
-                for e in (
-                    norm_edge(a, b)
-                    for i, a in enumerate(d)
-                    for b in d[i + 1 :]
-                )
-                if e in g.edges
-            ):
+            if not induced_edges(g, d) & c.edges:
                 continue
             # Every pair of such a candidate touches a member or a heavy
             # vertex, so all six statuses are exact and the diamond real.
-            found.add(tuple(sorted(d)))
-        accounting["charged_rounds_per_cluster"][c.index] = charged_one
-    accounting["charged_rounds_max"] = charged_one if engaged else 0
+            found.add(d)
+    accounting["charged_rounds_max"] = charged_one
     accounting["charged_rounds_sum"] = charged_one * len(engaged)
     # Per-member capacity: each heavy neighbor contributes chunks of at
     # most ceil(deg/n^eps) entries, so one member gathers under n^(2-eps).
@@ -619,16 +555,16 @@ def run_light_phase(
     g: Graph,
     dec: Decomposition,
     epsilon: Fraction = DEFAULT_EPSILON,
-    warm: dict | None = None,
+    *,
+    warm: dict,
     seed: int = 0,
     budget: int = DEFAULT_WORK_BUDGET,
 ) -> tuple[set[tuple[int, ...]], RunStats, dict]:
     """Stream light neighbor lists, query pair statuses, list the rest.
 
-    ``warm`` is the per-node collected state of a sparse-phase run on
-    the same graph and decomposition (sparse knowledge and neighbor
-    cluster flags); when absent a sparse exchange is executed first and
-    its rounds counted here.  Reconciliation of diamonds with >= 3
+    ``warm`` is required: the per-node listings of a sparse-phase run on
+    the same graph and decomposition, whose sparse knowledge certifies
+    the member rule's absences.  Reconciliation of diamonds with >= 3
     vertices in one cluster happens centrally from member-incident
     knowledge and is charged zero messages.
 
@@ -638,14 +574,6 @@ def run_light_phase(
     n = g.n
     w = word_bits(n)
     light_max = frac_pow_floor(n, epsilon)
-    segment_a_rounds = 0
-    if warm is None:
-        _, sparse_stats = run_sparse_phase(g, dec, seed=seed)
-        warm = dict(sparse_stats.listings)
-        segment_a_rounds = sparse_stats.rounds_used
-
-    leaders = {v: dec.leader_of(v) for v in range(n)}
-    member_sets = {c.leader: c.members for c in dec.clusters}
     heavies, lights = split_heavy_light(g, dec, epsilon)
 
     # Central schedule: exact per-segment maxima, derivable from the
@@ -672,18 +600,14 @@ def run_light_phase(
     decide_round = lb + lc + ld
 
     def init(v, neighbors, n_, rng):
-        wk = warm.get(v, {"known_es": frozenset(), "nbr_leader": {}})
         return {
             "v": v,
             "nbrs": tuple(neighbors),
-            "known_es": set(wk["known_es"]),
-            "nbr_leader": dict(wk["nbr_leader"]),
+            "known_es": warm[v]["known_es"],
             "recv_entries": {},
-            "recv_counts": {},
             "incoming_q": {},
             "incoming_expect": {},
             "answer_bits": {},
-            "answer_expect": {},
             "found": None,
         }
 
@@ -691,8 +615,7 @@ def run_light_phase(
         v = state["v"]
         for src, bits in inbox.items():
             if r == 1:
-                state["recv_counts"][src] = decode_uint(bits)
-                state["recv_entries"][src] = []
+                continue  # entry counts; the schedule already fixes lb
             elif 2 <= r <= lb:
                 state["recv_entries"].setdefault(src, []).append(decode_uint(bits))
             elif r == lb + 1:
@@ -712,7 +635,6 @@ def run_light_phase(
         elif r == lb:
             for c1, qs in sorted(queries[v].items()):
                 outbox.append((c1, encode_uint(len(qs), w)))
-                state["answer_expect"][c1] = len(qs)
         elif lb < r <= lb + max_qlen:
             idx = r - lb - 1
             for c1, qs in sorted(queries[v].items()):
@@ -726,9 +648,7 @@ def run_light_phase(
             for src, qids in sorted(state["incoming_q"].items()):
                 if len(qids) != state["incoming_expect"].get(src, -1):
                     continue
-                bits_all = "".join(
-                    "1" if c2 in nbset else "0" for c2 in qids
-                )
+                bits_all = "".join("1" if c2 in nbset else "0" for c2 in qids)
                 piece = bits_all[chunk_idx * chunk_bits : (chunk_idx + 1) * chunk_bits]
                 if piece:
                     outbox.append((src, piece))
@@ -763,36 +683,25 @@ def run_light_phase(
                         found.add(tuple(sorted((v, u, c1, c2))))
         # Member rule: v is a cluster vertex joining two of its light
         # neighbors whose mutual absence the sparse knowledge certifies.
-        own_leader = leaders[v]
-        if own_leader is not None:
-            members = member_sets[own_leader]
-            lights = sorted(
-                u
-                for u, ent in state["recv_entries"].items()
-                if ent and v in ent
-            )
-            for i in range(len(lights)):
-                for j in range(i + 1, len(lights)):
-                    u1, u2 = lights[i], lights[j]
-                    if norm_edge(u1, u2) in state["known_es"]:
-                        continue
-                    shared = (
-                        set(state["recv_entries"][u1])
-                        & set(state["recv_entries"][u2])
-                        & nbset
-                        & members
-                    ) - {v}
-                    for c2 in sorted(shared):
-                        found.add(tuple(sorted((u1, u2, v, c2))))
+        ci = dec.cluster_index[v]
+        if ci is not None:
+            members = dec.clusters[ci].members
+            lights = sorted(u for u, ent in state["recv_entries"].items() if v in ent)
+            for u1, u2 in combinations(lights, 2):
+                if (u1, u2) in state["known_es"]:
+                    continue
+                shared = (
+                    set(state["recv_entries"][u1])
+                    & set(state["recv_entries"][u2])
+                    & nbset
+                    & members
+                ) - {v}
+                for c2 in sorted(shared):
+                    found.add(tuple(sorted((u1, u2, v, c2))))
         return found
 
     def collect(state):
-        return {
-            "found": tuple(sorted(state["found"] or ())),
-            "max_query": max(
-                (len(qs) for qs in queries[state["v"]].values()), default=0
-            ),
-        }
+        return {"found": tuple(sorted(state["found"] or ()))}
 
     program = NodeProgram(name="diamond-light", init=init, step=step, collect=collect)
     stats = run(g, program, SimConfig(max_rounds=decide_round + 2, seed=seed))
@@ -811,17 +720,15 @@ def run_light_phase(
     for c in dec.clusters:
         kg = Graph(n, _member_incident_edges(g, c.members))
         for d in list_induced_diamonds(kg, budget=budget):
-            ds = set(d)
-            if len(ds & c.members) < 3:
+            if len(c.members.intersection(d)) < 3:
                 continue
-            if any(v in heavies[c.index] for v in ds):
+            if any(v in heavies[c.index] for v in d):
                 continue
-            reconcile.add(tuple(sorted(d)))
+            reconcile.add(d)
     found |= reconcile
 
     accounting = {
-        "segment_a_rounds": segment_a_rounds,
-        "executed_rounds": stats.rounds_used + segment_a_rounds,
+        "executed_rounds": stats.rounds_used,
         "query_len_max": max_qlen,
         "query_len_cap": max(0, light_max - 1),
         "pair_rule_found": l1_l2_count,
@@ -903,12 +810,7 @@ def list_induced_diamonds_congest(
         g, dec, epsilon, seed=seed, budget=budget
     )
     light_found, light_stats, light_acct = run_light_phase(
-        g,
-        dec,
-        epsilon,
-        warm=dict(sparse_stats.listings),
-        seed=seed,
-        budget=budget,
+        g, dec, epsilon, warm=sparse_stats.listings, seed=seed, budget=budget
     )
     all_found = sorted(sparse_found | heavy_found | light_found)
 
@@ -979,27 +881,18 @@ def coverage_tags(
     heavies, _ = split_heavy_light(g, dec, epsilon)
     tags: dict[tuple[int, ...], str] = {}
     for d in diamonds:
-        edges = [
-            norm_edge(a, b)
-            for i, a in enumerate(d)
-            for b in d[i + 1 :]
-            if g.has_edge(a, b)
-        ]
-        if all(e in es for e in edges):
+        em = induced_edges(g, d) - es
+        if not em:
             tags[d] = "sparse"
             continue
-        em_edge = next(e for e in edges if e not in es)
-        ci = dec.cluster_index[em_edge[0]]
-        members = dec.clusters[ci].members
-        ds = set(d)
-        if any(v in heavies[ci] for v in ds):
+        ci = dec.cluster_index[min(em)[0]]
+        outside = set(d) - dec.clusters[ci].members
+        if any(v in heavies[ci] for v in d):
             tags[d] = "heavy"
-        elif len(ds & members) >= 3:
+        elif len(outside) <= 1:
             tags[d] = "light-reconcile"
         else:
-            u1, u2 = sorted(ds - members)
-            tags[d] = "light-pair-absent" if not g.has_edge(u1, u2) else (
-                "light-pair-present"
-            )
+            present = g.has_edge(*outside)
+            tags[d] = "light-pair-present" if present else "light-pair-absent"
     return tags
 

@@ -23,10 +23,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Sequence
 
 from .bitstrings import pair_index, validate_bits
-from .graphs import Graph, crossing_edges
+from .graphs import Graph, crossing_edges, frac_pow_ceil
 
 __all__ = [
     "CodeAssignment",
@@ -319,13 +320,7 @@ def long_cycle_alphabet(n: int, ell: int) -> int:
     """
     if n < 1 or ell < 1:
         raise ValueError("need n >= 1 and ell >= 1")
-    target = ell**ell * n
-    r = max(1, round(target ** (1.0 / ell)))
-    while r > 1 and (r - 1) ** ell >= target:
-        r -= 1
-    while r**ell < target:
-        r += 1
-    return r
+    return frac_pow_ceil(ell**ell * n, Fraction(1, ell))
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,9 @@ distributed listing algorithm) is validated against these oracles.
 All enumeration entry points accept a work budget.  The naive routes
 refuse up front when the subset count alone exceeds the budget; the
 pruned routes count search-tree expansions and abort mid-flight.
+
+The exact integer rules that thresholds share (floor and ceiling of
+n^(p/q), ceiling of sqrt(n)) live here too, so floats never decide one.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import math
 import random
 from collections import deque
+from fractions import Fraction
 from itertools import combinations
 from typing import Iterable
 
@@ -26,10 +30,13 @@ __all__ = [
     "DEFAULT_WORK_BUDGET",
     "Graph",
     "WorkBudgetExceeded",
+    "ceil_sqrt",
     "connected_components",
     "crossing_edges",
     "diameter",
     "eccentricity",
+    "frac_pow_ceil",
+    "frac_pow_floor",
     "induced_edge_count",
     "induced_edges",
     "is_induced_cycle",
@@ -55,6 +62,46 @@ class WorkBudgetExceeded(RuntimeError):
 def norm_edge(u: int, v: int) -> tuple[int, int]:
     """The pair {u, v} as stored: smaller endpoint first."""
     return (u, v) if u < v else (v, u)
+
+
+def _as_fraction(x) -> Fraction:
+    if isinstance(x, float):
+        raise TypeError(
+            "pass fractional exponents as Fraction (or str/int); floats would "
+            "make threshold comparisons inexact"
+        )
+    return Fraction(x)
+
+
+def frac_pow_floor(n: int, exponent: Fraction) -> int:
+    """floor(n ** exponent), computed in exact integer arithmetic."""
+    exponent = _as_fraction(exponent)
+    if n < 0 or exponent < 0:
+        raise ValueError("need n >= 0 and exponent >= 0")
+    if n == 0:
+        return 0
+    p, q = exponent.numerator, exponent.denominator
+    target = n**p
+    lo, hi = 0, n ** ((p + q - 1) // q) + 1
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if mid**q <= target:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def frac_pow_ceil(n: int, exponent: Fraction) -> int:
+    exponent = _as_fraction(exponent)
+    f = frac_pow_floor(n, exponent)
+    p, q = exponent.numerator, exponent.denominator
+    return f if n == 0 or f**q == n**p else f + 1
+
+
+def ceil_sqrt(n: int) -> int:
+    r = math.isqrt(n)
+    return r if r * r == n else r + 1
 
 
 class Graph:

@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import combinations
 from typing import Callable
 
 from .bitstrings import bits_intersect
@@ -39,6 +41,7 @@ from .families import FamilyInstance
 from .graphs import (
     DEFAULT_WORK_BUDGET,
     Graph,
+    ceil_sqrt,
     crossing_edges,
     induced_edges,
     list_induced_cycles,
@@ -64,11 +67,6 @@ __all__ = [
 FRAME_KIND_BITS = 2
 
 
-def ceil_sqrt(n: int) -> int:
-    r = math.isqrt(n)
-    return r if r * r == n else r + 1
-
-
 @dataclass(frozen=True)
 class PartyView:
     """Everything one party can see: its side, its internal edges, the cut."""
@@ -79,11 +77,20 @@ class PartyView:
     internal_edges: frozenset[tuple[int, int]]
     cut_edges: frozenset[tuple[int, int]]
 
+    @cached_property
+    def cut_adjacency(self) -> dict[int, frozenset[int]]:
+        """Every cut endpoint, on either side, mapped to its cut neighbors."""
+        adj: dict[int, set[int]] = {}
+        for a, b in self.cut_edges:
+            adj.setdefault(a, set()).add(b)
+            adj.setdefault(b, set()).add(a)
+        return {v: frozenset(nb) for v, nb in adj.items()}
+
     def cut_degree(self, v: int) -> int:
-        return sum(1 for e in self.cut_edges if v in e)
+        return len(self.cut_neighbors(v))
 
     def cut_neighbors(self, v: int) -> frozenset[int]:
-        return frozenset(e[0] if e[1] == v else e[1] for e in self.cut_edges if v in e)
+        return self.cut_adjacency.get(v, frozenset())
 
 
 def make_views(g: Graph, side_a) -> tuple[PartyView, PartyView]:
@@ -172,16 +179,8 @@ class CycleListingResult:
         return tuple(sorted(set(self.a_list) | set(self.b_list)))
 
 
-def _cut_touching(view: PartyView) -> frozenset[int]:
-    return frozenset(v for e in view.cut_edges for v in e if v in view.own_vertices)
-
-
-def _far_cut_touching(view: PartyView) -> frozenset[int]:
-    return frozenset(v for e in view.cut_edges for v in e if v not in view.own_vertices)
-
-
 def _edges_near_cut(view: PartyView) -> frozenset[tuple[int, int]]:
-    touching = _cut_touching(view)
+    touching = view.cut_adjacency  # an internal edge meets only own endpoints
     return frozenset(
         e for e in view.internal_edges if e[0] in touching or e[1] in touching
     )
@@ -285,13 +284,9 @@ def _heavy_vertices(view: PartyView) -> frozenset[int]:
     internal = _internal_degree(view)
     return frozenset(
         v
-        for v in _cut_touching(view)
-        if view.n * view.cut_degree(v) ** 2 > internal[v] ** 2
+        for v, nb in view.cut_adjacency.items()
+        if v in view.own_vertices and view.n * len(nb) ** 2 > internal[v] ** 2
     )
-
-
-def _count_present(pairs, present: frozenset[tuple[int, int]]) -> int:
-    return sum(1 for p in pairs if p in present)
 
 
 def _majority_diamonds(view: PartyView, budget: int) -> list[tuple[int, ...]]:
@@ -308,7 +303,7 @@ def _majority_diamonds(view: PartyView, budget: int) -> list[tuple[int, ...]]:
 def _balanced_diamonds(
     view: PartyView,
     present: frozenset[tuple[int, int]],
-    anchors: frozenset[int],
+    anchors: set[int],
     keep: Callable[[int, int], bool],
 ) -> set[tuple[int, ...]]:
     """Diamonds {v, q, b1, b2} with anchor v, two cut neighbors b1, b2 of
@@ -316,24 +311,21 @@ def _balanced_diamonds(
     pair statuses show exactly five edges in *present*."""
     found: set[tuple[int, ...]] = set()
     for v in sorted(anchors):
-        nb = sorted(view.cut_neighbors(v))
-        for i in range(len(nb)):
-            for j in range(i + 1, len(nb)):
-                b1, b2 = nb[i], nb[j]
-                partners = view.cut_neighbors(b1) | view.cut_neighbors(b2)
-                for q in sorted(partners - {v}):
-                    if not keep(v, q):
-                        continue
-                    pairs = [
-                        norm_edge(v, q),
-                        norm_edge(v, b1),
-                        norm_edge(v, b2),
-                        norm_edge(q, b1),
-                        norm_edge(q, b2),
-                        norm_edge(b1, b2),
-                    ]
-                    if _count_present(pairs, present) == 5:
-                        found.add(tuple(sorted((v, q, b1, b2))))
+        for b1, b2 in combinations(sorted(view.cut_neighbors(v)), 2):
+            partners = view.cut_neighbors(b1) | view.cut_neighbors(b2)
+            for q in sorted(partners - {v}):
+                if not keep(v, q):
+                    continue
+                pairs = [
+                    norm_edge(v, q),
+                    norm_edge(v, b1),
+                    norm_edge(v, b2),
+                    norm_edge(q, b1),
+                    norm_edge(q, b2),
+                    norm_edge(b1, b2),
+                ]
+                if sum(p in present for p in pairs) == 5:
+                    found.add(tuple(sorted((v, q, b1, b2))))
     return found
 
 
@@ -355,7 +347,7 @@ def _diamond_list_a(
     found |= _balanced_diamonds(
         view,
         view.internal_edges | view.cut_edges | window_edges,
-        _cut_touching(view) - heavy,
+        view.cut_adjacency.keys() & (view.own_vertices - heavy),
         lambda v, q: q not in heavy and q in view.own_vertices,
     )
     return tuple(sorted(found))
@@ -374,7 +366,7 @@ def _diamond_list_b(
     found |= _balanced_diamonds(
         view,
         view.internal_edges | view.cut_edges | heavy_edges,
-        _far_cut_touching(view),
+        view.cut_adjacency.keys() - view.own_vertices,
         lambda u, q: q not in view.own_vertices and (u in heavy or q in heavy),
     )
     return tuple(sorted(found))
@@ -429,13 +421,11 @@ def diamond_listing_protocol(
         # Side B derives the light windows from shared knowledge alone:
         # far-side cut endpoints minus the received heavy ids.
         windows: set[tuple[int, int]] = set()
-        for v in sorted(_far_cut_touching(view_b) - recv_heavy):
-            window = sorted(view_b.cut_neighbors(v))
-            for i in range(len(window)):
-                for j in range(i + 1, len(window)):
-                    e = norm_edge(window[i], window[j])
-                    if e in view_b.internal_edges:
-                        windows.add(e)
+        far = view_b.cut_adjacency.keys() - view_b.own_vertices
+        for v in sorted(far - recv_heavy):
+            for e in combinations(sorted(view_b.cut_neighbors(v)), 2):
+                if e in view_b.internal_edges:
+                    windows.add(e)
         transcript.add("b->a", "light-windows", encode_edge_list(windows, w))
         recv_heavy_edges = decode_edge_list(transcript.messages[1].bits, w)
         recv_windows = decode_edge_list(transcript.messages[2].bits, w)

@@ -6,6 +6,8 @@ import csv
 import json
 import random
 
+import pytest
+
 from congestlab.bundles import read_bundle
 from congestlab.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, main
 from congestlab.graphs import random_graph
@@ -175,6 +177,30 @@ class TestRunCongest:
         assert rc == EXIT_OK
         assert json.loads(stats_path.read_text())["rounds_used"] == 5
 
+    def test_model_violation_is_a_usage_error_naming_program_and_round(
+        self, tmp_path, capsys
+    ):
+        bundle = tmp_path / "bundle"
+        main(["gen-family", "c4", "--n", "2", "--x", "8", "--y", "8", "--out", str(bundle)])
+        args = ["run-congest", "--graph", str(bundle / "graph.txt")]
+        rc = main(args + ["--program", "detect-four-cycle", "--bandwidth", "1"])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: program detect-four-cycle: node ")
+        assert "in round 0" in err and "Traceback" not in err
+
+    def test_counts_below_one_are_rejected_at_parse_time(self, tmp_path, capsys):
+        g = tmp_path / "g.txt"
+        _write_random_graph(g, n=6)
+        args = ["run-congest", "--graph", str(g), "--program", "flood"]
+        for flag in ("--max-rounds", "--bandwidth"):
+            for value in ("-1", "0"):
+                with pytest.raises(SystemExit) as info:
+                    main(args + [flag, value])
+                assert info.value.code == EXIT_USAGE
+                err = capsys.readouterr().err
+                assert f"{flag}: must be at least 1" in err and "Traceback" not in err
+
 
 class TestRunProtocol:
     def test_cycle_protocol_on_a_bundle(self, tmp_path):
@@ -284,8 +310,6 @@ class TestRunDiamondListing:
     def test_bad_fraction_is_a_usage_error(self, tmp_path, capsys):
         g = tmp_path / "g.txt"
         _write_random_graph(g, n=10)
-        import pytest
-
         with pytest.raises(SystemExit) as info:
             main(["run-diamond-listing", "--graph", str(g), "--delta", "zero"])
         assert info.value.code == 2

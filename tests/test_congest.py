@@ -48,6 +48,11 @@ class TestWords:
         assert word_bits(8) == 3
         assert word_bits(9) == 4
         assert default_bandwidth(8) == 6
+        # Against the definition: the fewest bits (at least 1) that
+        # address ids 0..n-1.
+        for n in range(1, 5000):
+            w = word_bits(n)
+            assert 2**w >= n and (w == 1 or 2 ** (w - 1) < n), n
 
     @PROPERTY_SETTINGS
     @given(n=st.integers(min_value=2, max_value=4096))
@@ -93,6 +98,12 @@ class TestStockPrograms:
         assert stats.rounds_used == 6
 
 
+def _raises_violation(program: str, node: int, round_index: int):
+    """Expect a fault whose message names the program, node and round."""
+    where = rf"^program {program}: node {node} .* in round {round_index}$"
+    return pytest.raises(ProtocolViolation, match=where)
+
+
 class TestViolations:
     def test_oversized_message_is_rejected(self):
         def init(v, neighbors, n, rng):
@@ -102,7 +113,7 @@ class TestViolations:
             return state, [(u, "0" * 50) for u in state], 0
 
         prog = NodeProgram(name="chatty", init=init, step=step)
-        with pytest.raises(ProtocolViolation):
+        with _raises_violation("chatty", 0, 0):
             run(_cycle_graph(4), prog, SimConfig(bandwidth_bits=8))
 
     def test_sending_to_a_non_neighbor_is_rejected(self):
@@ -114,7 +125,7 @@ class TestViolations:
             return state, [(target, "1")], 0
 
         prog = NodeProgram(name="teleport", init=init, step=step)
-        with pytest.raises(ProtocolViolation):
+        with _raises_violation("teleport", 0, 0):
             run(_cycle_graph(4), prog)
 
     def test_two_messages_over_one_edge_in_a_round_are_rejected(self):
@@ -126,7 +137,7 @@ class TestViolations:
             return state, [(u, "1"), (u, "0")], 0
 
         prog = NodeProgram(name="doubled", init=init, step=step)
-        with pytest.raises(ProtocolViolation):
+        with _raises_violation("doubled", 0, 0):
             run(_cycle_graph(4), prog)
 
     def test_non_bit_payload_is_rejected(self):
@@ -137,7 +148,7 @@ class TestViolations:
             return state, [(state[0], "2")], 0
 
         prog = NodeProgram(name="nonbinary", init=init, step=step)
-        with pytest.raises(ProtocolViolation):
+        with _raises_violation("nonbinary", 0, 0):
             run(_cycle_graph(4), prog)
 
     def test_flipping_a_final_output_is_rejected(self):
@@ -151,7 +162,7 @@ class TestViolations:
             return state, [], out
 
         prog = NodeProgram(name="waffler", init=init, step=step)
-        with pytest.raises(ProtocolViolation):
+        with _raises_violation("waffler", 0, 1):
             run(_cycle_graph(4), prog, SimConfig(max_rounds=4))
 
 

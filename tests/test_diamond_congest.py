@@ -129,6 +129,11 @@ class TestDecomposition:
                 assert dec.leader_of(v) == min(c.members)
         assert not dec.is_member(13)
         assert dec.leader_of(13) is None
+        assert dec.leaders == {
+            v: (None if ci is None else dec.clusters[ci].leader)
+            for v, ci in dec.cluster_index.items()
+        }
+        assert set(dec.leaders) == set(range(g.n))
 
 
 class TestHeavyLightSplit:

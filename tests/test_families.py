@@ -88,6 +88,11 @@ class TestColexCodes:
         assert long_cycle_alphabet(64, 2) == 16
         assert long_cycle_alphabet(8, 3) == 6
         assert long_cycle_alphabet(5, 1) == 5
+        # Against the definition: the smallest r with r**ell >= ell**ell * n.
+        for ell in range(1, 6):
+            for n in range(1, 400):
+                r = long_cycle_alphabet(n, ell)
+                assert r**ell >= ell**ell * n > (r - 1) ** ell, (n, ell)
 
     def test_codes_are_distinct_subsets_of_the_alphabet(self):
         code = make_code_assignment(20, 2)

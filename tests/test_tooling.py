@@ -1,10 +1,11 @@
 """Import hygiene, checked with the standard library alone: the package
-pulls in no third-party runtime dependency, and no module imports a
-name it never uses."""
+pulls in no third-party runtime dependency, every name a module exports
+exists, and no module imports a name it never uses."""
 
 from __future__ import annotations
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -47,6 +48,16 @@ def _unused_imports(source: str) -> list[str]:
                 elt.value for elt in node.value.elts if isinstance(elt, ast.Constant)
             }
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+def test_every_exported_name_resolves():
+    missing = {}
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        module = importlib.import_module(f"congestlab.{path.stem}")
+        names = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+        if names:
+            missing[path.name] = names
+    assert missing == {}
 
 
 def test_modules_import_no_unused_names():

@@ -69,6 +69,11 @@ class TestViews:
             len(va.internal_edges) + len(vb.internal_edges) + len(va.cut_edges)
             == g.m
         )
+        for view in (va, vb):
+            for v in g.vertices():
+                expected = {u for e in view.cut_edges if v in e for u in e if u != v}
+                assert view.cut_neighbors(v) == expected
+                assert view.cut_degree(v) == sum(v in e for e in view.cut_edges)
 
     def test_cut_degree_and_neighbors(self):
         g = Graph(4, [(0, 2), (0, 3), (1, 2)])
