@@ -7,8 +7,9 @@ and the full parameter set, so identical invocations produce identical
 bytes; bench additionally reports oracle wall time, which is the one
 intentionally non-reproducible column.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error or a
-simulator model violation, 3 work budget exceeded.
+Exit codes: 0 success, 1 verification failure, 2 usage error (such as
+a count below 1 or a flood source outside the graph) or a simulator
+model violation, 3 work budget exceeded.
 CONGESTLAB_WORK_BUDGET overrides the default enumeration budget.
 """
 
@@ -108,6 +109,10 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_ints(text: str) -> list[int]:
+    return [_positive_int(item) for item in text.split(",")]
+
+
 def _make_inputs(args, bit_count: int) -> InputPair:
     if (args.x is None) != (args.y is None):
         raise SystemExit2("--x and --y must be given together")
@@ -190,6 +195,10 @@ def cmd_run_congest(args) -> int:
     if name not in PROGRAMS:
         raise SystemExit2(f"unknown program {name!r}; have {sorted(PROGRAMS)}")
     program = PROGRAMS[name](arg or None)
+    if name == "flood" and not 0 <= int(arg or 0) < g.n:
+        raise SystemExit2(
+            f"flood source {arg or 0} is not a vertex of the {g.n}-vertex graph"
+        )
     cut = None
     if args.cut:
         meta = _read_meta(args.cut)
@@ -308,9 +317,8 @@ def cmd_run_diamond_listing(args) -> int:
 
 def _bench_rows(args):
     budget = work_budget()
-    sizes = [int(s) for s in args.sizes.split(",")]
     densities = [float(d) for d in args.densities.split(",")]
-    for n in sizes:
+    for n in args.sizes:
         for density in densities:
             rng = random.Random(f"{args.seed}:{n}:{density}")
             g = random_graph(n, density, rng)
@@ -454,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-family", help="check structure and the iff predicate")
     _add_family_flags(p)
-    p.add_argument("--samples", type=int, default=40)
+    p.add_argument("--samples", type=_positive_int, default=40)
     p.add_argument("--check-seed", type=int, default=0)
     p.add_argument("--exhaustive", choices=["auto", "yes", "no"], default="auto")
     p.add_argument("--json-out")
@@ -494,7 +502,12 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["cycle-protocol", "diamond-protocol", "diamond-listing"],
         required=True,
     )
-    p.add_argument("--sizes", default="16,24,32", help="comma-separated n values")
+    p.add_argument(
+        "--sizes",
+        type=_positive_ints,
+        default="16,24,32",
+        help="comma-separated n values",
+    )
     p.add_argument("--densities", default="0.1,0.2", help="comma-separated")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")

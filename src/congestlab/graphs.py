@@ -262,55 +262,72 @@ def list_induced_cycles(
     A cycle is reported once, anchored at its minimum vertex, with the
     tie between the two traversal directions broken by requiring the
     second path vertex to be smaller than the closing vertex.  Returned
-    tuples are the sorted vertex sets.
+    tuples are the sorted vertex sets, in sorted order.
+
+    The search runs on int bitmasks: bit w of ``masks[v]`` is set when
+    w is a neighbor of v, and the vertices a path may no longer touch
+    form one int.  Each step's candidates are then a few ANDs over
+    whole neighborhoods, walked from the lowest set bit up.
+
+    The work count is one unit per neighbor inspected: an anchor's
+    degree, the endpoint's degree per path extension, and the
+    endpoint's common neighbors with the anchor per closing step.  Each
+    step adds its units at once; the count only grows, so a call
+    finishes exactly when its total is within *budget*.
     """
     if k < 3:
         raise ValueError("cycles need k >= 3")
     out: list[tuple[int, ...]] = []
     work = 0
-    adj = g.adj
+    masks = [sum(1 << w for w in nb) for nb in g.adj]
 
-    def extend(path: list[int], banned: set[int]) -> None:
+    def extend(path: list[int], banned: int) -> None:
         # banned holds the path plus the neighborhoods of every path
         # vertex except the anchor and the current endpoint; anchor
         # adjacency is forbidden while growing and required when closing.
         nonlocal work
-        s = path[0]
-        last = path[-1]
+        last = masks[path[-1]]
         if len(path) == k - 1:
-            for w in adj[last] & adj[s]:
-                work += 1
-                if work > budget:
-                    raise WorkBudgetExceeded("pruned cycle search", work, budget)
-                if w > s and w not in banned and path[1] < w:
-                    out.append(tuple(sorted(path + [w])))
-            return
-        for w in adj[last]:
-            work += 1
+            closers = last & anchor
+            work += closers.bit_count()
             if work > budget:
                 raise WorkBudgetExceeded("pruned cycle search", work, budget)
-            if w <= s or w in banned or w in adj[s]:
-                continue
-            path.append(w)
-            extend(path, banned | adj[last] | {w})
+            closers &= above_second & ~banned
+            while closers:
+                low = closers & -closers
+                out.append(tuple(sorted(path + [low.bit_length() - 1])))
+                closers ^= low
+            return
+        work += last.bit_count()
+        if work > budget:
+            raise WorkBudgetExceeded("pruned cycle search", work, budget)
+        grow = last & allowed & ~banned
+        # Every candidate is a neighbor of the endpoint, so banning the
+        # endpoint's neighborhood also bans the vertex being appended.
+        banned |= last
+        while grow:
+            low = grow & -grow
+            path.append(low.bit_length() - 1)
+            extend(path, banned)
             path.pop()
+            grow ^= low
 
     for s in range(g.n):
-        for v1 in sorted(adj[s]):
-            work += 1
-            if work > budget:
-                raise WorkBudgetExceeded("pruned cycle search", work, budget)
-            if v1 <= s:
-                continue
-            if k == 3:
-                for w in adj[v1] & adj[s]:
-                    work += 1
-                    if work > budget:
-                        raise WorkBudgetExceeded("pruned cycle search", work, budget)
-                    if w > v1:
-                        out.append((s, v1, w))
-                continue
-            extend([s, v1], {s, v1})
+        anchor = masks[s]
+        work += anchor.bit_count()
+        if work > budget:
+            raise WorkBudgetExceeded("pruned cycle search", work, budget)
+        # -(2 << x) has every bit above x set.  Path vertices after the
+        # second lie above s and off its neighborhood; at k = 3 the first
+        # call to extend is already the closing step.
+        allowed = -(2 << s) & ~anchor
+        second_vertices = anchor & -(2 << s)
+        while second_vertices:
+            low = second_vertices & -second_vertices
+            v1 = low.bit_length() - 1
+            above_second = -(2 << v1)
+            extend([s, v1], (1 << s) | low)
+            second_vertices ^= low
     return sorted(out)
 
 

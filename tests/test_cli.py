@@ -177,6 +177,17 @@ class TestRunCongest:
         assert rc == EXIT_OK
         assert json.loads(stats_path.read_text())["rounds_used"] == 5
 
+    def test_flood_source_outside_the_graph_is_a_usage_error(self, tmp_path, capsys):
+        bundle = tmp_path / "bundle"
+        main(["gen-family", "c4", "--n", "2", "--x", "8", "--y", "8", "--out", str(bundle)])
+        args = ["run-congest", "--graph", str(bundle / "graph.txt"), "--max-rounds", "50"]
+        for source in ("99", "8", "-1"):
+            rc = main(args + ["--program", f"flood:{source}"])
+            assert rc == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: flood source {source} is not a vertex")
+        assert main(args + ["--program", "flood:7"]) == EXIT_OK
+
     def test_model_violation_is_a_usage_error_naming_program_and_round(
         self, tmp_path, capsys
     ):
@@ -192,9 +203,15 @@ class TestRunCongest:
     def test_counts_below_one_are_rejected_at_parse_time(self, tmp_path, capsys):
         g = tmp_path / "g.txt"
         _write_random_graph(g, n=6)
-        args = ["run-congest", "--graph", str(g), "--program", "flood"]
-        for flag in ("--max-rounds", "--bandwidth"):
-            for value in ("-1", "0"):
+        run_congest = ["run-congest", "--graph", str(g), "--program", "flood"]
+        cases = [
+            (run_congest, "--max-rounds", ("-1", "0")),
+            (run_congest, "--bandwidth", ("-1", "0")),
+            (["verify-family", "c4", "--n", "2"], "--samples", ("-1", "0")),
+            (["bench", "--suite", "cycle-protocol"], "--sizes", ("0", "16,-1")),
+        ]
+        for args, flag, values in cases:
+            for value in values:
                 with pytest.raises(SystemExit) as info:
                     main(args + [flag, value])
                 assert info.value.code == EXIT_USAGE
