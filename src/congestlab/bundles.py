@@ -19,7 +19,13 @@ from .graphs import Graph, crossing_edges
 
 SCHEMA_VERSION = 1
 
-__all__ = ["SCHEMA_VERSION", "canonical_json_bytes", "read_bundle", "write_bundle"]
+__all__ = [
+    "SCHEMA_VERSION",
+    "canonical_json_bytes",
+    "read_bundle",
+    "read_split",
+    "write_bundle",
+]
 
 
 def canonical_json_bytes(obj) -> bytes:
@@ -57,31 +63,55 @@ def write_bundle(inst: FamilyInstance, directory: str | Path) -> Path:
     return d
 
 
+def _checked_split(meta: dict, g: Graph) -> tuple[tuple[int, ...], frozenset]:
+    """Side A and the cut of a bundle's meta, after checking that the
+    schema is supported, that side_a and side_b split g's vertices and
+    that the stored cut is the one g and side_a give."""
+    if meta["schema_version"] != SCHEMA_VERSION:
+        raise ValueError(f"unsupported schema version {meta['schema_version']}")
+    side_a = tuple(meta["side_a"])
+    ids = side_a + tuple(meta["side_b"])
+    if len(ids) != g.n or set(ids) != set(range(g.n)):
+        raise ValueError(f"side_a and side_b do not split the {g.n} graph vertices")
+    cut = crossing_edges(g, side_a)
+    if frozenset(tuple(e) for e in meta["cut_edges"]) != cut:
+        raise ValueError("stored cut_edges disagree with the graph and side split")
+    return side_a, cut
+
+
+def read_split(path: str | Path, g: Graph) -> tuple[tuple[int, ...], frozenset]:
+    """Side A and the cut stored in a bundle directory (or its meta.json),
+    checked against *g* as read_bundle checks them; ValueError if they
+    do not belong to g."""
+    p = Path(path)
+    if p.is_dir():
+        p = p / "meta.json"
+    meta = json.loads(p.read_text(encoding="utf-8"))
+    try:
+        return _checked_split(meta, g)
+    except TypeError as exc:
+        raise ValueError(f"malformed {p}: {exc}") from exc
+
+
 def read_bundle(directory: str | Path) -> FamilyInstance:
     d = Path(directory)
     g = Graph.from_text((d / "graph.txt").read_text())
     meta = json.loads((d / "meta.json").read_text())
-    if meta["schema_version"] != SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema version {meta['schema_version']}")
+    side_a, cut = _checked_split(meta, g)
     inputs = json.loads((d / "inputs.json").read_text())
     pair = InputPair(
         x=hex_to_bits(inputs["x_hex"], inputs["bits"]),
         y=hex_to_bits(inputs["y_hex"], inputs["bits"]),
     )
-    side_a = tuple(meta["side_a"])
-    inst = FamilyInstance(
+    return FamilyInstance(
         family=meta["family"],
         params=meta["params"],
         pair=pair,
         graph=g,
         side_a=side_a,
         side_b=tuple(meta["side_b"]),
-        cut_edges=crossing_edges(g, side_a),
+        cut_edges=cut,
         labels={int(v): name for v, name in meta["labels"].items()},
         blocks={key: tuple(vs) for key, vs in meta["blocks"].items()},
         meta=meta["meta"],
     )
-    stored_cut = frozenset(tuple(e) for e in meta["cut_edges"])
-    if stored_cut != inst.cut_edges:
-        raise ValueError("stored cut_edges disagree with the graph and side split")
-    return inst

@@ -8,7 +8,8 @@ bytes; bench additionally reports oracle wall time, which is the one
 intentionally non-reproducible column.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (such as
-a count below 1 or a flood source outside the graph) or a simulator
+a count below 1, a flood source outside the graph, or a --cut or
+--partition bundle that does not belong to --graph) or a simulator
 model violation, 3 work budget exceeded.
 CONGESTLAB_WORK_BUDGET overrides the default enumeration budget.
 """
@@ -27,7 +28,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .bitstrings import hex_to_bits, random_bits
-from .bundles import SCHEMA_VERSION, canonical_json_bytes, write_bundle
+from .bundles import SCHEMA_VERSION, canonical_json_bytes, read_split, write_bundle
 from .congest import (
     PROGRAMS,
     ProtocolViolation,
@@ -86,13 +87,6 @@ def _write_json(payload: dict, path: str | None) -> None:
 
 def _read_graph(path: str) -> Graph:
     return Graph.from_text(Path(path).read_text(encoding="utf-8"))
-
-
-def _read_meta(path: str) -> dict:
-    p = Path(path)
-    if p.is_dir():
-        p = p / "meta.json"
-    return json.loads(p.read_text(encoding="utf-8"))
 
 
 def _fraction(text: str) -> Fraction:
@@ -201,8 +195,7 @@ def cmd_run_congest(args) -> int:
         )
     cut = None
     if args.cut:
-        meta = _read_meta(args.cut)
-        cut = frozenset(tuple(e) for e in meta["cut_edges"])
+        _, cut = read_split(args.cut, g)
     config = SimConfig(
         bandwidth_bits=args.bandwidth, max_rounds=args.max_rounds, seed=args.seed
     )
@@ -241,8 +234,7 @@ def cmd_run_congest(args) -> int:
 
 def cmd_run_protocol(args) -> int:
     g = _read_graph(args.graph)
-    meta = _read_meta(args.partition)
-    side_a = frozenset(meta["side_a"])
+    side_a = frozenset(read_split(args.partition, g)[0])
     budget = work_budget()
     if args.protocol.startswith("cycles:"):
         k = int(args.protocol.split(":", 1)[1])

@@ -124,18 +124,26 @@ def run(
     record_cut_messages: bool = False,
 ) -> RunStats:
     """Execute *program* on every node of *g* until all decide or the
-    round cap is hit (reported via timed_out, not an exception)."""
+    round cap is hit (reported via timed_out, not an exception).
+
+    Every node is stepped in every round, in id order, whether or not it
+    has decided, received anything or has anything to send.  Each node's
+    ``init`` receives its neighbors as a sorted tuple.
+    """
     n = g.n
+    adj = g.adj
+    step = program.step
     bandwidth = (
         config.bandwidth_bits if config.bandwidth_bits is not None else default_bandwidth(n)
     )
     cut_set = frozenset(cut) if cut is not None else frozenset()
 
     states = [
-        program.init(v, tuple(sorted(g.adj[v])), n, random.Random(f"{config.seed}:{v}"))
+        program.init(v, tuple(sorted(adj[v])), n, random.Random(f"{config.seed}:{v}"))
         for v in range(n)
     ]
     outputs: list = [None] * n
+    undecided = n
     inbox_next: dict[int, dict[int, str]] = {}
     per_round_cut_bits: list[int] = []
     cut_messages: list[tuple[int, int, int, str]] = []
@@ -153,37 +161,41 @@ def run(
         inbox_next = {}
         round_cut_bits = 0
         for v in range(n):
-            state, outbox, out = program.step(states[v], r, inboxes.get(v, {}))
+            state, outbox, out = step(states[v], r, inboxes.get(v, {}))
             states[v] = state
             if out is not None:
                 if out not in (0, 1):
                     raise violation(v, r, f"output {out!r} (want 0 or 1)")
-                if outputs[v] is not None and outputs[v] != out:
+                if outputs[v] is None:
+                    undecided -= 1
+                elif outputs[v] != out:
                     raise violation(v, r, f"changed output {outputs[v]} -> {out}")
                 outputs[v] = out
+            if not outbox:
+                continue
+            nbrs = adj[v]
             sent_to: set[int] = set()
             for dst, bits in outbox:
-                if dst not in g.adj[v]:
+                if dst not in nbrs:
                     raise violation(v, r, f"sent to non-neighbor {dst}")
                 if dst in sent_to:
                     raise violation(v, r, f"sent twice over edge to {dst}")
-                if not isinstance(bits, str) or any(c not in "01" for c in bits):
+                if not isinstance(bits, str) or bits.strip("01"):
                     raise violation(v, r, f"sent non-bitstring {bits!r}")
-                if len(bits) > bandwidth:
-                    raise violation(
-                        v, r, f"sent {len(bits)} bits > bandwidth {bandwidth}"
-                    )
+                size = len(bits)
+                if size > bandwidth:
+                    raise violation(v, r, f"sent {size} bits > bandwidth {bandwidth}")
                 sent_to.add(dst)
                 inbox_next.setdefault(dst, {})[v] = bits
                 message_count += 1
-                max_message_bits = max(max_message_bits, len(bits))
-                edge = (v, dst) if v < dst else (dst, v)
-                if edge in cut_set:
-                    round_cut_bits += len(bits)
+                if size > max_message_bits:
+                    max_message_bits = size
+                if cut_set and ((v, dst) if v < dst else (dst, v)) in cut_set:
+                    round_cut_bits += size
                     if record_cut_messages:
                         cut_messages.append((r, v, dst, bits))
         per_round_cut_bits.append(round_cut_bits)
-        if all(o is not None for o in outputs):
+        if not undecided:
             rounds_used = r + 1
             timed_out = False
             break

@@ -57,6 +57,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 from itertools import combinations
 from typing import Iterable
 
@@ -206,23 +207,29 @@ def decompose_by_peeling(
     A peeled vertex is assigned the edges it still had, so every edge
     with a peeled endpoint is assigned exactly once (to the endpoint
     peeled earlier) and edges between survivors stay member edges.
+
+    Peelable ids sit in a min-heap.  A vertex is pushed once, when its
+    residual degree first drops below d_min; degrees only fall, so it
+    stays peelable until popped.  Each edge is removed once and each
+    vertex pushed and popped at most once: O((n + m) log n) in all.
     """
     delta = _as_fraction(delta)
     d_min = min_peel_degree(g.n, delta, min_degree_constant)
-    adj = {v: set(g.adj[v]) for v in range(g.n)}
+    adj = [set(nbrs) for nbrs in g.adj]
+    # Built in increasing id order, so it is already a valid heap.
+    peelable = [v for v in range(g.n) if len(adj[v]) < d_min]
     active = set(range(g.n))
     peel_order: list[int] = []
     es_assigned: dict[int, tuple[tuple[int, int], ...]] = {}
-    while True:
-        peelable = sorted(v for v in active if len(adj[v]) < d_min)
-        if not peelable:
-            break
-        v = peelable[0]
+    while peelable:
+        v = heappop(peelable)
         edges = tuple(sorted((v, u) if v < u else (u, v) for u in adj[v]))
         es_assigned[v] = edges
         for u in adj[v]:
-            adj[u].discard(v)
-        adj[v] = set()
+            adj_u = adj[u]
+            adj_u.discard(v)
+            if len(adj_u) == d_min - 1:
+                heappush(peelable, u)
         active.discard(v)
         peel_order.append(v)
     clusters = [
@@ -354,7 +361,7 @@ def run_sparse_phase(
     def init(v, neighbors, n_, rng):
         return {
             "v": v,
-            "nbrs": frozenset(neighbors),
+            "nbrs": neighbors,
             "own": assigned[v],
             "leader": dec.leaders[v],
             "counts": {},
@@ -381,11 +388,11 @@ def run_sparse_phase(
         outbox: list[tuple[int, str]] = []
         if r == 0:
             payload = _cluster_flag_payload(state["leader"], len(state["own"]), w)
-            outbox = [(u, payload) for u in sorted(state["nbrs"])]
+            outbox = [(u, payload) for u in state["nbrs"]]
         elif r - 1 < len(state["own"]):
             a, b = state["own"][r - 1]
             payload = encode_uint(a, w) + encode_uint(b, w)
-            outbox = [(u, payload) for u in sorted(state["nbrs"])]
+            outbox = [(u, payload) for u in state["nbrs"]]
         if r == 1:
             state["decide_round"] = 1 + max(state["counts"].values(), default=0)
         output = None
@@ -393,7 +400,7 @@ def run_sparse_phase(
             output = 1 if state["found"] else 0
         elif state["decide_round"] is not None and r >= state["decide_round"]:
             state["found"] = _sparse_finds(
-                v, state["nbrs"], state["known_es"], state["nbr_leader"]
+                v, frozenset(state["nbrs"]), state["known_es"], state["nbr_leader"]
             )
             output = 1 if state["found"] else 0
         return state, outbox, output
@@ -456,17 +463,15 @@ def run_heavy_phase(
     # Chunk plans are derived from knowledge every node obtains in the
     # round-0 flag exchange: its neighbors' cluster leaders.
     def init(v, neighbors, n_, rng):
-        nbrs = tuple(neighbors)
-        plans: dict[int, list[int]] = {}
-        full = sorted(nbrs)
-        for members in cluster_neighbors(full, dec.leaders, v).values():
+        plans: dict[int, tuple[int, ...]] = {}
+        for members in cluster_neighbors(neighbors, dec.leaders, v).values():
             if len(members) > light_max:
-                chunk = math.ceil(len(full) / len(members))
+                chunk = math.ceil(len(neighbors) / len(members))
                 for t, m in enumerate(members):
-                    plans[m] = full[t * chunk : (t + 1) * chunk]
+                    plans[m] = neighbors[t * chunk : (t + 1) * chunk]
         return {
             "v": v,
-            "nbrs": nbrs,
+            "nbrs": neighbors,
             "plans": plans,
             "fragments": {},
         }
@@ -478,7 +483,7 @@ def run_heavy_phase(
         outbox: list[tuple[int, str]] = []
         if r == 0:
             payload = _cluster_flag_payload(dec.leaders[state["v"]], 0, w)
-            outbox = [(u, payload) for u in sorted(state["nbrs"])]
+            outbox = [(u, payload) for u in state["nbrs"]]
         else:
             for m, chunk in sorted(state["plans"].items()):
                 idx = r - 1
@@ -602,7 +607,7 @@ def run_light_phase(
     def init(v, neighbors, n_, rng):
         return {
             "v": v,
-            "nbrs": tuple(neighbors),
+            "nbrs": neighbors,
             "known_es": warm[v]["known_es"],
             "recv_entries": {},
             "incoming_q": {},
@@ -873,15 +878,18 @@ def coverage_tags(
     split forbids).  That cluster then decides heavy versus light, and
     within light the member count picks reconciliation while the missing
     pair picks which pair rule fires.
+
+    Each diamond is a sorted vertex tuple, as the listers return them.
     """
     epsilon = _as_fraction(epsilon)
     if diamonds is None:
         diamonds = tuple(list_induced_diamonds(g, budget=budget))
+    edges = g.edges
     es = dec.es_edges()
     heavies, _ = split_heavy_light(g, dec, epsilon)
     tags: dict[tuple[int, ...], str] = {}
     for d in diamonds:
-        em = induced_edges(g, d) - es
+        em = {e for e in combinations(d, 2) if e in edges} - es
         if not em:
             tags[d] = "sparse"
             continue

@@ -260,16 +260,15 @@ class TestRunProtocol:
         assert rc == EXIT_USAGE
 
     def test_tiny_work_budget_maps_to_the_budget_exit_code(self, tmp_path, monkeypatch):
-        g = tmp_path / "g.txt"
-        _write_random_graph(g, n=24, density=0.4)
         bundle = tmp_path / "bundle"
-        main(["gen-family", "c4", "--n", "2", "--x", "8", "--y", "8", "--out", str(bundle)])
+        gen = ["gen-family", "diamond", "--n", "16", "--seed", "1", "--input-seed", "7"]
+        main(gen + ["--out", str(bundle)])
         monkeypatch.setenv("CONGESTLAB_WORK_BUDGET", "5")
         rc = main(
             [
                 "run-protocol",
                 "--graph",
-                str(g),
+                str(bundle / "graph.txt"),
                 "--partition",
                 str(bundle),
                 "--protocol",
@@ -277,6 +276,67 @@ class TestRunProtocol:
             ]
         )
         assert rc == EXIT_BUDGET
+
+
+def _bundle_commands(graph, bundle):
+    """run-congest --cut and run-protocol --partition on one graph/bundle pair."""
+    return [
+        ["run-congest", "--graph", str(graph), "--program", "detect-four-cycle",
+         "--cut", str(bundle)],
+        ["run-protocol", "--graph", str(graph), "--partition", str(bundle),
+         "--protocol", "cycles:4"],
+    ]
+
+
+class TestBundleChecks:
+    """--cut and --partition bundles must belong to --graph."""
+
+    @pytest.fixture
+    def c4_bundle(self, tmp_path):
+        bundle = tmp_path / "c4"
+        main(["gen-family", "c4", "--n", "2", "--x", "8", "--y", "8", "--out", str(bundle)])
+        return bundle
+
+    @staticmethod
+    def _rewrite_meta(bundle, **changes):
+        meta = json.loads((bundle / "meta.json").read_text())
+        meta.update(changes)
+        (bundle / "meta.json").write_text(json.dumps(meta))
+
+    @staticmethod
+    def _assert_rejected(commands, capsys, what):
+        for argv in commands:
+            assert main(argv) == EXIT_USAGE, argv[0]
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and what in err, argv[0]
+
+    def test_matching_bundle_is_accepted_as_a_meta_file_too(self, c4_bundle, capsys):
+        for argv in _bundle_commands(c4_bundle / "graph.txt", c4_bundle / "meta.json"):
+            assert main(argv) == EXIT_OK, argv[0]
+
+    def test_bundle_of_a_smaller_graph_is_rejected(self, tmp_path, c4_bundle, capsys):
+        big = tmp_path / "diamond"
+        gen = ["gen-family", "diamond", "--n", "16", "--seed", "1", "--input-seed", "7"]
+        main(gen + ["--out", str(big)])
+        commands = _bundle_commands(big / "graph.txt", c4_bundle)
+        self._assert_rejected(commands, capsys, "do not split the 48 graph vertices")
+
+    def test_unsupported_schema_version_is_rejected(self, c4_bundle, capsys):
+        self._rewrite_meta(c4_bundle, schema_version=99)
+        commands = _bundle_commands(c4_bundle / "graph.txt", c4_bundle)
+        self._assert_rejected(commands, capsys, "unsupported schema version 99")
+
+    def test_malformed_side_entries_are_rejected(self, c4_bundle, capsys):
+        side_a = json.loads((c4_bundle / "meta.json").read_text())["side_a"]
+        self._rewrite_meta(c4_bundle, side_a=[[side_a[0]]] + side_a[1:])
+        commands = _bundle_commands(c4_bundle / "graph.txt", c4_bundle)
+        self._assert_rejected(commands, capsys, "malformed")
+
+    def test_stored_cut_that_disagrees_with_the_graph_is_rejected(self, c4_bundle, capsys):
+        meta = json.loads((c4_bundle / "meta.json").read_text())
+        self._rewrite_meta(c4_bundle, cut_edges=meta["cut_edges"][1:])
+        commands = _bundle_commands(c4_bundle / "graph.txt", c4_bundle)
+        self._assert_rejected(commands, capsys, "stored cut_edges disagree")
 
 
 class TestRunDiamondListing:

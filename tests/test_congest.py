@@ -97,6 +97,33 @@ class TestStockPrograms:
         stats = run(_path_graph(6), flood_program(0))
         assert stats.rounds_used == 6
 
+    def test_staggered_decisions_end_the_run_after_the_last_one(self):
+        # On a path, node v decides v % 2 in round v and sends nothing;
+        # an isolated idle node decides in round 0.  Every node is
+        # stepped every round until the last decision.
+        steps: list[tuple[int, int]] = []
+
+        def init(v, neighbors, n, rng):
+            return v
+
+        def step(state, r, inbox):
+            steps.append((state, r))
+            decided = state == 6 or r >= state
+            return state, [], (state % 2 if decided else None)
+
+        g = Graph(7, [(i, i + 1) for i in range(5)])
+        stats = run(g, NodeProgram(name="staggered", init=init, step=step))
+        assert stats.rounds_used == 6
+        assert not stats.timed_out
+        assert stats.node_outputs == (0, 1, 0, 1, 0, 1, 0)
+        assert stats.per_round_cut_bits == (0,) * 6
+        assert steps == [(v, r) for r in range(6) for v in range(7)]
+
+        prog = NodeProgram(name="staggered", init=init, step=step)
+        capped = run(g, prog, SimConfig(max_rounds=4))
+        assert capped.timed_out and capped.rounds_used == 4
+        assert capped.node_outputs == (0, 1, 0, 1, None, None, 0)
+
 
 def _raises_violation(program: str, node: int, round_index: int):
     """Expect a fault whose message names the program, node and round."""
@@ -141,15 +168,32 @@ class TestViolations:
             run(_cycle_graph(4), prog)
 
     def test_non_bit_payload_is_rejected(self):
+        # Node 2 sends the bad payload in round 1, after a clean round 0.
+        for payload in ("2", "0120", "01 ", " 01", b"01", 1):
+
+            def init(v, neighbors, n, rng):
+                return (v, neighbors)
+
+            def step(state, r, inbox):
+                v, nbrs = state
+                bits = payload if (v, r) == (2, 1) else "01"
+                return state, [(nbrs[0], bits)], 0 if r else None
+
+            prog = NodeProgram(name="nonbinary", init=init, step=step)
+            with _raises_violation("nonbinary", 2, 1):
+                run(_cycle_graph(4), prog)
+
+    def test_empty_payload_is_a_message(self):
         def init(v, neighbors, n, rng):
             return neighbors
 
         def step(state, r, inbox):
-            return state, [(state[0], "2")], 0
+            return state, [(state[0], "")], 0
 
-        prog = NodeProgram(name="nonbinary", init=init, step=step)
-        with _raises_violation("nonbinary", 0, 0):
-            run(_cycle_graph(4), prog)
+        stats = run(_cycle_graph(4), NodeProgram(name="empty", init=init, step=step))
+        assert stats.message_count == 4
+        assert stats.max_message_bits == 0
+        assert stats.decision == 0
 
     def test_flipping_a_final_output_is_rejected(self):
         # Node 0 flips its decision in round 1; node 1 stays undecided

@@ -21,6 +21,8 @@ from congestlab.diamond_congest import (
     run_sparse_phase,
     split_heavy_light,
 )
+from congestlab.diamond_family import build_diamond_family, build_diamond_fixture
+from congestlab.families import InputPair
 from congestlab.graphs import (
     Graph,
     is_induced_diamond,
@@ -134,6 +136,89 @@ class TestDecomposition:
             for v, ci in dec.cluster_index.items()
         }
         assert set(dec.leaders) == set(range(g.n))
+
+
+def _reference_peel(g: Graph, d_min: int):
+    """The definition of the peel: repeatedly take the smallest active
+    vertex whose remaining degree is below d_min, assign it the edges
+    it still has, and cluster the survivors by connected component."""
+    adj = {v: set(g.adj[v]) for v in range(g.n)}
+    active = set(range(g.n))
+    order: list[int] = []
+    assigned: dict[int, tuple[tuple[int, int], ...]] = {}
+    while True:
+        peelable = [v for v in sorted(active) if len(adj[v]) < d_min]
+        if not peelable:
+            break
+        v = peelable[0]
+        assigned[v] = tuple(sorted((min(v, u), max(v, u)) for u in adj[v]))
+        for u in adj[v]:
+            adj[u].discard(v)
+        adj[v] = set()
+        active.discard(v)
+        order.append(v)
+    clusters: list[list[int]] = []
+    seen: set[int] = set()
+    for start in sorted(active):
+        if start in seen:
+            continue
+        comp, stack = {start}, [start]
+        while stack:
+            for u in adj[stack.pop()]:
+                if u not in comp:
+                    comp.add(u)
+                    stack.append(u)
+        seen |= comp
+        clusters.append(sorted(comp))
+    leaders = {v: None for v in range(g.n)}
+    for comp in clusters:
+        for v in comp:
+            leaders[v] = comp[0]
+    return tuple(order), assigned, clusters, leaders
+
+
+class TestPeelOrderPin:
+    """The heap peeler against the rescanning definition it replaced."""
+
+    @staticmethod
+    def _assert_matches_reference(g: Graph, delta=FIVE_SIXTHS, constant=4):
+        dec = decompose_by_peeling(g, delta, constant)
+        order, assigned, clusters, leaders = _reference_peel(g, dec.d_min)
+        assert dec.peel_order == order
+        assert dec.es_assigned == assigned
+        assert [sorted(c.members) for c in dec.clusters] == clusters
+        assert dec.leaders == leaders
+
+    def test_seeded_random_graphs(self):
+        rng = random.Random(2024)
+        for i in range(36):
+            n = rng.randint(1, 300)
+            p = rng.choice([0.01, 0.03, 0.08, 0.2, 0.4])
+            g = random_graph(n, p, random.Random(i))
+            for delta, constant in ((FIVE_SIXTHS, 4), (HALF, 1), (Fraction(2, 3), 2)):
+                self._assert_matches_reference(g, delta, constant)
+
+    def test_planted_diamond_family_graphs(self):
+        for n, seed in ((16, 0), (16, 3), (64, 1)):
+            fx = build_diamond_fixture(n, seed)
+            rng = random.Random(seed)
+            for _ in range(3):
+                x = "".join(rng.choice("01") for _ in range(fx.bit_count))
+                y = "".join(rng.choice("01") for _ in range(fx.bit_count))
+                g = build_diamond_family(fx, InputPair(x, y)).graph
+                self._assert_matches_reference(g)
+                self._assert_matches_reference(g, HALF, 1)
+
+    def test_delta_above_one_peels_everything(self):
+        g = random_graph(80, 0.3, random.Random(5))
+        dec = decompose_by_peeling(g, Fraction(2), 4)
+        assert dec.clusters == () and len(dec.peel_order) == g.n
+        self._assert_matches_reference(g, Fraction(2), 4)
+
+    def test_empty_graph(self):
+        dec = decompose_by_peeling(Graph(0, []))
+        assert dec.peel_order == () and dec.clusters == ()
+        self._assert_matches_reference(Graph(0, []))
 
 
 class TestHeavyLightSplit:
