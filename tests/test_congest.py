@@ -112,14 +112,14 @@ class TestStockPrograms:
             return state, [], (state % 2 if decided else None)
 
         g = Graph(7, [(i, i + 1) for i in range(5)])
-        stats = run(g, NodeProgram(name="staggered", init=init, step=step))
+        prog = NodeProgram(name="staggered", init=init, step=step)
+        stats = run(g, prog)
         assert stats.rounds_used == 6
         assert not stats.timed_out
         assert stats.node_outputs == (0, 1, 0, 1, 0, 1, 0)
         assert stats.per_round_cut_bits == (0,) * 6
         assert steps == [(v, r) for r in range(6) for v in range(7)]
 
-        prog = NodeProgram(name="staggered", init=init, step=step)
         capped = run(g, prog, SimConfig(max_rounds=4))
         assert capped.timed_out and capped.rounds_used == 4
         assert capped.node_outputs == (0, 1, 0, 1, None, None, 0)
