@@ -77,12 +77,57 @@ class SimConfig:
     seed: int = 0
 
 
+class _SeededOnFirstDraw(random.Random):
+    """``random.Random(text)`` that does its seeding at its first draw.
+
+    Seeding from a string hashes it with SHA-512, about 10 us per node
+    and run, and most programs never draw.  Every draw reaches the
+    generator through ``random`` or ``getrandbits``, so seeding there
+    gives exactly the stream ``random.Random(text)`` would.  Reading the
+    state seeds first too; replacing it drops the pending seed.
+    """
+
+    def __init__(self, text: str) -> None:
+        self._pending = text
+        self.gauss_next = None
+
+    def _settle(self) -> None:
+        if self._pending is not None:
+            text, self._pending = self._pending, None
+            super().seed(text)
+
+    def random(self) -> float:
+        self._settle()
+        return super().random()
+
+    def getrandbits(self, k: int) -> int:
+        self._settle()
+        return super().getrandbits(k)
+
+    def getstate(self):
+        self._settle()
+        return super().getstate()
+
+    def setstate(self, state) -> None:
+        self._pending = None
+        super().setstate(state)
+
+    def seed(self, a=None, version: int = 2) -> None:
+        self._pending = None
+        super().seed(a, version)
+
+    def __reduce__(self):
+        # Copies and pickles are plain generators in the same state.
+        return random.Random, (), self.getstate()
+
+
 @dataclass(frozen=True)
 class NodeProgram:
     """Per-node behavior.
 
     ``init(v, neighbors, n, rng)`` returns the node's initial state;
-    the rng is a private per-node stream derived from the run seed.
+    the rng is a private per-node stream, ``random.Random(f"{seed}:{v}")``
+    for the run seed, seeded on its first draw.
     ``step(state, round_index, inbox)`` returns (state, outbox, output)
     where inbox maps sender id to bit string, outbox lists
     (destination, bits), and output is None while undecided, else the
@@ -139,7 +184,7 @@ def run(
     cut_set = frozenset(cut) if cut is not None else frozenset()
 
     states = [
-        program.init(v, tuple(sorted(adj[v])), n, random.Random(f"{config.seed}:{v}"))
+        program.init(v, tuple(sorted(adj[v])), n, _SeededOnFirstDraw(f"{config.seed}:{v}"))
         for v in range(n)
     ]
     outputs: list = [None] * n

@@ -245,17 +245,46 @@ def _check_naive_budget(n: int, k: int, budget: int) -> None:
 def list_induced_cycles_naive(
     g: Graph, k: int, budget: int = DEFAULT_WORK_BUDGET
 ) -> list[tuple[int, ...]]:
-    """Subset-scan route: test every k-subset with the induced-cycle check."""
+    """Subset-scan route: test every k-subset against the definition.
+
+    The test is ``is_induced_cycle`` on bitmasks: bit w of ``masks[v]``
+    is set when w is a neighbor of v, and a subset is one int.  Every
+    vertex must have exactly two neighbors in the subset (checked
+    vertex by vertex, stopping at the first miss), and a breadth-first
+    sweep over the subset's masks must reach all of it.
+    """
     if k < 3:
         raise ValueError("cycles need k >= 3")
     _check_naive_budget(g.n, k, budget)
-    return [
-        vs for vs in combinations(range(g.n), k) if is_induced_cycle(g, vs)
-    ]
+    masks = [sum(1 << w for w in nb) for nb in g.adj]
+    bits = [1 << v for v in range(g.n)]
+    out = []
+    for vs in combinations(range(g.n), k):
+        s = sum(map(bits.__getitem__, vs))
+        for v in vs:
+            if (masks[v] & s).bit_count() != 2:
+                break
+        else:
+            seen = frontier = bits[vs[0]]
+            while frontier:
+                reached = 0
+                while frontier:
+                    low = frontier & -frontier
+                    reached |= masks[low.bit_length() - 1]
+                    frontier ^= low
+                frontier = reached & s & ~seen
+                seen |= frontier
+            if seen == s:
+                out.append(vs)
+    return out
 
 
 def list_induced_cycles(
-    g: Graph, k: int, budget: int = DEFAULT_WORK_BUDGET
+    g: Graph,
+    k: int,
+    budget: int = DEFAULT_WORK_BUDGET,
+    *,
+    quota: tuple[Iterable[int], int] | None = None,
 ) -> list[tuple[int, ...]]:
     """Pruned route: grow induced paths from each anchor vertex.
 
@@ -269,24 +298,47 @@ def list_induced_cycles(
     form one int.  Each step's candidates are then a few ANDs over
     whole neighborhoods, walked from the lowest set bit up.
 
+    ``quota=(vertices, need)`` lists only the cycles with at least
+    *need* of their vertices in *vertices*.  Each path carries the
+    number of outside vertices it may still take, starting at
+    ``k - need``; once that reaches 0, its extensions and closing
+    vertices are drawn from *vertices* alone, so paths that cannot meet
+    the quota are never grown.  ``quota=None`` lists every cycle.
+
     The work count is one unit per neighbor inspected: an anchor's
     degree, the endpoint's degree per path extension, and the
-    endpoint's common neighbors with the anchor per closing step.  Each
-    step adds its units at once; the count only grows, so a call
-    finishes exactly when its total is within *budget*.
+    endpoint's common neighbors with the anchor per closing step.
+    Under a quota it covers only the anchors and paths the quota lets
+    the search visit (a path with no outside room left inspects only
+    its neighbors in *vertices*), so it never exceeds the count without
+    the quota.  A quota call, such as a ``cycle_listing_protocol`` side
+    lister's, may therefore finish under a budget the full listing
+    exceeds.  Each step adds its units at once; the count only grows,
+    so a call finishes exactly when its total is within *budget*.
     """
     if k < 3:
         raise ValueError("cycles need k >= 3")
     out: list[tuple[int, ...]] = []
     work = 0
     masks = [sum(1 << w for w in nb) for nb in g.adj]
+    # own: the quota's vertex mask; spare: how many vertices off it a
+    # cycle may hold.  Without a quota every vertex counts as own and
+    # the room never runs out, so no candidate is masked.
+    if quota is None:
+        own, spare = -1, k
+    else:
+        vertices, need = quota
+        own, spare = sum(1 << v for v in set(vertices)), k - need
 
-    def extend(path: list[int], banned: int) -> None:
+    def extend(path: list[int], banned: int, room: int) -> None:
         # banned holds the path plus the neighborhoods of every path
         # vertex except the anchor and the current endpoint; anchor
         # adjacency is forbidden while growing and required when closing.
+        # room is how many more vertices off own the path may take.
         nonlocal work
         last = masks[path[-1]]
+        if not room:
+            last &= own
         if len(path) == k - 1:
             closers = last & anchor
             work += closers.bit_count()
@@ -304,15 +356,20 @@ def list_induced_cycles(
         grow = last & allowed & ~banned
         # Every candidate is a neighbor of the endpoint, so banning the
         # endpoint's neighborhood also bans the vertex being appended.
+        # With no room left every later vertex is own, so banning only
+        # the endpoint's own neighbors is enough.
         banned |= last
         while grow:
             low = grow & -grow
             path.append(low.bit_length() - 1)
-            extend(path, banned)
+            extend(path, banned, room if low & own else room - 1)
             path.pop()
             grow ^= low
 
     for s in range(g.n):
+        room = spare if (own >> s) & 1 else spare - 1
+        if room < 0:
+            continue
         anchor = masks[s]
         work += anchor.bit_count()
         if work > budget:
@@ -322,11 +379,13 @@ def list_induced_cycles(
         # call to extend is already the closing step.
         allowed = -(2 << s) & ~anchor
         second_vertices = anchor & -(2 << s)
+        if not room:
+            second_vertices &= own
         while second_vertices:
             low = second_vertices & -second_vertices
             v1 = low.bit_length() - 1
             above_second = -(2 << v1)
-            extend([s, v1], (1 << s) | low)
+            extend([s, v1], (1 << s) | low, room if low & own else room - 1)
             second_vertices ^= low
     return sorted(out)
 

@@ -199,15 +199,17 @@ def _list_cycles_side(
     once.  With k <= 7 a majority-side candidate carries at most one
     far-side vertex that touches no cut edge, and the received batch
     pins every remaining pair status, presence and absence alike.
+
+    The knowledge graph holds the own side, the cut and the received
+    batch.  The search's quota on own vertices grows only the paths
+    that can still become a cycle this party owns, so the cycles the
+    other party lists are never enumerated here.
     """
     known = Graph(view.n, view.internal_edges | view.cut_edges | received)
     need = math.ceil(k / 2) if view.side == "a" else k // 2 + 1
-    out = []
-    for cyc in list_induced_cycles(known, k, budget=budget):
-        own = sum(1 for v in cyc if v in view.own_vertices)
-        if own >= need:
-            out.append(cyc)
-    return tuple(out)
+    return tuple(
+        list_induced_cycles(known, k, budget=budget, quota=(view.own_vertices, need))
+    )
 
 
 def cycle_listing_protocol(

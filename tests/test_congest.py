@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import random
 
 import pytest
@@ -235,6 +236,45 @@ class TestDeterminism:
         payloads = {bits for _, _, _, bits in stats.cut_messages}
         assert payloads == {"0", "1"}
         assert stats.message_count == 6 * 2 * 3
+
+    def test_node_rngs_draw_the_seeded_per_node_streams(self):
+        # Draws in init and again in a later round, through the paths of
+        # random.Random that reach the generator: random(), getrandbits()
+        # and the state accessors.  Each node touches it first a different
+        # way; a reseed or a restored state replaces the node's stream.
+        def first_draws(rng, v):
+            first = (
+                rng.getstate,
+                rng.random,
+                lambda: rng.getrandbits(40),
+                lambda: rng.seed(v),
+                lambda: rng.setstate(random.Random(v).getstate()),
+                lambda: copy.deepcopy(rng).random(),
+            )[v]
+            return [first(), rng.randint(0, 10**12), rng.random(), rng.choice("abcdefgh")]
+
+        def later_draws(rng):
+            xs = list(range(12))
+            rng.shuffle(xs)
+            sample = rng.sample(range(1000), 4)
+            return [sample, rng.gauss(0, 1), rng.gauss(0, 1), rng.randbytes(9), xs]
+
+        def init(v, neighbors, n, rng):
+            return {"rng": rng, "draws": first_draws(rng, v)}
+
+        def step(state, r, inbox):
+            if r == 2:
+                state["draws"] += later_draws(state["rng"])
+                state["draws"].append(state["rng"].getstate())
+                return state, [], 0
+            return state, [], None
+
+        prog = NodeProgram(name="drawer", init=init, step=step, collect=lambda st: st["draws"])
+        stats = run(_cycle_graph(6), prog, SimConfig(seed=41))
+        for v in range(6):
+            ref = random.Random(f"41:{v}")
+            expected = first_draws(ref, v) + later_draws(ref) + [ref.getstate()]
+            assert stats.listings[v] == expected
 
 
 class TestCutAccounting:

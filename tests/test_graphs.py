@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -119,6 +120,16 @@ class TestNaiveOracles:
     def test_cycle_oracle_finds_nothing_in_a_clique(self):
         assert list_induced_cycles_naive(_complete_graph(6), 4) == []
 
+    def test_mask_scan_matches_the_cycle_predicate(self):
+        rng = random.Random(17)
+        for _ in range(30):
+            n = rng.randint(3, 12)
+            g = random_graph(n, rng.choice([0.2, 0.35, 0.5, 0.7]), rng)
+            for k in range(3, 8):
+                assert list_induced_cycles_naive(g, k) == [
+                    vs for vs in combinations(range(n), k) if is_induced_cycle(g, vs)
+                ]
+
     def test_diamond_oracle_on_k5_minus_an_edge(self):
         # K5 minus edge (3, 4): every diamond uses both endpoints of
         # the missing edge plus two of the three common neighbours.
@@ -168,6 +179,61 @@ class TestPrunedSearchMatchesNaive:
     def test_triangle_listing_works_through_the_closing_branch(self):
         g = Graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
         assert list_induced_cycles(g, 3) == [(0, 1, 2)]
+
+
+def _work_count(g: Graph, k: int, **kwargs) -> int:
+    """The smallest budget under which list_induced_cycles finishes."""
+    lo, hi = -1, 1
+    while True:
+        try:
+            list_induced_cycles(g, k, budget=hi, **kwargs)
+            break
+        except WorkBudgetExceeded:
+            lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            list_induced_cycles(g, k, budget=mid, **kwargs)
+            hi = mid
+        except WorkBudgetExceeded:
+            lo = mid
+    return hi
+
+
+def _with_quota(g: Graph, k: int, vertices, need: int) -> list[tuple[int, ...]]:
+    return [c for c in list_induced_cycles(g, k) if len(set(c) & vertices) >= need]
+
+
+class TestQuota:
+    @PROPERTY_SETTINGS
+    @given(data=st.data(), g=_small_graphs(max_n=10), k=st.integers(3, 8))
+    def test_quota_keeps_exactly_the_cycles_meeting_it(self, data, g: Graph, k: int):
+        vertices = data.draw(st.frozensets(st.integers(0, g.n - 1)))
+        need = data.draw(st.integers(0, k))
+        assert list_induced_cycles(g, k, quota=(vertices, need)) == _with_quota(
+            g, k, vertices, need
+        )
+
+    def test_quota_on_seeded_random_graphs(self):
+        rng = random.Random(23)
+        for _ in range(8):
+            n = rng.randint(6, 14)
+            g = random_graph(n, rng.choice([0.2, 0.35, 0.5]), rng)
+            for k in range(3, 9):
+                full_work = _work_count(g, k)
+                choices = [frozenset(), frozenset(range(n))]
+                choices += [frozenset(rng.sample(range(n), n // 2)) for _ in range(2)]
+                for vertices in choices:
+                    for need in range(k + 1):
+                        quota = (vertices, need)
+                        assert list_induced_cycles(g, k, quota=quota) == _with_quota(
+                            g, k, vertices, need
+                        )
+                        assert _work_count(g, k, quota=quota) <= full_work
+
+    def test_an_unmeetable_quota_does_no_work(self):
+        g = _complete_graph(6)
+        assert list_induced_cycles(g, 3, budget=0, quota=(range(6), 4)) == []
 
 
 class TestWorkBudget:

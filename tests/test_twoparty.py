@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -14,12 +15,15 @@ from congestlab.diamond_family import build_diamond_family, build_diamond_fixtur
 from congestlab.families import InputPair, build_four_cycle_family
 from congestlab.graphs import (
     Graph,
+    list_induced_cycles,
     list_induced_cycles_naive,
     list_induced_diamonds_naive,
     random_graph,
 )
 from congestlab.twoparty import (
     Transcript,
+    _edges_near_cut,
+    _list_cycles_side,
     ceil_sqrt,
     congest_reduction,
     cycle_listing_protocol,
@@ -144,6 +148,24 @@ class TestCycleProtocol:
         side = _halves(14)
         res = cycle_listing_protocol(g, side, 5)
         assert not set(res.a_list) & set(res.b_list)
+
+    def test_side_listers_match_filtering_the_full_listing(self):
+        rng = random.Random(19)
+        for _ in range(8):
+            n = rng.randint(10, 18)
+            g = random_graph(n, rng.choice([0.2, 0.35]), rng)
+            view_a, view_b = make_views(g, frozenset(rng.sample(range(n), n // 2)))
+            for view, other in ((view_a, view_b), (view_b, view_a)):
+                received = _edges_near_cut(other)
+                known = Graph(n, view.internal_edges | view.cut_edges | received)
+                for k in range(3, 8):
+                    need = math.ceil(k / 2) if view.side == "a" else k // 2 + 1
+                    expected = tuple(
+                        c
+                        for c in list_induced_cycles(known, k)
+                        if len(view.own_vertices & set(c)) >= need
+                    )
+                    assert _list_cycles_side(view, received, k, 10**9) == expected
 
     def test_empty_cut_means_an_empty_transcript(self):
         # Two disjoint 5-cycles, split along the component boundary.
