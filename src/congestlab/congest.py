@@ -19,6 +19,7 @@ links simulated runs to two-party communication lower bounds.
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -64,6 +65,11 @@ def decode_uint(bits: str) -> int:
     return int(bits, 2) if bits else 0
 
 
+# The payload last checked before an outbox's first message: no program
+# can send this object, so the first payload is always checked.
+_NOT_A_PAYLOAD = object()
+
+
 class ProtocolViolation(RuntimeError):
     """A program broke the model: bad destination, oversized or duplicate
     message, or a changed output.  The message names the program, the
@@ -72,9 +78,17 @@ class ProtocolViolation(RuntimeError):
 
 @dataclass(frozen=True)
 class SimConfig:
+    """Run settings; ``bandwidth_bits=None`` means ``default_bandwidth(n)``."""
+
     bandwidth_bits: int | None = None
     max_rounds: int = 10_000
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.bandwidth_bits is not None and self.bandwidth_bits < 1:
+            raise ValueError(f"bandwidth_bits must be at least 1, got {self.bandwidth_bits}")
+        if self.max_rounds < 1:
+            raise ValueError(f"max_rounds must be at least 1, got {self.max_rounds}")
 
 
 class _SeededOnFirstDraw(random.Random):
@@ -174,6 +188,15 @@ def run(
     Every node is stepped in every round, in id order, whether or not it
     has decided, received anything or has anything to send.  Each node's
     ``init`` receives its neighbors as a sorted tuple.
+
+    An outbox is checked once, not message by message.  Its destination
+    set must be as large as the outbox (else an edge is used twice) and
+    lie within the node's neighbors.  A payload is checked for bits and
+    length only when it is not the object the previous message carried,
+    so a broadcast of one string is checked once.  When a check fails,
+    the outbox is walked in send order and the first faulty message is
+    reported, with its first fault in the order non-neighbor, repeated
+    edge, non-bitstring, oversize; which check caught it does not matter.
     """
     n = g.n
     adj = g.adj
@@ -189,7 +212,7 @@ def run(
     ]
     outputs: list = [None] * n
     undecided = n
-    inbox_next: dict[int, dict[int, str]] = {}
+    inbox_next: defaultdict[int, dict[int, str]] = defaultdict(dict)
     per_round_cut_bits: list[int] = []
     cut_messages: list[tuple[int, int, int, str]] = []
     message_count = 0
@@ -201,9 +224,27 @@ def run(
         where = f"program {program.name}: node {v}"
         return ProtocolViolation(f"{where} {what} in round {r}")
 
+    def first_fault(v: int, r: int, outbox) -> ProtocolViolation:
+        """The fault of the first bad message in *outbox*, in send order."""
+        nbrs = adj[v]
+        sent_to: set[int] = set()
+        for dst, bits in outbox:
+            if dst not in nbrs:
+                return violation(v, r, f"sent to non-neighbor {dst}")
+            if dst in sent_to:
+                return violation(v, r, f"sent twice over edge to {dst}")
+            if not isinstance(bits, str) or bits.strip("01"):
+                return violation(v, r, f"sent non-bitstring {bits!r}")
+            if len(bits) > bandwidth:
+                return violation(v, r, f"sent {len(bits)} bits > bandwidth {bandwidth}")
+            sent_to.add(dst)
+        raise RuntimeError(f"outbox of node {v} in round {r} has no faulty message")
+
     for r in range(config.max_rounds):
-        inboxes = inbox_next
-        inbox_next = {}
+        # A plain dict for the per-node lookups: get() on a defaultdict
+        # is markedly slower, and most rounds step many idle nodes.
+        inboxes = dict(inbox_next)
+        inbox_next = defaultdict(dict)
         round_cut_bits = 0
         for v in range(n):
             state, outbox, out = step(states[v], r, inboxes.get(v, {}))
@@ -218,27 +259,25 @@ def run(
                 outputs[v] = out
             if not outbox:
                 continue
-            nbrs = adj[v]
-            sent_to: set[int] = set()
+            dsts = {dst for dst, _ in outbox}
+            if len(dsts) != len(outbox) or not dsts <= adj[v]:
+                raise first_fault(v, r, outbox)
+            checked = _NOT_A_PAYLOAD
             for dst, bits in outbox:
-                if dst not in nbrs:
-                    raise violation(v, r, f"sent to non-neighbor {dst}")
-                if dst in sent_to:
-                    raise violation(v, r, f"sent twice over edge to {dst}")
-                if not isinstance(bits, str) or bits.strip("01"):
-                    raise violation(v, r, f"sent non-bitstring {bits!r}")
-                size = len(bits)
-                if size > bandwidth:
-                    raise violation(v, r, f"sent {size} bits > bandwidth {bandwidth}")
-                sent_to.add(dst)
-                inbox_next.setdefault(dst, {})[v] = bits
-                message_count += 1
-                if size > max_message_bits:
-                    max_message_bits = size
-                if cut_set and ((v, dst) if v < dst else (dst, v)) in cut_set:
-                    round_cut_bits += size
-                    if record_cut_messages:
-                        cut_messages.append((r, v, dst, bits))
+                if bits is not checked:
+                    if not isinstance(bits, str) or bits.strip("01") or len(bits) > bandwidth:
+                        raise first_fault(v, r, outbox)
+                    checked = bits
+                    if len(bits) > max_message_bits:
+                        max_message_bits = len(bits)
+                inbox_next[dst][v] = bits
+            message_count += len(outbox)
+            if cut_set:
+                for dst, bits in outbox:
+                    if ((v, dst) if v < dst else (dst, v)) in cut_set:
+                        round_cut_bits += len(bits)
+                        if record_cut_messages:
+                            cut_messages.append((r, v, dst, bits))
         per_round_cut_bits.append(round_cut_bits)
         if not undecided:
             rounds_used = r + 1

@@ -310,29 +310,33 @@ def _sparse_finds(
     seat; the non-edge between the candidate wings (both real neighbors
     of v) is certified unless they sit in one cluster, a case the wing
     rule of both wings handles instead.
+
+    Both rules walk the sparse adjacency sets built from ``known_es``:
+    the spine partners of v and the candidate wings are intersections of
+    those sets, and a pair is known adjacent when one endpoint's set
+    holds the other.
     """
     es_adj: dict[int, set[int]] = {}
     for a, b in known_es:
         es_adj.setdefault(a, set()).add(b)
         es_adj.setdefault(b, set()).add(a)
     found: set[tuple[int, ...]] = set()
-    es_nb = sorted(es_adj.get(v, ()))
-    for a, b in combinations(es_nb, 2):
-        if (a, b) not in known_es:
-            continue
+    es_nb = es_adj.get(v, set())
+    for a in es_nb:
+        a_nb = es_adj[a]
+        common = es_nb & a_nb
         # Wing rule: spine (a, b), far wing d.
-        for d in sorted((es_adj[a] & es_adj[b]) - {v}):
-            if d not in real_neighbors:
-                found.add(tuple(sorted((v, a, b, d))))
-    for b in es_nb:
-        common = sorted((es_adj[v] & es_adj[b]) - {b, v})
-        for c, d in combinations(common, 2):
-            if (c, d) in known_es:
-                continue
-            lc, ld = nbr_leader.get(c), nbr_leader.get(d)
-            if lc is not None and lc == ld:
-                continue
-            found.add(tuple(sorted((v, b, c, d))))
+        for b in common:
+            if b > a:
+                for d in (a_nb & es_adj[b]) - real_neighbors:
+                    if d != v:
+                        found.add(tuple(sorted((v, a, b, d))))
+        # Spine rule: spine (v, a), wings c < d not known to be adjacent.
+        for c in common:
+            lc = nbr_leader.get(c)
+            for d in common - es_adj[c]:
+                if d > c and (lc is None or lc != nbr_leader.get(d)):
+                    found.add(tuple(sorted((v, a, c, d))))
     return found
 
 
@@ -356,6 +360,8 @@ def run_sparse_phase(
     """
     n = g.n
     w = word_bits(n)
+    mask = (1 << w) - 1
+    edge_format = f"0{2 * w}b"
     assigned = {v: dec.es_assigned.get(v, ()) for v in range(n)}
 
     def init(v, neighbors, n_, rng):
@@ -373,25 +379,27 @@ def run_sparse_phase(
 
     def step(state, r, inbox):
         v = state["v"]
-        for src, bits in inbox.items():
-            if r == 1:
+        if r == 1:
+            for src, bits in inbox.items():
                 if bits[0] == "1":
                     state["nbr_leader"][src] = decode_uint(bits[1:])
                     state["counts"][src] = 0
                 else:
                     state["nbr_leader"][src] = None
                     state["counts"][src] = decode_uint(bits[1:])
-            else:
-                a = decode_uint(bits[:w])
-                b = decode_uint(bits[w:])
-                state["known_es"].add(norm_edge(a, b))
+        elif inbox:
+            known_es = state["known_es"]
+            for bits in inbox.values():
+                x = int(bits, 2)
+                a, b = x >> w, x & mask
+                known_es.add((a, b) if a < b else (b, a))
         outbox: list[tuple[int, str]] = []
         if r == 0:
             payload = _cluster_flag_payload(state["leader"], len(state["own"]), w)
             outbox = [(u, payload) for u in state["nbrs"]]
         elif r - 1 < len(state["own"]):
             a, b = state["own"][r - 1]
-            payload = encode_uint(a, w) + encode_uint(b, w)
+            payload = format(a << w | b, edge_format)
             outbox = [(u, payload) for u in state["nbrs"]]
         if r == 1:
             state["decide_round"] = 1 + max(state["counts"].values(), default=0)
@@ -723,11 +731,12 @@ def run_light_phase(
     # cluster decides them; zero messages charged.
     reconcile: set[tuple[int, ...]] = set()
     for c in dec.clusters:
+        cluster_heavy = heavies[c.index].keys()
         kg = Graph(n, _member_incident_edges(g, c.members))
         for d in list_induced_diamonds(kg, budget=budget):
             if len(c.members.intersection(d)) < 3:
                 continue
-            if any(v in heavies[c.index] for v in d):
+            if not cluster_heavy.isdisjoint(d):
                 continue
             reconcile.add(d)
     found |= reconcile

@@ -43,6 +43,10 @@ def _path_graph(n: int) -> Graph:
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
+def _complete_graph(n: int) -> Graph:
+    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
 class TestWords:
     def test_word_width_covers_all_ids(self):
         assert word_bits(2) == 1
@@ -84,6 +88,23 @@ class TestStockPrograms:
         assert stats.timed_out
         assert stats.rounds_used == 7
         assert stats.decision is None
+
+    @pytest.mark.parametrize(
+        ("kwargs", "field"),
+        [
+            ({"max_rounds": 0}, "max_rounds"),
+            ({"max_rounds": -3}, "max_rounds"),
+            ({"bandwidth_bits": 0}, "bandwidth_bits"),
+            ({"bandwidth_bits": -1}, "bandwidth_bits"),
+        ],
+    )
+    def test_config_rejects_counts_below_one(self, kwargs, field):
+        with pytest.raises(ValueError, match=field):
+            SimConfig(**kwargs)
+
+    def test_config_accepts_the_smallest_counts_and_the_default_bandwidth(self):
+        assert SimConfig(max_rounds=1, bandwidth_bits=1).max_rounds == 1
+        assert SimConfig(bandwidth_bits=None).bandwidth_bits is None
 
     def test_flood_timing_matches_send_then_deliver(self):
         # Messages sent in round r are read in round r + 1, so the
@@ -170,7 +191,7 @@ class TestViolations:
 
     def test_non_bit_payload_is_rejected(self):
         # Node 2 sends the bad payload in round 1, after a clean round 0.
-        for payload in ("2", "0120", "01 ", " 01", b"01", 1):
+        for payload in ("2", "0120", "01 ", " 01", b"01", 1, None):
 
             def init(v, neighbors, n, rng):
                 return (v, neighbors)
@@ -195,6 +216,54 @@ class TestViolations:
         assert stats.message_count == 4
         assert stats.max_message_bits == 0
         assert stats.decision == 0
+
+    @staticmethod
+    def _one_outbox_program(outbox) -> NodeProgram:
+        """Node 0 sends *outbox* in round 0; everyone decides 0 at once."""
+
+        def init(v, neighbors, n, rng):
+            return v
+
+        def step(state, r, inbox):
+            return state, (outbox if (state, r) == (0, 0) else []), 0
+
+        return NodeProgram(name="one-outbox", init=init, step=step)
+
+    @pytest.mark.parametrize(
+        ("outbox", "fault"),
+        [
+            ([(1, "0" * 9), (2, "1"), (1, "1")], "sent 9 bits > bandwidth 8"),
+            ([(1, "1"), (1, "0" * 9), (2, "1")], "sent twice over edge to 1"),
+            ([(1, "1"), (2, "x"), (0, "1")], "sent non-bitstring 'x'"),
+            ([(2, "1"), (4, "2"), (2, "1")], "sent to non-neighbor 4"),
+            ([(3, "1"), (1, "1"), (3, "0" * 9)], "sent twice over edge to 3"),
+        ],
+    )
+    def test_the_first_faulty_message_in_send_order_is_reported(self, outbox, fault):
+        prog = self._one_outbox_program(outbox)
+        with pytest.raises(ProtocolViolation, match=rf"^program one-outbox: node 0 {fault} in round 0$"):
+            run(_complete_graph(4), prog, SimConfig(bandwidth_bits=8))
+
+    @pytest.mark.parametrize("bad", ["012", "0" * 9, b"01"])
+    def test_a_bad_payload_sent_to_two_neighbors_is_rejected(self, bad):
+        prog = self._one_outbox_program([(1, bad), (2, bad)])
+        with _raises_violation("one-outbox", 0, 0):
+            run(_complete_graph(4), prog, SimConfig(bandwidth_bits=8))
+
+    def test_an_oversized_payload_after_a_shared_valid_one_is_rejected(self):
+        shared = "0101"
+        prog = self._one_outbox_program([(1, shared), (2, shared), (3, "1" * 9)])
+        with pytest.raises(ProtocolViolation, match=r"node 0 sent 9 bits > bandwidth 8 in round 0$"):
+            run(_complete_graph(4), prog, SimConfig(bandwidth_bits=8))
+
+    def test_max_message_bits_covers_a_mixed_length_outbox(self):
+        long = "0101"
+        prog = self._one_outbox_program([(1, long), (2, "0"), (3, long)])
+        stats = run(_complete_graph(4), prog, SimConfig(bandwidth_bits=8))
+        assert stats.message_count == 3
+        assert stats.max_message_bits == 4
+        prog = self._one_outbox_program([(1, ""), (2, "0"), (3, "101")])
+        assert run(_complete_graph(4), prog).max_message_bits == 3
 
     def test_flipping_a_final_output_is_rejected(self):
         # Node 0 flips its decision in round 1; node 1 stays undecided

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -219,6 +220,60 @@ class TestPeelOrderPin:
         dec = decompose_by_peeling(Graph(0, []))
         assert dec.peel_order == () and dec.clusters == ()
         self._assert_matches_reference(Graph(0, []))
+
+
+class TestSparsePhase:
+    """The sparse phase lists exactly the diamonds whose present pairs
+    (five edges) are all sparse edges of the decomposition."""
+
+    @staticmethod
+    def _all_sparse_count(g: Graph) -> int:
+        dec = decompose_by_peeling(g)
+        es = dec.es_edges()
+        expected = {
+            d
+            for d in list_induced_diamonds(g)
+            if all(e in es for e in combinations(d, 2) if e in g.edges)
+        }
+        assert run_sparse_phase(g, dec)[0] == expected
+        return len(expected)
+
+    def test_seeded_random_graphs(self):
+        rng = random.Random(31)
+        total = 0
+        for i in range(12):
+            n = rng.randint(10, 80)
+            g = random_graph(n, rng.choice([0.05, 0.1, 0.2, 0.35]), random.Random(i))
+            total += self._all_sparse_count(g)
+        assert total > 0
+
+    def test_dense_blocks_with_a_sparse_fringe(self):
+        # A G(k, 0.6) block survives peeling as a cluster that is not a
+        # clique, so a fringe vertex's two wings can be non-adjacent
+        # co-members, which the spine rule must leave to the wings.
+        total = 0
+        for i in range(8):
+            rng = random.Random(100 + i)
+            k, fringe = rng.randint(14, 24), rng.randint(20, 50)
+            edges = [e for e in combinations(range(k), 2) if rng.random() < 0.6]
+            edges += [
+                (a, b)
+                for a, b in combinations(range(k + fringe), 2)
+                if b >= k and rng.random() < 0.12
+            ]
+            total += self._all_sparse_count(Graph(k + fringe, edges))
+        assert total > 0
+
+    def test_planted_diamond_family_graphs(self):
+        total = 0
+        for n, seed in ((16, 0), (16, 3), (64, 1)):
+            fx = build_diamond_fixture(n, seed)
+            rng = random.Random(seed)
+            for _ in range(2):
+                x = "".join(rng.choice("01") for _ in range(fx.bit_count))
+                y = "".join(rng.choice("01") for _ in range(fx.bit_count))
+                total += self._all_sparse_count(build_diamond_family(fx, InputPair(x, y)).graph)
+        assert total > 0
 
 
 class TestHeavyLightSplit:
