@@ -241,7 +241,8 @@ class TestViolations:
     )
     def test_the_first_faulty_message_in_send_order_is_reported(self, outbox, fault):
         prog = self._one_outbox_program(outbox)
-        with pytest.raises(ProtocolViolation, match=rf"^program one-outbox: node 0 {fault} in round 0$"):
+        where = rf"^program one-outbox: node 0 {fault} in round 0$"
+        with pytest.raises(ProtocolViolation, match=where):
             run(_complete_graph(4), prog, SimConfig(bandwidth_bits=8))
 
     @pytest.mark.parametrize("bad", ["012", "0" * 9, b"01"])
@@ -253,7 +254,8 @@ class TestViolations:
     def test_an_oversized_payload_after_a_shared_valid_one_is_rejected(self):
         shared = "0101"
         prog = self._one_outbox_program([(1, shared), (2, shared), (3, "1" * 9)])
-        with pytest.raises(ProtocolViolation, match=r"node 0 sent 9 bits > bandwidth 8 in round 0$"):
+        where = r"node 0 sent 9 bits > bandwidth 8 in round 0$"
+        with pytest.raises(ProtocolViolation, match=where):
             run(_complete_graph(4), prog, SimConfig(bandwidth_bits=8))
 
     def test_max_message_bits_covers_a_mixed_length_outbox(self):

@@ -272,7 +272,8 @@ class TestSparsePhase:
             for _ in range(2):
                 x = "".join(rng.choice("01") for _ in range(fx.bit_count))
                 y = "".join(rng.choice("01") for _ in range(fx.bit_count))
-                total += self._all_sparse_count(build_diamond_family(fx, InputPair(x, y)).graph)
+                g = build_diamond_family(fx, InputPair(x, y)).graph
+                total += self._all_sparse_count(g)
         assert total > 0
 
 
