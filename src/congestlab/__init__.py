@@ -40,7 +40,6 @@ from .diamond_congest import (
     Cluster,
     Decomposition,
     DiamondRunStats,
-    cluster_neighbors,
     coverage_tags,
     decompose_by_peeling,
     list_induced_diamonds_congest,
@@ -48,7 +47,6 @@ from .diamond_congest import (
     run_heavy_phase,
     run_light_phase,
     run_sparse_phase,
-    split_heavy_light,
 )
 from .diamond_family import (
     DiamondFixture,

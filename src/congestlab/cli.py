@@ -77,8 +77,8 @@ def work_budget() -> int:
     return int(env) if env else DEFAULT_WORK_BUDGET
 
 
-def _write_json(payload: dict, path: str | None) -> None:
-    data = canonical_json_bytes(payload)
+def _write_out(data: bytes, path: str | None) -> None:
+    """Write *data* to *path*, or to stdout when no path is given."""
     if path:
         Path(path).write_bytes(data)
     else:
@@ -175,11 +175,7 @@ def cmd_verify_family(args) -> int:
     report = verify_family_conditions(
         harness, samples=args.samples, seed=args.check_seed, exhaustive=exhaustive
     )
-    data = report.to_json_bytes()
-    if args.json_out:
-        Path(args.json_out).write_bytes(data)
-    else:
-        sys.stdout.write(data.decode("utf-8"))
+    _write_out(report.to_json_bytes(), args.json_out)
     return EXIT_OK if report.passed else EXIT_VERIFY
 
 
@@ -228,7 +224,7 @@ def cmd_run_congest(args) -> int:
             "bound_bits": check.bound_bits,
             "slack_bits": check.slack_bits,
         }
-    _write_json(payload, args.stats_out)
+    _write_out(canonical_json_bytes(payload), args.stats_out)
     return EXIT_OK
 
 
@@ -267,7 +263,7 @@ def cmd_run_protocol(args) -> int:
         "slack_bits": result.bound_bits - t.payload_bits(),
         "oracle_match": oracle_match,
     }
-    _write_json(payload, args.out)
+    _write_out(canonical_json_bytes(payload), args.out)
     ok = result.within_bound and oracle_match
     return EXIT_OK if ok else EXIT_VERIFY
 
@@ -303,7 +299,7 @@ def cmd_run_diamond_listing(args) -> int:
         Path(args.list_out).write_bytes(
             canonical_json_bytes({"diamonds": [list(d) for d in diamonds]})
         )
-    _write_json(payload, args.stats_out)
+    _write_out(canonical_json_bytes(payload), args.stats_out)
     return EXIT_OK if ok else EXIT_VERIFY
 
 
@@ -397,11 +393,7 @@ def cmd_bench(args) -> int:
     for row in _bench_rows(args):
         row["schema_version"] = SCHEMA_VERSION
         writer.writerow(row)
-    text = buf.getvalue()
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _write_out(buf.getvalue().encode("utf-8"), args.out)
     return EXIT_OK
 
 
@@ -414,7 +406,7 @@ def cmd_report(args) -> int:
                 merged["reports"][p.name] = list(csv.DictReader(fh))
         else:
             merged["reports"][p.name] = json.loads(p.read_text(encoding="utf-8"))
-    _write_json(merged, args.out)
+    _write_out(canonical_json_bytes(merged), args.out)
     return EXIT_OK
 
 

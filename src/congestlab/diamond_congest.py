@@ -9,7 +9,9 @@ cluster (member edges) or has a peeled endpoint (sparse edges); there
 are no member-to-member edges between different clusters, because such
 an edge would have survived peeling and merged the components.  Second,
 a vertex assigned edges at peel time holds fewer than d_min of them,
-so broadcasting assigned sets is cheap.
+so broadcasting assigned sets is cheap.  The same pass fixes epsilon:
+every non-member is classified heavy or light for each cluster it
+touches, once, and every phase below reads that one classification.
 
 Listing runs in three phases, each executed on the bandwidth-accounted
 simulator where communication actually happens:
@@ -59,7 +61,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import combinations
-from typing import Iterable
 
 from .bundles import canonical_json_bytes
 from .congest import (
@@ -88,7 +89,6 @@ __all__ = [
     "Cluster",
     "Decomposition",
     "DiamondRunStats",
-    "cluster_neighbors",
     "coverage_tags",
     "decompose_by_peeling",
     "frac_pow_ceil",
@@ -98,7 +98,6 @@ __all__ = [
     "run_heavy_phase",
     "run_light_phase",
     "run_sparse_phase",
-    "split_heavy_light",
 ]
 
 DEFAULT_DELTA = Fraction(5, 6)
@@ -130,25 +129,25 @@ class Cluster:
 class Decomposition:
     n: int
     delta: Fraction
+    epsilon: Fraction
     min_degree_constant: int
     d_min: int
+    light_max: int
     peel_order: tuple[int, ...]
     es_assigned: dict[int, tuple[tuple[int, int], ...]]
     clusters: tuple[Cluster, ...]
     cluster_index: dict[int, int | None]
     leaders: dict[int, int | None]
+    # Per cluster index: its heavy and its light non-members, each mapped
+    # to its sorted member neighbors.
+    heavy: dict[int, dict[int, list[int]]]
+    light: dict[int, dict[int, list[int]]]
 
     def es_edges(self) -> frozenset[tuple[int, int]]:
         return frozenset(e for edges in self.es_assigned.values() for e in edges)
 
     def em_edges(self) -> frozenset[tuple[int, int]]:
         return frozenset(e for c in self.clusters for e in c.edges)
-
-    def is_member(self, v: int) -> bool:
-        return self.cluster_index.get(v) is not None
-
-    def leader_of(self, v: int) -> int | None:
-        return self.leaders.get(v)
 
     def es_cap(self) -> int:
         """Per-vertex assigned-edge cap: n^delta * log2(n), rounded up."""
@@ -200,8 +199,10 @@ def decompose_by_peeling(
     g: Graph,
     delta: Fraction = DEFAULT_DELTA,
     min_degree_constant: int = DEFAULT_MIN_DEGREE_CONSTANT,
+    epsilon: Fraction = DEFAULT_EPSILON,
 ) -> Decomposition:
-    """Peel low-degree vertices, keep surviving components as clusters.
+    """Peel low-degree vertices, keep surviving components as clusters,
+    and split each cluster's non-member neighbors into heavy and light.
 
     Deterministic: among peelable vertices the smallest id goes first.
     A peeled vertex is assigned the edges it still had, so every edge
@@ -212,8 +213,12 @@ def decompose_by_peeling(
     residual degree first drops below d_min; degrees only fall, so it
     stays peelable until popped.  Each edge is removed once and each
     vertex pushed and popped at most once: O((n + m) log n) in all.
+
+    A non-member is heavy for a cluster with more than light_max =
+    floor(n^epsilon) member neighbors and light with 1..light_max.
     """
     delta = _as_fraction(delta)
+    epsilon = _as_fraction(epsilon)
     d_min = min_peel_degree(g.n, delta, min_degree_constant)
     adj = [set(nbrs) for nbrs in g.adj]
     # Built in increasing id order, so it is already a valid heap.
@@ -242,49 +247,33 @@ def decompose_by_peeling(
         for v in c.members:
             cluster_index[v] = c.index
             leaders[v] = c.leader
+    light_max = frac_pow_floor(g.n, epsilon)
+    heavy: dict[int, dict[int, list[int]]] = {c.index: {} for c in clusters}
+    light: dict[int, dict[int, list[int]]] = {c.index: {} for c in clusters}
+    for v in range(g.n):
+        # v's neighbors inside clusters other than v's own, by cluster.
+        by_cluster: dict[int, list[int]] = {}
+        for u in sorted(g.adj[v]):
+            cu = cluster_index[u]
+            if cu is not None and cu != cluster_index[v]:
+                by_cluster.setdefault(cu, []).append(u)
+        for ci, members in by_cluster.items():
+            (heavy if len(members) > light_max else light)[ci][v] = members
     return Decomposition(
         n=g.n,
         delta=delta,
+        epsilon=epsilon,
         min_degree_constant=min_degree_constant,
         d_min=d_min,
+        light_max=light_max,
         peel_order=tuple(peel_order),
         es_assigned=es_assigned,
         clusters=tuple(clusters),
         cluster_index=cluster_index,
         leaders=leaders,
+        heavy=heavy,
+        light=light,
     )
-
-
-def cluster_neighbors(
-    nbrs: Iterable[int], leaders: dict[int, int | None], v: int
-) -> dict[int, list[int]]:
-    """v's neighbors inside clusters other than v's own, grouped by
-    cluster leader, each group sorted."""
-    by_leader: dict[int, list[int]] = {}
-    for u in sorted(nbrs):
-        lu = leaders[u]
-        if lu is not None and lu != leaders[v]:
-            by_leader.setdefault(lu, []).append(u)
-    return by_leader
-
-
-def split_heavy_light(
-    g: Graph, dec: Decomposition, epsilon: Fraction = DEFAULT_EPSILON
-) -> tuple[dict[int, dict[int, list[int]]], dict[int, dict[int, list[int]]]]:
-    """Per cluster index: its heavy and its light non-members, each mapped
-    to its sorted member neighbors.
-
-    A non-member is heavy for a cluster with more than n^epsilon member
-    neighbors and light with 1..n^epsilon of them.
-    """
-    light_max = frac_pow_floor(g.n, _as_fraction(epsilon))
-    heavy: dict[int, dict[int, list[int]]] = {c.index: {} for c in dec.clusters}
-    light: dict[int, dict[int, list[int]]] = {c.index: {} for c in dec.clusters}
-    for v in range(g.n):
-        for lu, members in cluster_neighbors(g.adj[v], dec.leaders, v).items():
-            side = heavy if len(members) > light_max else light
-            side[dec.cluster_index[lu]][v] = members
-    return heavy, light
 
 
 def _member_incident_edges(g: Graph, members: frozenset[int]) -> set[tuple[int, int]]:
@@ -437,7 +426,6 @@ def run_sparse_phase(
 def run_heavy_phase(
     g: Graph,
     dec: Decomposition,
-    epsilon: Fraction = DEFAULT_EPSILON,
     seed: int = 0,
     budget: int = DEFAULT_WORK_BUDGET,
 ) -> tuple[set[tuple[int, ...]], RunStats | None, dict]:
@@ -452,12 +440,9 @@ def run_heavy_phase(
     Returns (diamonds, run stats or None when no vertex is heavy,
     accounting dict).
     """
-    epsilon = _as_fraction(epsilon)
     n = g.n
     w = word_bits(n)
-    light_max = frac_pow_floor(n, epsilon)
-    heavies, _ = split_heavy_light(g, dec, epsilon)
-    engaged = [c for c in dec.clusters if heavies[c.index]]
+    engaged = [c for c in dec.clusters if dec.heavy[c.index]]
     accounting: dict = {
         "engaged_clusters": len(engaged),
         "charged_rounds_max": 0,
@@ -468,19 +453,26 @@ def run_heavy_phase(
     if not engaged:
         return set(), None, accounting
 
-    # Chunk plans are derived from knowledge every node obtains in the
-    # round-0 flag exchange: its neighbors' cluster leaders.
+    # Chunk plans: each heavy vertex splits its sorted neighbor list into
+    # one chunk per member neighbor, in member order.  A heavy vertex
+    # learns its member neighbors in the round-0 flag exchange.
+    plans: dict[int, dict[int, tuple[int, ...]]] = {}
+    max_chunk = 0
+    for hs in dec.heavy.values():
+        for h, members in hs.items():
+            nbrs = tuple(sorted(g.adj[h]))
+            chunk = math.ceil(len(nbrs) / len(members))
+            max_chunk = max(max_chunk, chunk)
+            plan = plans.setdefault(h, {})
+            for t, m in enumerate(members):
+                plan[m] = nbrs[t * chunk : (t + 1) * chunk]
+    schedule_end = 2 + max_chunk
+
     def init(v, neighbors, n_, rng):
-        plans: dict[int, tuple[int, ...]] = {}
-        for members in cluster_neighbors(neighbors, dec.leaders, v).values():
-            if len(members) > light_max:
-                chunk = math.ceil(len(neighbors) / len(members))
-                for t, m in enumerate(members):
-                    plans[m] = neighbors[t * chunk : (t + 1) * chunk]
         return {
             "v": v,
             "nbrs": neighbors,
-            "plans": plans,
+            "plans": sorted(plans.get(v, {}).items()),
             "fragments": {},
         }
 
@@ -493,7 +485,7 @@ def run_heavy_phase(
             payload = _cluster_flag_payload(dec.leaders[state["v"]], 0, w)
             outbox = [(u, payload) for u in state["nbrs"]]
         else:
-            for m, chunk in sorted(state["plans"].items()):
+            for m, chunk in state["plans"]:
                 idx = r - 1
                 if idx < len(chunk):
                     outbox.append((m, encode_uint(chunk[idx], w)))
@@ -503,19 +495,12 @@ def run_heavy_phase(
     def collect(state):
         return {"fragments": {u: tuple(ids) for u, ids in state["fragments"].items()}}
 
-    max_chunk = max(
-        math.ceil(g.degree(h) / len(members))
-        for hs in heavies.values()
-        for h, members in hs.items()
-    )
-    schedule_end = 2 + max_chunk
-
     program = NodeProgram(name="diamond-heavy", init=init, step=step, collect=collect)
     stats = run(g, program, SimConfig(max_rounds=schedule_end + 2, seed=seed))
     if stats.timed_out:
         raise RuntimeError("heavy phase exceeded its round schedule")
 
-    exp_gather = max(Fraction(0), 2 - dec.delta - epsilon)
+    exp_gather = max(Fraction(0), 2 - dec.delta - dec.epsilon)
     exp_route = max(Fraction(0), 2 - 2 * dec.delta)
     charged_one = frac_pow_ceil(n, exp_gather) + ceil_sqrt(n) * frac_pow_ceil(
         n, exp_route
@@ -526,7 +511,7 @@ def run_heavy_phase(
     found: set[tuple[int, ...]] = set()
     gathered_max = 0
     for c in engaged:
-        assembled: dict[int, set[int]] = {h: set() for h in heavies[c.index]}
+        assembled: dict[int, set[int]] = {h: set() for h in dec.heavy[c.index]}
         for m in c.members:
             res = stats.listings[m]
             received = 0
@@ -541,9 +526,9 @@ def run_heavy_phase(
         knowledge = _member_incident_edges(g, c.members)
         knowledge |= {norm_edge(h, x) for h, ids in assembled.items() for x in ids}
         kg = Graph(n, knowledge)
-        cluster_heavy = heavies[c.index]
+        cluster_heavy = dec.heavy[c.index].keys()
         for d in list_induced_diamonds(kg, budget=budget):
-            if not any(v in cluster_heavy for v in d):
+            if cluster_heavy.isdisjoint(d):
                 continue
             if not induced_edges(g, d) & c.edges:
                 continue
@@ -555,7 +540,7 @@ def run_heavy_phase(
     # Per-member capacity: each heavy neighbor contributes chunks of at
     # most ceil(deg/n^eps) entries, so one member gathers under n^(2-eps).
     accounting["gathered_entries_max"] = gathered_max
-    accounting["gathered_entries_cap"] = frac_pow_ceil(n, Fraction(2) - epsilon)
+    accounting["gathered_entries_cap"] = frac_pow_ceil(n, Fraction(2) - dec.epsilon)
     return found, stats, accounting
 
 
@@ -567,7 +552,6 @@ def run_heavy_phase(
 def run_light_phase(
     g: Graph,
     dec: Decomposition,
-    epsilon: Fraction = DEFAULT_EPSILON,
     *,
     warm: dict,
     seed: int = 0,
@@ -583,11 +567,8 @@ def run_light_phase(
 
     Returns (diamonds, stats of the executed segments, accounting).
     """
-    epsilon = _as_fraction(epsilon)
     n = g.n
     w = word_bits(n)
-    light_max = frac_pow_floor(n, epsilon)
-    heavies, lights = split_heavy_light(g, dec, epsilon)
 
     # Central schedule: exact per-segment maxima, derivable from the
     # decomposition (a synchronizer would publish the same constants).
@@ -595,7 +576,7 @@ def run_light_phase(
     # queries[u][c1]: the other member neighbors of c1's cluster.
     entries: dict[int, list[int]] = {v: [] for v in range(n)}
     queries: dict[int, dict[int, list[int]]] = {v: {} for v in range(n)}
-    for light in lights.values():
+    for light in dec.light.values():
         for u, members in light.items():
             entries[u] = sorted(entries[u] + members)
             for c1 in members:
@@ -731,7 +712,7 @@ def run_light_phase(
     # cluster decides them; zero messages charged.
     reconcile: set[tuple[int, ...]] = set()
     for c in dec.clusters:
-        cluster_heavy = heavies[c.index].keys()
+        cluster_heavy = dec.heavy[c.index].keys()
         kg = Graph(n, _member_incident_edges(g, c.members))
         for d in list_induced_diamonds(kg, budget=budget):
             if len(c.members.intersection(d)) < 3:
@@ -744,7 +725,7 @@ def run_light_phase(
     accounting = {
         "executed_rounds": stats.rounds_used,
         "query_len_max": max_qlen,
-        "query_len_cap": max(0, light_max - 1),
+        "query_len_cap": max(0, dec.light_max - 1),
         "pair_rule_found": l1_l2_count,
         "reconcile_found": len(reconcile),
     }
@@ -812,25 +793,23 @@ def list_induced_diamonds_congest(
     and the observed caps.  With with_coverage=True the stats also
     count expected phases over the phase outputs themselves.
     """
-    delta = _as_fraction(delta)
-    epsilon = _as_fraction(epsilon)
-    dec = decompose_by_peeling(g, delta, min_degree_constant)
+    dec = decompose_by_peeling(g, delta, min_degree_constant, epsilon)
     problems = dec.validate(g)
     if problems:
         raise AssertionError("; ".join(problems))
 
     sparse_found, sparse_stats = run_sparse_phase(g, dec, seed=seed)
     heavy_found, heavy_stats, heavy_acct = run_heavy_phase(
-        g, dec, epsilon, seed=seed, budget=budget
+        g, dec, seed=seed, budget=budget
     )
     light_found, light_stats, light_acct = run_light_phase(
-        g, dec, epsilon, warm=sparse_stats.listings, seed=seed, budget=budget
+        g, dec, warm=sparse_stats.listings, seed=seed, budget=budget
     )
     all_found = sorted(sparse_found | heavy_found | light_found)
 
     coverage = None
     if with_coverage:
-        tags = coverage_tags(g, dec, epsilon, tuple(all_found))
+        tags = coverage_tags(g, dec, tuple(all_found))
         coverage = {}
         for tag in tags.values():
             coverage[tag] = coverage.get(tag, 0) + 1
@@ -838,11 +817,11 @@ def list_induced_diamonds_congest(
     stats = DiamondRunStats(
         n=g.n,
         m=g.m,
-        delta=str(delta),
-        epsilon=str(epsilon),
+        delta=str(dec.delta),
+        epsilon=str(dec.epsilon),
         min_degree_constant=min_degree_constant,
         d_min=dec.d_min,
-        light_max=frac_pow_floor(g.n, epsilon),
+        light_max=dec.light_max,
         es_cap=dec.es_cap(),
         cluster_count=len(dec.clusters),
         cluster_sizes=tuple(sorted(len(c.members) for c in dec.clusters)),
@@ -874,7 +853,6 @@ def list_induced_diamonds_congest(
 def coverage_tags(
     g: Graph,
     dec: Decomposition,
-    epsilon: Fraction = DEFAULT_EPSILON,
     diamonds: tuple[tuple[int, ...], ...] | None = None,
     budget: int = DEFAULT_WORK_BUDGET,
 ) -> dict[tuple[int, ...], str]:
@@ -890,12 +868,10 @@ def coverage_tags(
 
     Each diamond is a sorted vertex tuple, as the listers return them.
     """
-    epsilon = _as_fraction(epsilon)
     if diamonds is None:
         diamonds = tuple(list_induced_diamonds(g, budget=budget))
     edges = g.edges
     es = dec.es_edges()
-    heavies, _ = split_heavy_light(g, dec, epsilon)
     tags: dict[tuple[int, ...], str] = {}
     for d in diamonds:
         em = {e for e in combinations(d, 2) if e in edges} - es
@@ -904,7 +880,7 @@ def coverage_tags(
             continue
         ci = dec.cluster_index[min(em)[0]]
         outside = set(d) - dec.clusters[ci].members
-        if any(v in heavies[ci] for v in d):
+        if not dec.heavy[ci].keys().isdisjoint(d):
             tags[d] = "heavy"
         elif len(outside) <= 1:
             tags[d] = "light-reconcile"

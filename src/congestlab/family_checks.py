@@ -48,6 +48,7 @@ __all__ = [
     "check_long_cycle_structure",
     "cycle_harness",
     "diamond_harness",
+    "diamond_harness_from_seed",
     "four_cycle_harness",
     "long_cycle_harness",
     "verify_family_conditions",

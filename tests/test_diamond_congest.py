@@ -20,7 +20,6 @@ from congestlab.diamond_congest import (
     run_heavy_phase,
     run_light_phase,
     run_sparse_phase,
-    split_heavy_light,
 )
 from congestlab.diamond_family import build_diamond_family, build_diamond_fixture
 from congestlab.families import InputPair
@@ -128,10 +127,10 @@ class TestDecomposition:
         dec = decompose_by_peeling(g)
         for c in dec.clusters:
             for v in c.members:
-                assert dec.is_member(v)
-                assert dec.leader_of(v) == min(c.members)
-        assert not dec.is_member(13)
-        assert dec.leader_of(13) is None
+                assert dec.cluster_index[v] is not None
+                assert dec.leaders[v] == min(c.members)
+        assert dec.cluster_index[13] is None
+        assert dec.leaders[13] is None
         assert dec.leaders == {
             v: (None if ci is None else dec.clusters[ci].leader)
             for v, ci in dec.cluster_index.items()
@@ -286,16 +285,21 @@ class TestHeavyLightSplit:
         g = Graph(100, edges)
         dec = decompose_by_peeling(g)
         assert [len(c.members) for c in dec.clusters] == [20]
-        hm, lm = split_heavy_light(g, dec)
-        assert set(hm[0]) == {20}
-        assert 20 not in lm[0]
+        assert dec.light_max == 10
+        assert set(dec.heavy[0]) == {20}
+        assert 20 not in dec.light[0]
+        # With epsilon = 11/20 the bound is floor(100^(11/20)) = 12, so
+        # the same hub is light.
+        dec = decompose_by_peeling(g, epsilon=Fraction(11, 20))
+        assert dec.light_max == 12
+        assert dec.heavy[0] == {}
+        assert dec.light[0] == {20: list(range(11))}
 
     def test_light_map_needs_at_least_one_member_neighbor(self):
         g = Graph(26, _clique_edges(range(24)) + [(0, 24)])
         dec = decompose_by_peeling(g)
-        _, lm = split_heavy_light(g, dec)
-        assert 24 in lm[0]
-        assert 25 not in lm[0]
+        assert 24 in dec.light[0]
+        assert 25 not in dec.light[0]
 
 
 class TestPhasesOnHandGadgets:
@@ -408,5 +412,18 @@ class TestFullListing:
         g = random_graph(30, 0.2, random.Random(12))
         oracle = sorted(list_induced_diamonds_naive(g))
         for delta, eps in ((FIVE_SIXTHS, HALF), (Fraction(2, 3), HALF), (FIVE_SIXTHS, Fraction(1, 3))):
-            found, _ = list_induced_diamonds_congest(g, delta=delta, epsilon=eps)
+            found, stats = list_induced_diamonds_congest(
+                g, delta=delta, epsilon=eps, with_coverage=True
+            )
             assert list(found) == oracle, (delta, eps)
+            counts = stats.coverage_counts
+            per_phase = (
+                counts.get("sparse", 0),
+                counts.get("heavy", 0),
+                sum(v for k, v in counts.items() if k.startswith("light-")),
+            )
+            assert per_phase == (
+                stats.sparse_found,
+                stats.heavy_found,
+                stats.light_found,
+            ), (delta, eps)

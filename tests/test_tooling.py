@@ -1,6 +1,7 @@
 """Import hygiene, checked with the standard library alone: the package
 pulls in no third-party runtime dependency, every name a module exports
-exists, and no module imports a name it never uses."""
+exists, every name the package re-exports is in its home module's
+``__all__``, and no module imports a name it never uses."""
 
 from __future__ import annotations
 
@@ -69,3 +70,15 @@ def test_modules_import_no_unused_names():
         if names:
             unused[path.name] = names
     assert unused == {}
+
+
+def test_package_names_are_exported_by_their_home_modules():
+    tree = ast.parse((PACKAGE_DIR / "__init__.py").read_text(encoding="utf-8"))
+    unlisted = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            module = importlib.import_module(f"congestlab.{node.module}")
+            names = [a.name for a in node.names if a.name not in module.__all__]
+            if names:
+                unlisted[node.module] = names
+    assert unlisted == {}
