@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -37,10 +38,15 @@ from .congest import (
     default_bandwidth,
     run,
 )
-from .diamond_congest import list_induced_diamonds_congest
-from .diamond_family import build_diamond_family, build_diamond_fixture
-from .families import InputPair, build_cycle_family, build_long_cycle_family
+from .diamond_congest import (
+    DEFAULT_DELTA,
+    DEFAULT_EPSILON,
+    DEFAULT_MIN_DEGREE_CONSTANT,
+    list_induced_diamonds_congest,
+)
+from .families import InputPair
 from .family_checks import (
+    FamilyHarness,
     cycle_harness,
     diamond_harness_from_seed,
     long_cycle_harness,
@@ -132,45 +138,35 @@ class SystemExit2(Exception):
     """Usage error detected after argparse; mapped to exit code 2."""
 
 
-def _build_instance(args):
+def _harness(
+    args, budget: int = DEFAULT_WORK_BUDGET, include_centers: bool = False
+) -> FamilyHarness:
+    """The harness of the family *args* names; it holds the builder."""
     family = FAMILY_ALIASES[args.family]
     if family == "cycle":
-        bits = args.n * args.n
-        pair = _make_inputs(args, bits)
-        return build_cycle_family(args.n, args.k, pair)
+        return cycle_harness(args.n, args.k, budget=budget)
     if family == "long-cycle":
-        bits = args.n * args.n
-        pair = _make_inputs(args, bits)
-        return build_long_cycle_family(args.n, args.ell, args.m, pair)
+        return long_cycle_harness(
+            args.n, args.ell, args.m, budget=budget, include_centers=include_centers
+        )
     if args.seed is None:
         raise SystemExit2("the diamond family needs an explicit --seed")
-    fixture = build_diamond_fixture(args.n, args.seed)
-    if fixture.bit_count == 0:
-        raise SystemExit2(
-            f"seed {args.seed} yields no usable slots at n={args.n}; pick another"
-        )
-    pair = _make_inputs(args, fixture.bit_count)
-    return build_diamond_family(fixture, pair)
+    return diamond_harness_from_seed(args.n, args.seed, budget=budget)
 
 
 def cmd_gen_family(args) -> int:
-    inst = _build_instance(args)
-    write_bundle(inst, args.out)
+    harness = _harness(args, include_centers=True)
+    if harness.family == "diamond" and harness.bit_count == 0:
+        raise SystemExit2(
+            f"seed {args.seed} yields no usable slots at n={args.n}; pick another"
+        )
+    write_bundle(harness.build(_make_inputs(args, harness.bit_count)), args.out)
     sys.stdout.write(f"{args.out}\n")
     return EXIT_OK
 
 
 def cmd_verify_family(args) -> int:
-    family = FAMILY_ALIASES[args.family]
-    budget = work_budget()
-    if family == "cycle":
-        harness = cycle_harness(args.n, args.k, budget=budget)
-    elif family == "long-cycle":
-        harness = long_cycle_harness(args.n, args.ell, args.m, budget=budget)
-    else:
-        if args.seed is None:
-            raise SystemExit2("the diamond family needs an explicit --seed")
-        harness = diamond_harness_from_seed(args.n, args.seed, budget=budget)
+    harness = _harness(args, budget=work_budget())
     exhaustive = {"auto": None, "yes": True, "no": False}[args.exhaustive]
     report = verify_family_conditions(
         harness, samples=args.samples, seed=args.check_seed, exhaustive=exhaustive
@@ -218,12 +214,7 @@ def cmd_run_congest(args) -> int:
     if cut is not None:
         bandwidth = config.bandwidth_bits or default_bandwidth(g.n)
         check = cut_traffic_bound_check(stats, len(cut), bandwidth)
-        payload["cut_bound"] = {
-            "ok": check.ok,
-            "measured_bits": check.measured_bits,
-            "bound_bits": check.bound_bits,
-            "slack_bits": check.slack_bits,
-        }
+        payload["cut_bound"] = dataclasses.asdict(check)
     _write_out(canonical_json_bytes(payload), args.stats_out)
     return EXIT_OK
 
@@ -303,74 +294,54 @@ def cmd_run_diamond_listing(args) -> int:
     return EXIT_OK if ok else EXIT_VERIFY
 
 
+def _bench_run(args, g: Graph, side_a, k: int | None, budget: int, row: dict) -> None:
+    """Run the suite's algorithm on one bench graph; fill its columns of *row*."""
+    if args.suite == "diamond-listing":
+        diamonds, stats = list_induced_diamonds_congest(g, seed=args.seed, budget=budget)
+        row["params"] += f";delta={stats.delta};epsilon={stats.epsilon}"
+        executed = stats.sparse_rounds + stats.heavy_executed_rounds
+        row["rounds"] = executed + stats.light_executed_rounds
+        row["cut_bits"] = ""
+        row["payload_bits"] = stats.heavy_charged_rounds_sum
+        row["found"] = len(diamonds)
+        return
+    if k is None:
+        res = diamond_listing_protocol(g, side_a, budget=budget)
+    else:
+        res = cycle_listing_protocol(g, side_a, k, budget=budget)
+    row["payload_bits"] = res.transcript.payload_bits()
+    row["bound_bits"] = res.bound_bits
+    row["found"] = len(res.all_listed)
+
+
 def _bench_rows(args):
     budget = work_budget()
     densities = [float(d) for d in args.densities.split(",")]
+    ks = (4, 5, 6, 7) if args.suite == "cycle-protocol" else (None,)
     for n in args.sizes:
         for density in densities:
             rng = random.Random(f"{args.seed}:{n}:{density}")
             g = random_graph(n, density, rng)
             side_a = frozenset(v for v in range(n) if rng.random() < 0.5)
             cut = len(crossing_edges(g, side_a))
-            if args.suite == "cycle-protocol":
-                for k in (4, 5, 6, 7):
-                    t0 = time.perf_counter()
+            for k in ks:
+                t0 = time.perf_counter()
+                if k is None:
+                    oracle = list_induced_diamonds(g, budget=budget)
+                else:
                     oracle = list_induced_cycles(g, k, budget=budget)
-                    oracle_s = time.perf_counter() - t0
-                    res = cycle_listing_protocol(g, side_a, k, budget=budget)
-                    yield {
-                        "algorithm": "cycle-protocol",
-                        "n": n,
-                        "params": f"k={k};density={density}",
-                        "rounds": "",
-                        "cut_bits": cut,
-                        "payload_bits": res.transcript.payload_bits(),
-                        "bound_bits": res.bound_bits,
-                        "found": len(res.all_listed),
-                        "oracle_found": len(oracle),
-                        "oracle_seconds": f"{oracle_s:.6f}",
-                    }
-            elif args.suite == "diamond-protocol":
-                t0 = time.perf_counter()
-                oracle = list_induced_diamonds(g, budget=budget)
                 oracle_s = time.perf_counter() - t0
-                res = diamond_listing_protocol(g, side_a, budget=budget)
-                yield {
-                    "algorithm": "diamond-protocol",
+                # Columns no run fills are written empty (csv restval).
+                row = {
+                    "algorithm": args.suite,
                     "n": n,
-                    "params": f"density={density}",
-                    "rounds": "",
+                    "params": ("" if k is None else f"k={k};") + f"density={density}",
                     "cut_bits": cut,
-                    "payload_bits": res.transcript.payload_bits(),
-                    "bound_bits": res.bound_bits,
-                    "found": len(res.all_listed),
                     "oracle_found": len(oracle),
                     "oracle_seconds": f"{oracle_s:.6f}",
                 }
-            else:
-                t0 = time.perf_counter()
-                oracle = list_induced_diamonds(g, budget=budget)
-                oracle_s = time.perf_counter() - t0
-                diamonds, stats = list_induced_diamonds_congest(
-                    g, seed=args.seed, budget=budget
-                )
-                executed = (
-                    stats.sparse_rounds
-                    + stats.heavy_executed_rounds
-                    + stats.light_executed_rounds
-                )
-                yield {
-                    "algorithm": "diamond-listing",
-                    "n": n,
-                    "params": f"density={density};delta=5/6;epsilon=1/2",
-                    "rounds": executed,
-                    "cut_bits": "",
-                    "payload_bits": stats.heavy_charged_rounds_sum,
-                    "bound_bits": "",
-                    "found": len(diamonds),
-                    "oracle_found": len(oracle),
-                    "oracle_seconds": f"{oracle_s:.6f}",
-                }
+                _bench_run(args, g, side_a, k, budget, row)
+                yield row
 
 
 def cmd_bench(args) -> int:
@@ -456,8 +427,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--program", required=True, help="name or name:arg")
     p.add_argument("--bandwidth", type=_positive_int, default=None)
-    p.add_argument("--max-rounds", type=_positive_int, default=10_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--max-rounds", type=_positive_int, default=SimConfig.max_rounds)
+    p.add_argument("--seed", type=int, default=SimConfig.seed)
     p.add_argument("--cut", help="bundle dir or meta.json supplying cut edges")
     p.add_argument("--stats-out")
     p.set_defaults(func=cmd_run_congest)
@@ -471,9 +442,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run-diamond-listing", help="distributed diamond listing")
     p.add_argument("--graph", required=True)
-    p.add_argument("--delta", type=_fraction, default=Fraction(5, 6))
-    p.add_argument("--epsilon", type=_fraction, default=Fraction(1, 2))
-    p.add_argument("--min-degree-constant", type=int, default=4)
+    p.add_argument("--delta", type=_fraction, default=DEFAULT_DELTA)
+    p.add_argument("--epsilon", type=_fraction, default=DEFAULT_EPSILON)
+    p.add_argument("--min-degree-constant", type=int, default=DEFAULT_MIN_DEGREE_CONSTANT)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--stats-out")
     p.add_argument("--list-out", help="also write the full diamond list")

@@ -21,6 +21,7 @@ from __future__ import annotations
 import random
 from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Any, Callable
 
 from .graphs import Graph
@@ -334,34 +335,25 @@ def naive_four_cycle_program() -> NodeProgram:
         }
 
     def step(state, r, inbox):
-        w = state["w"]
+        known = state["known"]
         for src, bits in inbox.items():
             if bits[0] == "1":
-                state["known"][src].add(decode_uint(bits[1 : 1 + w]))
+                known[src].add(int(bits[1:], 2))
         outbox = []
         if r < len(state["nbrs"]):
-            payload = "1" + encode_uint(state["nbrs"][r], w)
+            payload = "1" + encode_uint(state["nbrs"][r], state["w"])
             outbox = [(u, payload) for u in state["nbrs"]]
         output = None
         if r >= state["n"] - 1:
-            output = 0
+            # known is keyed by the neighbours, so it doubles as N(v).
             v = state["v"]
-            nbrs = state["nbrs"]
-            nbr_set = set(nbrs)
-            known = state["known"]
-            for i in range(len(nbrs)):
-                for j in range(i + 1, len(nbrs)):
-                    u, u2 = nbrs[i], nbrs[j]
-                    if u2 in known[u]:
-                        continue
-                    for t in known[u] & known[u2]:
-                        if t != v and t not in nbr_set:
-                            output = 1
-                            break
-                    if output == 1:
-                        break
-                if output == 1:
-                    break
+            output = int(
+                any(
+                    u2 not in known[u]
+                    and any(t != v and t not in known for t in known[u] & known[u2])
+                    for u, u2 in combinations(state["nbrs"], 2)
+                )
+            )
         return state, outbox, output
 
     return NodeProgram(name="detect-four-cycle", init=init, step=step)

@@ -91,8 +91,6 @@ __all__ = [
     "DiamondRunStats",
     "coverage_tags",
     "decompose_by_peeling",
-    "frac_pow_ceil",
-    "frac_pow_floor",
     "list_induced_diamonds_congest",
     "min_peel_degree",
     "run_heavy_phase",
@@ -530,7 +528,7 @@ def run_heavy_phase(
         for d in list_induced_diamonds(kg, budget=budget):
             if cluster_heavy.isdisjoint(d):
                 continue
-            if not induced_edges(g, d) & c.edges:
+            if not any(e in c.edges for e in combinations(d, 2)):
                 continue
             # Every pair of such a candidate touches a member or a heavy
             # vertex, so all six statuses are exact and the diamond real.

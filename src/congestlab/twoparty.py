@@ -56,7 +56,6 @@ __all__ = [
     "PartyView",
     "ReductionResult",
     "Transcript",
-    "ceil_sqrt",
     "congest_reduction",
     "cycle_listing_protocol",
     "diamond_listing_protocol",

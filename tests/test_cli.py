@@ -78,6 +78,16 @@ class TestGenFamily:
         assert rc == EXIT_USAGE
         assert "seed" in capsys.readouterr().err
 
+    def test_diamond_seed_without_slots_is_a_usage_error(self, tmp_path, capsys):
+        # Seed 3 keeps no slot at n = 4, so there are no input bits to set.
+        rc = main(
+            ["gen-family", "diamond", "--n", "4", "--seed", "3", "--input-seed", "1",
+             "--out", str(tmp_path / "x")]
+        )
+        assert rc == EXIT_USAGE
+        assert "no usable slots" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_lone_x_without_y_is_a_usage_error(self, tmp_path, capsys):
         rc = main(
             ["gen-family", "c4", "--n", "2", "--x", "8", "--out", str(tmp_path / "x")]
@@ -86,6 +96,11 @@ class TestGenFamily:
 
 
 class TestVerifyFamily:
+    def test_diamond_family_requires_a_seed(self, capsys):
+        rc = main(["verify-family", "diamond", "--n", "16"])
+        assert rc == EXIT_USAGE
+        assert "--seed" in capsys.readouterr().err
+
     def test_four_cycle_family_verifies_exhaustively(self, tmp_path):
         out = tmp_path / "report.json"
         rc = main(

@@ -1,7 +1,8 @@
 """Import hygiene, checked with the standard library alone: the package
 pulls in no third-party runtime dependency, every name a module exports
-exists, every name the package re-exports is in its home module's
-``__all__``, and no module imports a name it never uses."""
+exists, the package namespace is the star import of each module with an
+``__all__``, no module exports a name it imports, and no module imports
+a name it never uses."""
 
 from __future__ import annotations
 
@@ -29,8 +30,8 @@ def test_importing_the_package_loads_no_numpy():
     assert out.stdout.strip() == "False"
 
 
-def _unused_imports(source: str) -> list[str]:
-    tree = ast.parse(source)
+def _imported_names(tree: ast.Module) -> dict[str, int]:
+    """Each name an import binds, with the line of its import."""
     imported: dict[str, int] = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -39,6 +40,18 @@ def _unused_imports(source: str) -> list[str]:
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
+    return imported
+
+
+def _library_modules():
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        if path.name != "__init__.py":
+            yield path, importlib.import_module(f"congestlab.{path.stem}")
+
+
+def _unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = _imported_names(tree)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     # Names listed in __all__ are re-exported, which counts as a use.
     for node in ast.walk(tree):
@@ -72,13 +85,32 @@ def test_modules_import_no_unused_names():
     assert unused == {}
 
 
-def test_package_names_are_exported_by_their_home_modules():
+def test_package_star_imports_every_module_with_an_all():
     tree = ast.parse((PACKAGE_DIR / "__init__.py").read_text(encoding="utf-8"))
-    unlisted = {}
+    starred, other = set(), []
     for node in tree.body:
-        if isinstance(node, ast.ImportFrom) and node.level == 1:
-            module = importlib.import_module(f"congestlab.{node.module}")
-            names = [a.name for a in node.names if a.name not in module.__all__]
-            if names:
-                unlisted[node.module] = names
-    assert unlisted == {}
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if (
+            isinstance(node, ast.ImportFrom)
+            and node.level == 1
+            and [a.name for a in node.names] == ["*"]
+        ):
+            starred.add(node.module)
+        else:
+            other.append(ast.unparse(node))
+    assert other == []
+    exporting = {
+        path.stem for path, module in _library_modules() if hasattr(module, "__all__")
+    }
+    assert starred == exporting
+
+
+def test_no_module_exports_a_name_it_imports():
+    leaked = {}
+    for path, module in _library_modules():
+        imported = _imported_names(ast.parse(path.read_text(encoding="utf-8")))
+        names = [n for n in getattr(module, "__all__", ()) if n in imported]
+        if names:
+            leaked[path.name] = names
+    assert leaked == {}
