@@ -141,7 +141,11 @@ class SystemExit2(Exception):
 def _harness(
     args, budget: int = DEFAULT_WORK_BUDGET, include_centers: bool = False
 ) -> FamilyHarness:
-    """The harness of the family *args* names; it holds the builder."""
+    """The harness of the family *args* names; it holds the builder.
+
+    A diamond seed that keeps no input slot is a usage error here, so
+    ``gen-family`` and ``verify-family`` reject it alike.
+    """
     family = FAMILY_ALIASES[args.family]
     if family == "cycle":
         return cycle_harness(args.n, args.k, budget=budget)
@@ -151,15 +155,16 @@ def _harness(
         )
     if args.seed is None:
         raise SystemExit2("the diamond family needs an explicit --seed")
-    return diamond_harness_from_seed(args.n, args.seed, budget=budget)
+    harness = diamond_harness_from_seed(args.n, args.seed, budget=budget)
+    if harness.bit_count == 0:
+        raise SystemExit2(
+            f"seed {args.seed} yields no usable slots at n={args.n}; pick another"
+        )
+    return harness
 
 
 def cmd_gen_family(args) -> int:
     harness = _harness(args, include_centers=True)
-    if harness.family == "diamond" and harness.bit_count == 0:
-        raise SystemExit2(
-            f"seed {args.seed} yields no usable slots at n={args.n}; pick another"
-        )
     write_bundle(harness.build(_make_inputs(args, harness.bit_count)), args.out)
     sys.stdout.write(f"{args.out}\n")
     return EXIT_OK
@@ -383,7 +388,7 @@ def cmd_report(args) -> int:
 
 def _add_family_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("family", choices=sorted(FAMILY_ALIASES))
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--k", type=int, default=4, help="cycle length (cycle family)")
     p.add_argument("--ell", type=int, default=1, help="strands (long-cycle family)")
     p.add_argument("--m", type=int, default=0, help="padding (long-cycle family)")

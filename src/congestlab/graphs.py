@@ -296,7 +296,9 @@ def list_induced_cycles(
     The search runs on int bitmasks: bit w of ``masks[v]`` is set when
     w is a neighbor of v, and the vertices a path may no longer touch
     form one int.  Each step's candidates are then a few ANDs over
-    whole neighborhoods, walked from the lowest set bit up.
+    whole neighborhoods, walked from the lowest set bit up.  The last
+    path vertex is closed in the loop that finds it, with no call of its
+    own; the work it adds and the budget test it makes are the same.
 
     ``quota=(vertices, need)`` lists only the cycles with at least
     *need* of their vertices in *vertices*.  Each path carries the
@@ -359,6 +361,26 @@ def list_induced_cycles(
         # With no room left every later vertex is own, so banning only
         # the endpoint's own neighbors is enough.
         banned |= last
+        if len(path) == k - 2:
+            # Each candidate is the last path vertex: run its closing
+            # step here, as a call to extend would, without the call.
+            closable = above_second & ~banned
+            while grow:
+                low = grow & -grow
+                c = low.bit_length() - 1
+                closers = masks[c] & anchor
+                if not (room if low & own else room - 1):
+                    closers &= own
+                work += closers.bit_count()
+                if work > budget:
+                    raise WorkBudgetExceeded("pruned cycle search", work, budget)
+                closers &= closable
+                while closers:
+                    x = closers & -closers
+                    out.append(tuple(sorted(path + [c, x.bit_length() - 1])))
+                    closers ^= x
+                grow ^= low
+            return
         while grow:
             low = grow & -grow
             path.append(low.bit_length() - 1)
@@ -376,7 +398,8 @@ def list_induced_cycles(
             raise WorkBudgetExceeded("pruned cycle search", work, budget)
         # -(2 << x) has every bit above x set.  Path vertices after the
         # second lie above s and off its neighborhood; at k = 3 the first
-        # call to extend is already the closing step.
+        # call to extend is already the closing step, at k >= 4 the call
+        # that finds the last path vertex closes it.
         allowed = -(2 << s) & ~anchor
         second_vertices = anchor & -(2 << s)
         if not room:

@@ -101,6 +101,20 @@ class TestVerifyFamily:
         assert rc == EXIT_USAGE
         assert "--seed" in capsys.readouterr().err
 
+    def test_diamond_seed_without_slots_is_a_usage_error(self, tmp_path, capsys):
+        # The seed gen-family rejects; verifying it would check one empty pair.
+        out = tmp_path / "report.json"
+        rc = main(
+            ["verify-family", "diamond", "--n", "4", "--seed", "3", "--json-out", str(out)]
+        )
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == "error: seed 3 yields no usable slots at n=4; pick another\n"
+        assert not out.exists()
+        main(["gen-family", "diamond", "--n", "4", "--seed", "3", "--input-seed", "1",
+              "--out", str(tmp_path / "x")])
+        assert capsys.readouterr().err == err
+
     def test_four_cycle_family_verifies_exhaustively(self, tmp_path):
         out = tmp_path / "report.json"
         rc = main(
@@ -219,11 +233,15 @@ class TestRunCongest:
         g = tmp_path / "g.txt"
         _write_random_graph(g, n=6)
         run_congest = ["run-congest", "--graph", str(g), "--program", "flood"]
+        gen_family = ["gen-family", "c4", "--input-seed", "2", "--intersecting", "yes",
+                      "--out", str(tmp_path / "bundle")]
         cases = [
             (run_congest, "--max-rounds", ("-1", "0")),
             (run_congest, "--bandwidth", ("-1", "0")),
             (["verify-family", "c4", "--n", "2"], "--samples", ("-1", "0")),
             (["bench", "--suite", "cycle-protocol"], "--sizes", ("0", "16,-1")),
+            (["verify-family", "c4"], "--n", ("-1", "0")),
+            (gen_family, "--n", ("-1", "0")),
         ]
         for args, flag, values in cases:
             for value in values:

@@ -256,6 +256,36 @@ class TestWorkBudget:
             with pytest.raises(WorkBudgetExceeded):
                 list_induced_cycles(g, k, budget=w - 1)
 
+    def test_quota_work_count_is_the_smallest_passing_budget(self):
+        # Paths with no outside room left inspect only own neighbors, at
+        # every step including the closing one; (k, need, W) rows.
+        g = random_graph(20, 0.3, random.Random(3))
+        recorded = [
+            (3, 1, 126), (3, 2, 114), (3, 3, 55),
+            (4, 2, 410), (4, 3, 306), (4, 4, 134),
+            (5, 2, 1071), (5, 3, 762), (5, 5, 189),
+            (6, 3, 1957), (6, 4, 1278), (6, 6, 262),
+            (7, 3, 3698), (7, 4, 2879), (7, 7, 299),
+        ]
+        for k, need, w in recorded:
+            quota = (range(10), need)
+            list_induced_cycles(g, k, budget=w, quota=quota)
+            with pytest.raises(WorkBudgetExceeded):
+                list_induced_cycles(g, k, budget=w - 1, quota=quota)
+
+    def test_each_closing_step_tests_the_budget(self):
+        # The estimate is the count at the first step that crossed the
+        # budget.  The first four rows are at half of each W above; the
+        # last four cross inside a run of closing steps, so they move if
+        # those steps share one budget test.
+        g = random_graph(20, 0.3, random.Random(3))
+        recorded = [(4, 282, 283), (5, 584, 592), (6, 1204, 1206), (7, 1991, 1992)]
+        recorded += [(4, 283, 285), (5, 568, 571), (6, 1214, 1215), (7, 1973, 1974)]
+        for k, budget, estimate in recorded:
+            with pytest.raises(WorkBudgetExceeded) as info:
+                list_induced_cycles(g, k, budget=budget)
+            assert info.value.estimate == estimate
+
     def test_default_budget_handles_small_graphs(self):
         g = random_graph(20, 0.2, random.Random(3))
         list_induced_cycles(g, 5, budget=DEFAULT_WORK_BUDGET)
