@@ -8,7 +8,8 @@ bytes; bench additionally reports oracle wall time, which is the one
 intentionally non-reproducible column.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (such as
-a count below 1, a flood source outside the graph, or a --cut or
+a count below 1, an --input-density outside [0, 1], a flood source
+outside the graph, or a --cut or
 --partition bundle that does not belong to --graph) or a simulator
 model violation, 3 work budget exceeded.
 CONGESTLAB_WORK_BUDGET overrides the default enumeration budget.
@@ -106,6 +107,13 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _unit_float(text: str) -> float:
+    value = float(text)
+    if not 0 <= value <= 1:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {value}")
     return value
 
 
@@ -399,7 +407,7 @@ def _add_input_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--x", help="hex input for the first party")
     p.add_argument("--y", help="hex input for the second party")
     p.add_argument("--input-seed", type=int, default=None)
-    p.add_argument("--input-density", type=float, default=0.5)
+    p.add_argument("--input-density", type=_unit_float, default=0.5)
     p.add_argument(
         "--intersecting", choices=["yes", "no", "any"], default="any",
         help="force the random inputs to share an index, or not",

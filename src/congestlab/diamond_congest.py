@@ -57,6 +57,7 @@ arithmetic; floats never decide a classification.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
@@ -125,6 +126,11 @@ class Cluster:
 
 @dataclass
 class Decomposition:
+    """One peel: ``cluster_index`` maps each vertex to its cluster's index
+    (None if peeled), whose ``leader`` is the member's leader; ``heavy``
+    and ``light`` map a cluster index to non-members, each with its sorted
+    member neighbors."""
+
     n: int
     delta: Fraction
     epsilon: Fraction
@@ -135,9 +141,6 @@ class Decomposition:
     es_assigned: dict[int, tuple[tuple[int, int], ...]]
     clusters: tuple[Cluster, ...]
     cluster_index: dict[int, int | None]
-    leaders: dict[int, int | None]
-    # Per cluster index: its heavy and its light non-members, each mapped
-    # to its sorted member neighbors.
     heavy: dict[int, dict[int, list[int]]]
     light: dict[int, dict[int, list[int]]]
 
@@ -240,11 +243,9 @@ def decompose_by_peeling(
         for idx, comp in enumerate(connected_components(g, within=active))
     ]
     cluster_index: dict[int, int | None] = {v: None for v in range(g.n)}
-    leaders: dict[int, int | None] = {v: None for v in range(g.n)}
     for c in clusters:
         for v in c.members:
             cluster_index[v] = c.index
-            leaders[v] = c.leader
     light_max = frac_pow_floor(g.n, epsilon)
     heavy: dict[int, dict[int, list[int]]] = {c.index: {} for c in clusters}
     light: dict[int, dict[int, list[int]]] = {c.index: {} for c in clusters}
@@ -268,7 +269,6 @@ def decompose_by_peeling(
         es_assigned=es_assigned,
         clusters=tuple(clusters),
         cluster_index=cluster_index,
-        leaders=leaders,
         heavy=heavy,
         light=light,
     )
@@ -327,9 +327,11 @@ def _sparse_finds(
     return found
 
 
-def _cluster_flag_payload(leader: int | None, count: int, w: int) -> str:
-    if leader is not None:
-        return "1" + encode_uint(leader, w)
+def _cluster_flag_payload(dec: Decomposition, v: int, count: int, w: int) -> str:
+    """v's round-0 flag: "1" + its cluster's leader, or "0" + *count*."""
+    ci = dec.cluster_index[v]
+    if ci is not None:
+        return "1" + encode_uint(dec.clusters[ci].leader, w)
     return "0" + encode_uint(count, w)
 
 
@@ -356,24 +358,24 @@ def run_sparse_phase(
             "v": v,
             "nbrs": neighbors,
             "own": assigned[v],
-            "leader": dec.leaders[v],
-            "counts": {},
             "nbr_leader": {},
             "known_es": set(assigned[v]),
             "decide_round": None,
-            "found": None,
+            "found": set(),
         }
 
     def step(state, r, inbox):
         v = state["v"]
         if r == 1:
+            # A node decides once its neighbors' longest stream is in.
+            longest = 0
             for src, bits in inbox.items():
                 if bits[0] == "1":
                     state["nbr_leader"][src] = decode_uint(bits[1:])
-                    state["counts"][src] = 0
                 else:
                     state["nbr_leader"][src] = None
-                    state["counts"][src] = decode_uint(bits[1:])
+                    longest = max(longest, decode_uint(bits[1:]))
+            state["decide_round"] = 1 + longest
         elif inbox:
             known_es = state["known_es"]
             for bits in inbox.values():
@@ -382,18 +384,14 @@ def run_sparse_phase(
                 known_es.add((a, b) if a < b else (b, a))
         outbox: list[tuple[int, str]] = []
         if r == 0:
-            payload = _cluster_flag_payload(state["leader"], len(state["own"]), w)
+            payload = _cluster_flag_payload(dec, v, len(state["own"]), w)
             outbox = [(u, payload) for u in state["nbrs"]]
         elif r - 1 < len(state["own"]):
             a, b = state["own"][r - 1]
             payload = format(a << w | b, edge_format)
             outbox = [(u, payload) for u in state["nbrs"]]
-        if r == 1:
-            state["decide_round"] = 1 + max(state["counts"].values(), default=0)
         output = None
-        if state["found"] is not None:
-            output = 1 if state["found"] else 0
-        elif state["decide_round"] is not None and r >= state["decide_round"]:
+        if r == state["decide_round"]:
             state["found"] = _sparse_finds(
                 v, frozenset(state["nbrs"]), state["known_es"], state["nbr_leader"]
             )
@@ -402,7 +400,7 @@ def run_sparse_phase(
 
     def collect(state):
         return {
-            "found": tuple(sorted(state["found"] or ())),
+            "found": tuple(sorted(state["found"])),
             "known_es": frozenset(state["known_es"]),
         }
 
@@ -480,14 +478,14 @@ def run_heavy_phase(
                 state["fragments"].setdefault(src, []).append(decode_uint(bits))
         outbox: list[tuple[int, str]] = []
         if r == 0:
-            payload = _cluster_flag_payload(dec.leaders[state["v"]], 0, w)
+            payload = _cluster_flag_payload(dec, state["v"], 0, w)
             outbox = [(u, payload) for u in state["nbrs"]]
         else:
             for m, chunk in state["plans"]:
                 idx = r - 1
                 if idx < len(chunk):
                     outbox.append((m, encode_uint(chunk[idx], w)))
-        output = 0 if r >= schedule_end else None
+        output = 0 if r == schedule_end else None
         return state, outbox, output
 
     def collect(state):
@@ -504,8 +502,8 @@ def run_heavy_phase(
         n, exp_route
     )
 
-    # Reassemble each heavy neighborhood from the fragments its cluster
-    # members received; completeness is by construction, asserted anyway.
+    # Reassemble each heavy neighborhood from its cluster's fragments (only
+    # its heavy vertices send any); completeness is by construction, asserted.
     found: set[tuple[int, ...]] = set()
     gathered_max = 0
     for c in engaged:
@@ -515,8 +513,7 @@ def run_heavy_phase(
             received = 0
             for src, ids in res["fragments"].items():
                 received += len(ids)
-                if src in assembled:
-                    assembled[src].update(ids)
+                assembled[src].update(ids)
             gathered_max = max(gathered_max, received)
         for h, ids in assembled.items():
             if ids != set(g.adj[h]):
@@ -563,20 +560,25 @@ def run_light_phase(
     vertices in one cluster happens centrally from member-incident
     knowledge and is charged zero messages.
 
+    The schedule is central, from the decomposition's exact maxima.  A
+    node v broadcasts its entry count (round 0), then entries[v], its
+    member neighbors in every cluster it is light for (rounds 1..lb-1).
+    It sends each member c1 it queries a query count (round lb), then
+    queries[v][c1], the other member neighbors of c1's cluster (rounds
+    lb+1..lb+lc-1).  c1 answers one presence bit per id, in arrival
+    order and 2w-bit slices (rounds lb+lc..), and all decide together.
+    The counts are charged but not stored, as the schedule fixes them;
+    an answer whose length is not its query's raises.
+
     Returns (diamonds, stats of the executed segments, accounting).
     """
     n = g.n
     w = word_bits(n)
-
-    # Central schedule: exact per-segment maxima, derivable from the
-    # decomposition (a synchronizer would publish the same constants).
-    # entries[u]: u's member neighbors in every cluster it is light for;
-    # queries[u][c1]: the other member neighbors of c1's cluster.
     entries: dict[int, list[int]] = {v: [] for v in range(n)}
     queries: dict[int, dict[int, list[int]]] = {v: {} for v in range(n)}
     for light in dec.light.values():
         for u, members in light.items():
-            entries[u] = sorted(entries[u] + members)
+            entries[u] += members
             for c1 in members:
                 qs = [c2 for c2 in members if c2 != c1]
                 if qs:
@@ -588,112 +590,86 @@ def run_light_phase(
     )
     lc = 1 + max_qlen
     chunk_bits = 2 * w
-    ld = math.ceil(max_qlen / chunk_bits) if max_qlen else 0
+    ld = math.ceil(max_qlen / chunk_bits)
     decide_round = lb + lc + ld
 
     def init(v, neighbors, n_, rng):
         return {
             "v": v,
             "nbrs": neighbors,
+            "entries": sorted(entries[v]),
+            "queries": sorted(queries[v].items()),
             "known_es": warm[v]["known_es"],
             "recv_entries": {},
-            "incoming_q": {},
-            "incoming_expect": {},
+            "replies": {},
             "answer_bits": {},
-            "found": None,
+            "found": set(),
         }
 
     def step(state, r, inbox):
         v = state["v"]
         for src, bits in inbox.items():
-            if r == 1:
-                continue  # entry counts; the schedule already fixes lb
-            elif 2 <= r <= lb:
-                state["recv_entries"].setdefault(src, []).append(decode_uint(bits))
-            elif r == lb + 1:
-                state["incoming_expect"][src] = decode_uint(bits)
-                state["incoming_q"][src] = []
+            if 2 <= r <= lb:
+                state["recv_entries"].setdefault(src, set()).add(decode_uint(bits))
             elif lb + 2 <= r <= lb + lc:
-                state["incoming_q"].setdefault(src, []).append(decode_uint(bits))
-            else:
+                bit = "1" if decode_uint(bits) in g.adj[v] else "0"
+                state["replies"][src] = state["replies"].get(src, "") + bit
+            elif r > lb + lc:
                 state["answer_bits"][src] = state["answer_bits"].get(src, "") + bits
         outbox: list[tuple[int, str]] = []
         if r == 0:
-            payload = encode_uint(len(entries[v]), w)
+            payload = encode_uint(len(state["entries"]), w)
             outbox = [(u, payload) for u in state["nbrs"]]
-        elif r - 1 < len(entries[v]):
-            payload = encode_uint(entries[v][r - 1], w)
+        elif r - 1 < len(state["entries"]):
+            payload = encode_uint(state["entries"][r - 1], w)
             outbox = [(u, payload) for u in state["nbrs"]]
         elif r == lb:
-            for c1, qs in sorted(queries[v].items()):
-                outbox.append((c1, encode_uint(len(qs), w)))
+            outbox = [(c1, encode_uint(len(qs), w)) for c1, qs in state["queries"]]
         elif lb < r <= lb + max_qlen:
             idx = r - lb - 1
-            for c1, qs in sorted(queries[v].items()):
+            for c1, qs in state["queries"]:
                 if idx < len(qs):
                     outbox.append((c1, encode_uint(qs[idx], w)))
-        if r >= lb + lc and ld:
-            # Answer chunks: presence bits for each queried pair, in the
-            # order the ids arrived, split into bandwidth-sized slices.
-            chunk_idx = r - (lb + lc)
-            nbset = set(state["nbrs"])
-            for src, qids in sorted(state["incoming_q"].items()):
-                if len(qids) != state["incoming_expect"].get(src, -1):
-                    continue
-                bits_all = "".join("1" if c2 in nbset else "0" for c2 in qids)
-                piece = bits_all[chunk_idx * chunk_bits : (chunk_idx + 1) * chunk_bits]
+        elif r >= lb + lc:
+            lo = (r - lb - lc) * chunk_bits
+            for src, reply in sorted(state["replies"].items()):
+                piece = reply[lo : lo + chunk_bits]
                 if piece:
                     outbox.append((src, piece))
         output = None
-        if state["found"] is not None:
-            output = 1 if state["found"] else 0
-        elif r >= decide_round:
+        if r == decide_round:
             state["found"] = _light_finds(state, v)
             output = 1 if state["found"] else 0
         return state, outbox, output
 
     def _light_finds(state, v) -> set[tuple[int, ...]]:
         found: set[tuple[int, ...]] = set()
-        nbset = set(state["nbrs"])
+        recv_entries = state["recv_entries"]
         # Double-cluster-neighbor rule: v spans the pair (c1, c2), the
         # single-cluster-neighbor u supplies the missing-pair absence.
-        for c1, qs in sorted(queries[v].items()):
+        for c1, qs in state["queries"]:
             answer = state["answer_bits"].get(c1, "")
-            if len(answer) < len(qs):
-                continue
-            for u in sorted(nbset):
-                ent = state["recv_entries"].get(u)
-                if not ent:
-                    continue
-                eset = set(ent)
-                if c1 not in eset:
-                    continue
-                for idx, c2 in enumerate(qs):
-                    if c2 in eset or c2 == u:
-                        continue
-                    if answer[idx] == "1":
-                        found.add(tuple(sorted((v, u, c1, c2))))
+            present = [c2 for c2, bit in zip(qs, answer, strict=True) if bit == "1"]
+            for u, eset in recv_entries.items():
+                if c1 in eset:
+                    for c2 in present:
+                        if c2 not in eset:
+                            found.add(tuple(sorted((v, u, c1, c2))))
         # Member rule: v is a cluster vertex joining two of its light
         # neighbors whose mutual absence the sparse knowledge certifies.
         ci = dec.cluster_index[v]
         if ci is not None:
             members = dec.clusters[ci].members
-            lights = sorted(u for u, ent in state["recv_entries"].items() if v in ent)
+            lights = sorted(u for u, eset in recv_entries.items() if v in eset)
             for u1, u2 in combinations(lights, 2):
                 if (u1, u2) in state["known_es"]:
                     continue
-                shared = (
-                    set(state["recv_entries"][u1])
-                    & set(state["recv_entries"][u2])
-                    & nbset
-                    & members
-                ) - {v}
-                for c2 in sorted(shared):
+                for c2 in recv_entries[u1] & recv_entries[u2] & g.adj[v] & members:
                     found.add(tuple(sorted((u1, u2, v, c2))))
         return found
 
     def collect(state):
-        return {"found": tuple(sorted(state["found"] or ()))}
+        return {"found": tuple(sorted(state["found"]))}
 
     program = NodeProgram(name="diamond-light", init=init, step=step, collect=collect)
     stats = run(g, program, SimConfig(max_rounds=decide_round + 2, seed=seed))
@@ -770,9 +746,7 @@ class DiamondRunStats:
     coverage_counts: dict | None = None
 
     def to_json_bytes(self) -> bytes:
-        payload = {k: v for k, v in self.__dict__.items()}
-        payload["cluster_sizes"] = list(self.cluster_sizes)
-        return canonical_json_bytes(payload)
+        return canonical_json_bytes(self.__dict__)
 
 
 def list_induced_diamonds_congest(
@@ -807,10 +781,7 @@ def list_induced_diamonds_congest(
 
     coverage = None
     if with_coverage:
-        tags = coverage_tags(g, dec, tuple(all_found))
-        coverage = {}
-        for tag in tags.values():
-            coverage[tag] = coverage.get(tag, 0) + 1
+        coverage = dict(Counter(coverage_tags(g, dec, tuple(all_found)).values()))
 
     stats = DiamondRunStats(
         n=g.n,

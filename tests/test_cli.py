@@ -94,6 +94,39 @@ class TestGenFamily:
         )
         assert rc == EXIT_USAGE
 
+    def test_inputs_need_explicit_bits_or_an_input_seed(self, tmp_path, capsys):
+        rc = main(["gen-family", "c4", "--n", "2", "--out", str(tmp_path / "x")])
+        assert rc == EXIT_USAGE
+        assert "give --x/--y or --input-seed" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_forced_disjoint_inputs_share_no_index(self, tmp_path):
+        for seed in range(4):
+            out = tmp_path / str(seed)
+            rc = main(
+                ["gen-family", "c4", "--n", "3", "--input-seed", str(seed),
+                 "--input-density", "0.8", "--intersecting", "no", "--out", str(out)]
+            )
+            assert rc == EXIT_OK
+            pair = read_bundle(out).pair
+            assert "1" in pair.x
+            assert not any(a == b == "1" for a, b in zip(pair.x, pair.y))
+
+    def test_input_density_outside_the_unit_interval_is_rejected(self, tmp_path, capsys):
+        args = ["gen-family", "c4", "--n", "2", "--input-seed", "1", "--out"]
+        for value in ("2", "-1", "1.5", "nan"):
+            with pytest.raises(SystemExit) as info:
+                main(args + [str(tmp_path / "x"), "--input-density", value])
+            assert info.value.code == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert "--input-density: must be in [0, 1]" in err and "Traceback" not in err
+        assert not (tmp_path / "x").exists()
+        for value, bits in (("0", "0000"), ("1", "1111")):
+            out = tmp_path / value
+            assert main(args + [str(out), "--input-density", value]) == EXIT_OK
+            pair = read_bundle(out).pair
+            assert pair.x == pair.y == bits
+
 
 class TestVerifyFamily:
     def test_diamond_family_requires_a_seed(self, capsys):

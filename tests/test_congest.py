@@ -267,6 +267,17 @@ class TestViolations:
         prog = self._one_outbox_program([(1, ""), (2, "0"), (3, "101")])
         assert run(_complete_graph(4), prog).max_message_bits == 3
 
+    def test_an_output_other_than_zero_or_one_is_rejected(self):
+        def init(v, neighbors, n, rng):
+            return v
+
+        def step(state, r, inbox):
+            return state, [], 2 if (state, r) == (1, 2) else None
+
+        prog = NodeProgram(name="ternary", init=init, step=step)
+        with _raises_violation("ternary", 1, 2):
+            run(_cycle_graph(4), prog, SimConfig(max_rounds=4))
+
     def test_flipping_a_final_output_is_rejected(self):
         # Node 0 flips its decision in round 1; node 1 stays undecided
         # so the run is still alive to observe the flip.

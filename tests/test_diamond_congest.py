@@ -125,17 +125,22 @@ class TestDecomposition:
     def test_membership_maps_match_the_clusters(self):
         g = Graph(14, _clique_edges(range(12)) + [(11, 12), (12, 13)])
         dec = decompose_by_peeling(g)
+        leaders = _leader_map(dec)
         for c in dec.clusters:
             for v in c.members:
                 assert dec.cluster_index[v] is not None
-                assert dec.leaders[v] == min(c.members)
+                assert leaders[v] == min(c.members)
         assert dec.cluster_index[13] is None
-        assert dec.leaders[13] is None
-        assert dec.leaders == {
-            v: (None if ci is None else dec.clusters[ci].leader)
-            for v, ci in dec.cluster_index.items()
-        }
-        assert set(dec.leaders) == set(range(g.n))
+        assert leaders[13] is None
+        assert set(dec.cluster_index) == set(range(g.n))
+
+
+def _leader_map(dec) -> dict[int, int | None]:
+    """Each vertex's cluster leader (None when peeled), from cluster_index."""
+    return {
+        v: (None if ci is None else dec.clusters[ci].leader)
+        for v, ci in dec.cluster_index.items()
+    }
 
 
 def _reference_peel(g: Graph, d_min: int):
@@ -187,7 +192,7 @@ class TestPeelOrderPin:
         assert dec.peel_order == order
         assert dec.es_assigned == assigned
         assert [sorted(c.members) for c in dec.clusters] == clusters
-        assert dec.leaders == leaders
+        assert _leader_map(dec) == leaders
 
     def test_seeded_random_graphs(self):
         rng = random.Random(2024)
@@ -363,6 +368,37 @@ class TestPhasesOnHandGadgets:
         assert heavy_stats is not None and heavy_stats.message_count > 0
         tags = coverage_tags(g, dec)
         assert set(tags.values()) == {"heavy"}
+
+    def test_heavy_phase_leaves_all_sparse_hub_diamonds_to_the_sparse_phase(self):
+        # A G(40, 0.9) block and two adjacent hubs 40, 41 with six block
+        # neighbors each (heavy: light_max = 4 at epsilon = 1/3), both
+        # joined to the non-adjacent non-members 42 and 43.  The heavy
+        # knowledge graph holds the diamond {40, 41, 42, 43}, whose five
+        # edges are all sparse; only the member-edge filter keeps the
+        # heavy phase from listing it a second time.
+        rng = random.Random(0)
+        edges = [e for e in combinations(range(40), 2) if rng.random() < 0.9]
+        edges.append((40, 41))
+        for hub in (40, 41):
+            edges += [(m, hub) for m in rng.sample(range(40), 6)]
+            edges += [(hub, 42), (hub, 43)]
+        edges += [
+            e for e in combinations(range(42, 100), 2)
+            if e != (42, 43) and rng.random() < 0.04
+        ]
+        g = Graph(100, edges)
+        found, stats = list_induced_diamonds_congest(
+            g, epsilon=Fraction(1, 3), with_coverage=True
+        )
+        assert (stats.light_max, stats.d_min, stats.cluster_sizes) == (4, 12, (40,))
+        assert stats.heavy_engaged_clusters == 1
+        assert list(found) == list_induced_diamonds(g)
+        assert (40, 41, 42, 43) in found
+        counts = stats.coverage_counts
+        assert (counts["sparse"], counts["heavy"]) == (stats.sparse_found, stats.heavy_found)
+        assert stats.light_found == sum(
+            v for k, v in counts.items() if k.startswith("light-")
+        )
 
     def test_heavy_phase_is_silent_without_heavy_vertices(self):
         g = self._light_gadget()

@@ -21,6 +21,7 @@ from congestlab.bitstrings import (
     zeros,
 )
 from congestlab.families import (
+    FamilyInstance,
     InputPair,
     build_cycle_family,
     build_four_cycle_family,
@@ -33,13 +34,18 @@ from congestlab.families import (
     make_code_assignment,
 )
 from congestlab.family_checks import (
+    COUNTEREXAMPLE_CAP,
+    FamilyHarness,
     check_block_counts,
     check_long_cycle_structure,
+    diamond_harness_from_seed,
     four_cycle_harness,
     long_cycle_harness,
     verify_family_conditions,
 )
 from congestlab.graphs import (
+    Graph,
+    crossing_edges,
     diameter,
     is_induced_cycle,
     list_induced_cycles,
@@ -336,6 +342,49 @@ class TestLongCycleFamily:
             x, y = random_nonintersecting_pair(9, rng)
             inst = build_long_cycle_family(3, 2, 0, _pair(x, y), include_centers=False)
             assert list_induced_cycles(inst.graph, 16) == [], (x, y)
+
+
+def _broken_harness() -> FamilyHarness:
+    """A 4-bit family that breaks all four conditions: the vertex count
+    follows x, side A's one internal edge follows y, side B's follows x,
+    and the target is never found."""
+
+    def build(pair: InputPair) -> FamilyInstance:
+        n = 4 + pair.x.count("1")
+        edges = [(1, 2)]
+        if "1" in pair.y:
+            edges.append((0, 1))
+        if "1" in pair.x:
+            edges.append((2, 3))
+        g = Graph(n, edges)
+        return FamilyInstance(
+            family="broken", params={}, pair=pair, graph=g, side_a=(0, 1),
+            side_b=tuple(range(2, n)), cut_edges=crossing_edges(g, {0, 1}),
+            labels={}, blocks={}, meta={},
+        )
+
+    return FamilyHarness("broken", {}, 4, build, lambda inst: False)
+
+
+class TestSampledVerification:
+    """verify_family_conditions on its designed-plus-random battery."""
+
+    def test_diamond_family_passes_on_sampled_pairs(self):
+        harness = diamond_harness_from_seed(16, 1)
+        report = verify_family_conditions(harness, exhaustive=False)
+        assert not report.exhaustive
+        assert report.pairs_checked == 40
+        assert report.intersecting_checked > 0 and report.disjoint_checked > 0
+        assert report.passed, report.conditions
+
+    def test_a_broken_family_fails_every_condition_up_to_the_cap(self):
+        report = verify_family_conditions(_broken_harness(), exhaustive=False)
+        assert not report.exhaustive and not report.passed
+        # Every intersecting pair misses its target, more than the cap.
+        assert report.intersecting_checked > COUNTEREXAMPLE_CAP
+        for name, condition in report.conditions.items():
+            assert not condition["passed"], name
+            assert len(condition["counterexamples"]) == COUNTEREXAMPLE_CAP, name
 
 
 class TestBlockCountAudit:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -17,6 +18,7 @@ from congestlab.graphs import (
     Graph,
     list_induced_cycles,
     list_induced_cycles_naive,
+    list_induced_diamonds,
     list_induced_diamonds_naive,
     random_graph,
 )
@@ -189,6 +191,29 @@ class TestDiamondProtocol:
                 sorted(list_induced_diamonds_naive(g))
             )
             assert res.transcript.payload_bits() <= res.bound_bits
+
+    def test_light_windows_let_side_a_list_balanced_diamonds(self):
+        # A dense side A (its first half) with few cut edges per vertex
+        # keeps most cut endpoints light, so side B ships their windows
+        # and side A lists the balanced (2 + 2) diamonds that need them.
+        windows_sent = balanced = 0
+        for seed in range(16):
+            rng = random.Random(seed)
+            n = rng.choice([24, 36, 48, 64])
+            half = n // 2
+            p_a, p_b = rng.uniform(0.6, 0.95), rng.uniform(0.1, 0.6)
+            edges = [e for e in combinations(range(half), 2) if rng.random() < p_a]
+            edges += [e for e in combinations(range(half, n), 2) if rng.random() < p_b]
+            for a in range(half):
+                edges += [(a, b) for b in rng.sample(range(half, n), rng.randint(0, 3))]
+            g, side = Graph(n, edges), frozenset(range(half))
+            res = diamond_listing_protocol(g, side)
+            assert res.all_listed == tuple(list_induced_diamonds(g)), seed
+            assert res.within_bound, seed
+            windows_sent += res.transcript.payload_bits(kind="light-windows") > 0
+            balanced += sum(len(side.intersection(d)) == 2 for d in res.a_list)
+        assert windows_sent > 0
+        assert balanced > 0
 
     def test_dense_cut_falls_back_to_full_shipping(self):
         # A clique split in half: the cut has (n/2)^2 = 64 edges and
