@@ -8,10 +8,10 @@ bytes; bench additionally reports oracle wall time, which is the one
 intentionally non-reproducible column.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (such as
-a count below 1, an --input-density outside [0, 1], a flood source
-outside the graph, or a --cut or
---partition bundle that does not belong to --graph) or a simulator
-model violation, 3 work budget exceeded.
+a count below 1, an --input-density outside [0, 1], --intersecting
+yes|no together with --x/--y, a flood source outside the graph, or a
+--cut or --partition bundle that does not belong to --graph) or a
+simulator model violation, 3 work budget exceeded.
 CONGESTLAB_WORK_BUDGET overrides the default enumeration budget.
 """
 
@@ -125,6 +125,11 @@ def _make_inputs(args, bit_count: int) -> InputPair:
     if (args.x is None) != (args.y is None):
         raise SystemExit2("--x and --y must be given together")
     if args.x is not None:
+        if args.intersecting != "any":
+            raise SystemExit2(
+                f"--intersecting {args.intersecting} applies to random inputs only; "
+                "it cannot be combined with --x/--y"
+            )
         x = hex_to_bits(args.x, bit_count)
         y = hex_to_bits(args.y, bit_count)
         return InputPair(x=x, y=y)

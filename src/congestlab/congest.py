@@ -148,12 +148,19 @@ class NodeProgram:
     (destination, bits), and output is None while undecided, else the
     final 0/1.  ``collect(state)``, when set, extracts a per-node
     result (e.g. a listing) after the run.
+
+    ``reactive=True`` declares that after round 0 a node with an empty
+    inbox would do nothing if stepped: same state, no messages, and the
+    same output (None while undecided).  ``run`` then skips such steps.
+    A program that acts on a round schedule, with or without mail, must
+    leave it False.
     """
 
     name: str
     init: Callable[[int, tuple[int, ...], int, random.Random], Any]
     step: Callable[[Any, int, dict[int, str]], tuple[Any, list[tuple[int, str]], Any]]
     collect: Callable[[Any], Any] | None = None
+    reactive: bool = False
 
 
 @dataclass(frozen=True)
@@ -186,9 +193,13 @@ def run(
     """Execute *program* on every node of *g* until all decide or the
     round cap is hit (reported via timed_out, not an exception).
 
-    Every node is stepped in every round, in id order, whether or not it
-    has decided, received anything or has anything to send.  Each node's
-    ``init`` receives its neighbors as a sorted tuple.
+    Round 0 steps every node.  Later rounds step every node of a program
+    that is not reactive, and only the nodes with mail of a reactive one;
+    either way in id order, whether or not a node has decided.  When a
+    reactive round starts with no mail and some node is undecided, no
+    node can act again: the run jumps to the cap, as if it had stepped
+    every idle round.  Each node's ``init`` receives its neighbors as a
+    sorted tuple.
 
     An outbox is checked once, not message by message.  Its destination
     set must be as large as the outbox (else an edge is used twice) and
@@ -218,7 +229,7 @@ def run(
     cut_messages: list[tuple[int, int, int, str]] = []
     message_count = 0
     max_message_bits = 0
-    rounds_used = 0
+    rounds_used = config.max_rounds
     timed_out = True
 
     def violation(v: int, r: int, what: str) -> ProtocolViolation:
@@ -246,8 +257,17 @@ def run(
         # is markedly slower, and most rounds step many idle nodes.
         inboxes = dict(inbox_next)
         inbox_next = defaultdict(dict)
+        if not (r and program.reactive):
+            stepped = range(n)
+        elif inboxes:
+            # Id order, not mail order: it fixes each inbox's sender
+            # order and the order of cut_messages.
+            stepped = sorted(inboxes)
+        else:
+            per_round_cut_bits += [0] * (config.max_rounds - r)
+            break
         round_cut_bits = 0
-        for v in range(n):
+        for v in stepped:
             state, outbox, out = step(states[v], r, inboxes.get(v, {}))
             states[v] = state
             if out is not None:
@@ -284,8 +304,6 @@ def run(
             rounds_used = r + 1
             timed_out = False
             break
-    else:
-        rounds_used = config.max_rounds
 
     return RunStats(
         rounds_used=rounds_used,
@@ -363,7 +381,9 @@ def flood_program(source: int = 0) -> NodeProgram:
     """Token flood from one source; nodes decide 1 on first contact.
 
     On a connected graph the run takes eccentricity(source) + 1 rounds,
-    which makes this a timing probe for the delivery rule.
+    which makes this a timing probe for the delivery rule.  A node acts
+    only on its first mail, so the program is reactive, and a flood that
+    cannot reach every node jumps to the round cap once it dies out.
     """
 
     def init(v, neighbors, n, rng):
@@ -378,7 +398,7 @@ def flood_program(source: int = 0) -> NodeProgram:
             state["sent"] = True
         return state, outbox, 1 if state["informed"] else None
 
-    return NodeProgram(name="flood", init=init, step=step)
+    return NodeProgram(name="flood", init=init, step=step, reactive=True)
 
 
 def constant_program(bit: int) -> NodeProgram:
@@ -394,7 +414,8 @@ def constant_program(bit: int) -> NodeProgram:
 
 
 def silent_program() -> NodeProgram:
-    """Never decides; exists to exercise the round cap."""
+    """Never decides; exists to exercise the round cap.  It is reactive,
+    so its runs jump to the cap after round 0."""
 
     def init(v, neighbors, n, rng):
         return None
@@ -402,7 +423,7 @@ def silent_program() -> NodeProgram:
     def step(state, r, inbox):
         return state, [], None
 
-    return NodeProgram(name="silent", init=init, step=step)
+    return NodeProgram(name="silent", init=init, step=step, reactive=True)
 
 
 PROGRAMS: dict[str, Callable[[str | None], NodeProgram]] = {

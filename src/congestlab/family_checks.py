@@ -158,7 +158,12 @@ class FamilyCheckReport:
 
 
 def _designed_pairs(k: int, samples: int, seed: int) -> list[InputPair]:
-    """Deterministic battery: corner cases, single-bit probes, random fill."""
+    """Deterministic battery: corner cases, single-bit probes, random fill.
+
+    Duplicates are dropped as pairs are drawn, so the battery holds
+    ``max(samples, 4)`` distinct pairs, or all ``4**k`` when there are
+    fewer.
+    """
     rng = random.Random(seed)
     pairs: list[InputPair] = [
         InputPair(zeros(k), zeros(k)),
@@ -176,19 +181,16 @@ def _designed_pairs(k: int, samples: int, seed: int) -> list[InputPair]:
     if k >= 2:
         pairs.append(InputPair(singleton(k, 0), singleton(k, k - 1)))
         pairs.append(InputPair(singleton(k, k - 1), singleton(k, 0)))
-    while len(pairs) < samples:
+    target = min(max(samples, 4), 4**k)
+    # A dict keeps the first draw of each pair, in draw order.
+    unique = dict.fromkeys(list(dict.fromkeys(pairs))[:target])
+    while len(unique) < target:
         if rng.random() < 0.5:
-            pairs.append(InputPair(random_bits(k, rng), random_bits(k, rng)))
+            unique.setdefault(InputPair(random_bits(k, rng), random_bits(k, rng)))
         else:
             x, y = random_nonintersecting_pair(k, rng)
-            pairs.append(InputPair(x, y))
-    seen: set[tuple[str, str]] = set()
-    unique = []
-    for p in pairs:
-        if (p.x, p.y) not in seen:
-            seen.add((p.x, p.y))
-            unique.append(p)
-    return unique[: max(samples, 4)]
+            unique.setdefault(InputPair(x, y))
+    return list(unique)
 
 
 def _all_pairs(k: int) -> list[InputPair]:

@@ -94,6 +94,18 @@ class TestGenFamily:
         )
         assert rc == EXIT_USAGE
 
+    def test_intersecting_is_rejected_with_explicit_bits(self, tmp_path, capsys):
+        args = ["gen-family", "c4", "--n", "2", "--x", "0", "--y", "0", "--out"]
+        for choice in ("yes", "no"):
+            rc = main(args + [str(tmp_path / choice), "--intersecting", choice])
+            assert rc == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "--intersecting" in err
+            assert not (tmp_path / choice).exists()
+        assert main(args + [str(tmp_path / "any"), "--intersecting", "any"]) == EXIT_OK
+        pair = read_bundle(tmp_path / "any").pair
+        assert (pair.x, pair.y) == ("0000", "0000")
+
     def test_inputs_need_explicit_bits_or_an_input_seed(self, tmp_path, capsys):
         rc = main(["gen-family", "c4", "--n", "2", "--out", str(tmp_path / "x")])
         assert rc == EXIT_USAGE
@@ -175,6 +187,18 @@ class TestVerifyFamily:
         )
         assert rc == EXIT_OK
         assert json.loads(out.read_text())["passed"] is True
+
+    def test_a_sampled_check_runs_as_many_distinct_pairs_as_asked(self, tmp_path):
+        # 256 pairs exist at n = 2; the random fill used to repeat some.
+        out = tmp_path / "report.json"
+        rc = main(
+            ["verify-family", "c4", "--n", "2", "--exhaustive", "no", "--samples", "40",
+             "--json-out", str(out)]
+        )
+        assert rc == EXIT_OK
+        report = json.loads(out.read_text())
+        assert report["exhaustive"] is False
+        assert report["pairs_checked"] == 40
 
     def test_odd_length_family_verifies_exhaustively(self, tmp_path):
         out = tmp_path / "report.json"

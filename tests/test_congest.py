@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import random
 
 import pytest
@@ -145,6 +146,66 @@ class TestStockPrograms:
         capped = run(g, prog, SimConfig(max_rounds=4))
         assert capped.timed_out and capped.rounds_used == 4
         assert capped.node_outputs == (0, 1, 0, 1, None, None, 0)
+
+    def test_a_reactive_program_steps_only_the_nodes_with_mail_after_round_0(self):
+        # The same path and isolated node.  In round 0 node 3 decides and
+        # sends to 4, then to 2, and node 6 decides; a node that hears
+        # from u decides v % 2 and relays away from u.  Mail reaches 4
+        # before 2, yet 2 is stepped first: id order, not mail order.
+        steps: list[tuple[int, int]] = []
+
+        def init(v, neighbors, n, rng):
+            return v, neighbors
+
+        def step(state, r, inbox):
+            v, nbrs = state
+            steps.append((v, r))
+            if r == 0 and v in (3, 6):
+                return state, ([(4, "1"), (2, "1")] if v == 3 else []), v % 2
+            if not inbox:
+                return state, [], None
+            return state, [(u, "1") for u in nbrs if u not in inbox], v % 2
+
+        g = Graph(7, [(i, i + 1) for i in range(5)])
+        prog = NodeProgram(name="staggered", init=init, step=step, reactive=True)
+        stats = run(g, prog)
+        assert stats.rounds_used == 4
+        assert not stats.timed_out
+        assert stats.node_outputs == (0, 1, 0, 1, 0, 1, 0)
+        assert stats.per_round_cut_bits == (0,) * 4
+        assert steps == [(v, 0) for v in range(7)] + [(2, 1), (4, 1), (1, 2), (5, 2), (0, 3)]
+
+        steps.clear()
+        capped = run(g, prog, SimConfig(max_rounds=2))
+        assert capped.timed_out and capped.rounds_used == 2
+        assert capped.node_outputs == (None, None, 0, 1, 0, None, 0)
+        assert steps == [(v, 0) for v in range(7)] + [(2, 1), (4, 1)]
+
+    def test_a_flood_that_dies_out_jumps_to_the_round_cap(self):
+        # Nodes 0 and 1 trade the token over the cut edge in rounds 0 and
+        # 1; round 2 brings 0 one last message, and then no mail is left.
+        g = Graph(1000, [(0, 1)])
+        cap = 10**5
+        stats = run(g, flood_program(0), SimConfig(max_rounds=cap), cut=frozenset({(0, 1)}))
+        assert stats.timed_out and stats.rounds_used == cap
+        assert stats.node_outputs == (1, 1) + (None,) * 998
+        assert stats.per_round_cut_bits == (1, 1) + (0,) * (cap - 2)
+        assert stats.total_cut_bits == stats.message_count == 2
+
+    def test_a_silent_run_steps_each_node_once_and_jumps_to_the_cap(self):
+        steps = []
+        silent = silent_program()
+
+        def counted(state, r, inbox):
+            steps.append(r)
+            return silent.step(state, r, inbox)
+
+        prog = dataclasses.replace(silent, step=counted)
+        stats = run(Graph(1000, []), prog, cut=frozenset())
+        assert stats.timed_out and stats.rounds_used == SimConfig().max_rounds
+        assert stats.per_round_cut_bits == (0,) * SimConfig().max_rounds
+        assert stats.decision is None
+        assert steps == [0] * 1000
 
 
 def _raises_violation(program: str, node: int, round_index: int):

@@ -7,6 +7,7 @@ or in the pruned search surface as value mismatches here.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -380,11 +381,18 @@ class TestSampledVerification:
     def test_a_broken_family_fails_every_condition_up_to_the_cap(self):
         report = verify_family_conditions(_broken_harness(), exhaustive=False)
         assert not report.exhaustive and not report.passed
+        assert report.pairs_checked == 40
         # Every intersecting pair misses its target, more than the cap.
         assert report.intersecting_checked > COUNTEREXAMPLE_CAP
         for name, condition in report.conditions.items():
             assert not condition["passed"], name
             assert len(condition["counterexamples"]) == COUNTEREXAMPLE_CAP, name
+
+    @pytest.mark.parametrize(("bits", "pairs"), [(0, 1), (1, 4), (2, 16), (3, 40)])
+    def test_the_battery_stops_at_every_distinct_pair_of_a_small_family(self, bits, pairs):
+        harness = dataclasses.replace(_broken_harness(), bit_count=bits)
+        report = verify_family_conditions(harness, samples=40, exhaustive=False)
+        assert report.pairs_checked == pairs
 
 
 class TestBlockCountAudit:

@@ -1,8 +1,9 @@
 """Import hygiene, checked with the standard library alone: the package
 pulls in no third-party runtime dependency, every name a module exports
 exists, the package namespace is the star import of each module with an
-``__all__``, no module exports a name it imports, and no module imports
-a name it never uses."""
+``__all__``, no module exports a name it imports, no module imports
+a name it never uses, and the simulator's naive twin borrows nothing
+from the engine."""
 
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ import sys
 from pathlib import Path
 
 import congestlab
+from congestlab import congest
 
 PACKAGE_DIR = Path(congestlab.__file__).resolve().parent
 
@@ -114,3 +116,22 @@ def test_no_module_exports_a_name_it_imports():
         if names:
             leaked[path.name] = names
     assert leaked == {}
+
+
+def test_the_simulator_twin_uses_no_engine_internals():
+    """``tests/reference_sim.py`` must stay an independent route, as the
+    naive and pruned oracles are: it may not call ``run``, the engine's
+    ``first_fault``, or any private name of ``congest``."""
+    private = {name for name in vars(congest) if name.startswith("_") and not name.endswith("__")}
+    forbidden = {"run", "first_fault"} | private
+    tree = ast.parse((Path(__file__).parent / "reference_sim.py").read_text(encoding="utf-8"))
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name.rsplit(".", 1)[-1])
+            used.add(node.asname)
+    assert used & forbidden == set()
