@@ -8,10 +8,13 @@ bytes; bench additionally reports oracle wall time, which is the one
 intentionally non-reproducible column.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (such as
-a count below 1, an --input-density outside [0, 1], --intersecting
-yes|no together with --x/--y, a flood source outside the graph, or a
---cut or --partition bundle that does not belong to --graph) or a
-simulator model violation, 3 work budget exceeded.
+a count below 1, an --input-density outside [0, 1], --input-seed,
+--input-density or --intersecting yes|no together with --x/--y, an
+argument to a program that takes none, a flood source that is not an
+integer or not a vertex of the graph, an option a subcommand does not
+have, such as --seed on run-congest, or a --cut or --partition bundle
+that does not belong to --graph) or a simulator model violation,
+3 work budget exceeded.
 CONGESTLAB_WORK_BUDGET overrides the default enumeration budget.
 """
 
@@ -33,6 +36,7 @@ from .bitstrings import hex_to_bits, random_bits
 from .bundles import SCHEMA_VERSION, canonical_json_bytes, read_split, write_bundle
 from .congest import (
     PROGRAMS,
+    NodeProgram,
     ProtocolViolation,
     SimConfig,
     cut_traffic_bound_check,
@@ -125,19 +129,26 @@ def _make_inputs(args, bit_count: int) -> InputPair:
     if (args.x is None) != (args.y is None):
         raise SystemExit2("--x and --y must be given together")
     if args.x is not None:
-        if args.intersecting != "any":
-            raise SystemExit2(
-                f"--intersecting {args.intersecting} applies to random inputs only; "
-                "it cannot be combined with --x/--y"
-            )
+        random_only = (
+            ("--input-seed", args.input_seed is not None),
+            ("--input-density", args.input_density is not None),
+            (f"--intersecting {args.intersecting}", args.intersecting != "any"),
+        )
+        for flag, given in random_only:
+            if given:
+                raise SystemExit2(
+                    f"{flag} applies to random inputs only; "
+                    "it cannot be combined with --x/--y"
+                )
         x = hex_to_bits(args.x, bit_count)
         y = hex_to_bits(args.y, bit_count)
         return InputPair(x=x, y=y)
     if args.input_seed is None:
         raise SystemExit2("give --x/--y or --input-seed")
     rng = random.Random(args.input_seed)
-    x = random_bits(bit_count, rng, density=args.input_density)
-    y = random_bits(bit_count, rng, density=args.input_density)
+    density = {} if args.input_density is None else {"density": args.input_density}
+    x = random_bits(bit_count, rng, **density)
+    y = random_bits(bit_count, rng, **density)
     if args.intersecting == "yes":
         k = rng.randrange(bit_count)
         x = x[:k] + "1" + x[k + 1 :]
@@ -193,22 +204,35 @@ def cmd_verify_family(args) -> int:
     return EXIT_OK if report.passed else EXIT_VERIFY
 
 
-def cmd_run_congest(args) -> int:
-    g = _read_graph(args.graph)
-    name, _, arg = args.program.partition(":")
+def _program(spec: str, n: int) -> NodeProgram:
+    """The program *spec* names, as ``name`` or ``name:arg``.
+
+    Only ``flood`` takes an argument, its source vertex."""
+    name, _, arg = spec.partition(":")
     if name not in PROGRAMS:
         raise SystemExit2(f"unknown program {name!r}; have {sorted(PROGRAMS)}")
-    program = PROGRAMS[name](arg or None)
-    if name == "flood" and not 0 <= int(arg or 0) < g.n:
+    if name != "flood":
+        if arg:
+            raise SystemExit2(f"program {name} takes no argument, got {arg!r}")
+        return PROGRAMS[name](None)
+    try:
+        source = int(arg or 0)
+    except ValueError:
+        raise SystemExit2(f"bad flood source {arg!r}: not an integer") from None
+    if not 0 <= source < n:
         raise SystemExit2(
-            f"flood source {arg or 0} is not a vertex of the {g.n}-vertex graph"
+            f"flood source {arg or 0} is not a vertex of the {n}-vertex graph"
         )
+    return PROGRAMS[name](arg or None)
+
+
+def cmd_run_congest(args) -> int:
+    g = _read_graph(args.graph)
+    program = _program(args.program, g.n)
     cut = None
     if args.cut:
         _, cut = read_split(args.cut, g)
-    config = SimConfig(
-        bandwidth_bits=args.bandwidth, max_rounds=args.max_rounds, seed=args.seed
-    )
+    config = SimConfig(bandwidth_bits=args.bandwidth, max_rounds=args.max_rounds)
     stats = run(g, program, config, cut=cut)
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -217,7 +241,6 @@ def cmd_run_congest(args) -> int:
             "program": args.program,
             "bandwidth": args.bandwidth,
             "max_rounds": args.max_rounds,
-            "seed": args.seed,
             "cut": args.cut,
         },
         "rounds_used": stats.rounds_used,
@@ -285,7 +308,6 @@ def cmd_run_diamond_listing(args) -> int:
         delta=args.delta,
         epsilon=args.epsilon,
         min_degree_constant=args.min_degree_constant,
-        seed=args.seed,
         budget=budget,
         with_coverage=True,
     )
@@ -296,7 +318,6 @@ def cmd_run_diamond_listing(args) -> int:
         "delta": str(args.delta),
         "epsilon": str(args.epsilon),
         "min_degree_constant": args.min_degree_constant,
-        "seed": args.seed,
     }
     ok = True
     if args.check_oracle:
@@ -315,7 +336,7 @@ def cmd_run_diamond_listing(args) -> int:
 def _bench_run(args, g: Graph, side_a, k: int | None, budget: int, row: dict) -> None:
     """Run the suite's algorithm on one bench graph; fill its columns of *row*."""
     if args.suite == "diamond-listing":
-        diamonds, stats = list_induced_diamonds_congest(g, seed=args.seed, budget=budget)
+        diamonds, stats = list_induced_diamonds_congest(g, budget=budget)
         row["params"] += f";delta={stats.delta};epsilon={stats.epsilon}"
         executed = stats.sparse_rounds + stats.heavy_executed_rounds
         row["rounds"] = executed + stats.light_executed_rounds
@@ -412,7 +433,7 @@ def _add_input_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--x", help="hex input for the first party")
     p.add_argument("--y", help="hex input for the second party")
     p.add_argument("--input-seed", type=int, default=None)
-    p.add_argument("--input-density", type=_unit_float, default=0.5)
+    p.add_argument("--input-density", type=_unit_float, help="default 0.5")
     p.add_argument(
         "--intersecting", choices=["yes", "no", "any"], default="any",
         help="force the random inputs to share an index, or not",
@@ -446,7 +467,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--program", required=True, help="name or name:arg")
     p.add_argument("--bandwidth", type=_positive_int, default=None)
     p.add_argument("--max-rounds", type=_positive_int, default=SimConfig.max_rounds)
-    p.add_argument("--seed", type=int, default=SimConfig.seed)
     p.add_argument("--cut", help="bundle dir or meta.json supplying cut edges")
     p.add_argument("--stats-out")
     p.set_defaults(func=cmd_run_congest)
@@ -463,7 +483,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=_fraction, default=DEFAULT_DELTA)
     p.add_argument("--epsilon", type=_fraction, default=DEFAULT_EPSILON)
     p.add_argument("--min-degree-constant", type=int, default=DEFAULT_MIN_DEGREE_CONSTANT)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--stats-out")
     p.add_argument("--list-out", help="also write the full diamond list")
     p.add_argument("--check-oracle", action="store_true")

@@ -18,7 +18,6 @@ links simulated runs to two-party communication lower bounds.
 
 from __future__ import annotations
 
-import random
 from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -83,7 +82,6 @@ class SimConfig:
 
     bandwidth_bits: int | None = None
     max_rounds: int = 10_000
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.bandwidth_bits is not None and self.bandwidth_bits < 1:
@@ -92,57 +90,13 @@ class SimConfig:
             raise ValueError(f"max_rounds must be at least 1, got {self.max_rounds}")
 
 
-class _SeededOnFirstDraw(random.Random):
-    """``random.Random(text)`` that does its seeding at its first draw.
-
-    Seeding from a string hashes it with SHA-512, about 10 us per node
-    and run, and most programs never draw.  Every draw reaches the
-    generator through ``random`` or ``getrandbits``, so seeding there
-    gives exactly the stream ``random.Random(text)`` would.  Reading the
-    state seeds first too; replacing it drops the pending seed.
-    """
-
-    def __init__(self, text: str) -> None:
-        self._pending = text
-        self.gauss_next = None
-
-    def _settle(self) -> None:
-        if self._pending is not None:
-            text, self._pending = self._pending, None
-            super().seed(text)
-
-    def random(self) -> float:
-        self._settle()
-        return super().random()
-
-    def getrandbits(self, k: int) -> int:
-        self._settle()
-        return super().getrandbits(k)
-
-    def getstate(self):
-        self._settle()
-        return super().getstate()
-
-    def setstate(self, state) -> None:
-        self._pending = None
-        super().setstate(state)
-
-    def seed(self, a=None, version: int = 2) -> None:
-        self._pending = None
-        super().seed(a, version)
-
-    def __reduce__(self):
-        # Copies and pickles are plain generators in the same state.
-        return random.Random, (), self.getstate()
-
-
 @dataclass(frozen=True)
 class NodeProgram:
     """Per-node behavior.
 
-    ``init(v, neighbors, n, rng)`` returns the node's initial state;
-    the rng is a private per-node stream, ``random.Random(f"{seed}:{v}")``
-    for the run seed, seeded on its first draw.
+    ``init(v, neighbors, n)`` returns the node's initial state.  The
+    engine adds no randomness: a program that draws builds its own
+    stream in ``init``, from a seed its factory was given.
     ``step(state, round_index, inbox)`` returns (state, outbox, output)
     where inbox maps sender id to bit string, outbox lists
     (destination, bits), and output is None while undecided, else the
@@ -157,7 +111,7 @@ class NodeProgram:
     """
 
     name: str
-    init: Callable[[int, tuple[int, ...], int, random.Random], Any]
+    init: Callable[[int, tuple[int, ...], int], Any]
     step: Callable[[Any, int, dict[int, str]], tuple[Any, list[tuple[int, str]], Any]]
     collect: Callable[[Any], Any] | None = None
     reactive: bool = False
@@ -198,8 +152,9 @@ def run(
     either way in id order, whether or not a node has decided.  When a
     reactive round starts with no mail and some node is undecided, no
     node can act again: the run jumps to the cap, as if it had stepped
-    every idle round.  Each node's ``init`` receives its neighbors as a
-    sorted tuple.
+    every idle round.  Each node's ``init(v, neighbors, n)`` receives its
+    neighbors as a sorted tuple.  The engine draws nothing, so a run is
+    a function of the graph, the program, the config and the cut.
 
     An outbox is checked once, not message by message.  Its destination
     set must be as large as the outbox (else an edge is used twice) and
@@ -218,10 +173,7 @@ def run(
     )
     cut_set = frozenset(cut) if cut is not None else frozenset()
 
-    states = [
-        program.init(v, tuple(sorted(adj[v])), n, _SeededOnFirstDraw(f"{config.seed}:{v}"))
-        for v in range(n)
-    ]
+    states = [program.init(v, tuple(sorted(adj[v])), n) for v in range(n)]
     outputs: list = [None] * n
     undecided = n
     inbox_next: defaultdict[int, dict[int, str]] = defaultdict(dict)
@@ -343,7 +295,7 @@ def naive_four_cycle_program() -> NodeProgram:
     vertices.  Decides in round n - 1, so n rounds in total.
     """
 
-    def init(v, neighbors, n, rng):
+    def init(v, neighbors, n):
         return {
             "v": v,
             "nbrs": neighbors,
@@ -386,7 +338,7 @@ def flood_program(source: int = 0) -> NodeProgram:
     cannot reach every node jumps to the round cap once it dies out.
     """
 
-    def init(v, neighbors, n, rng):
+    def init(v, neighbors, n):
         return {"nbrs": neighbors, "informed": v == source, "sent": False}
 
     def step(state, r, inbox):
@@ -404,7 +356,7 @@ def flood_program(source: int = 0) -> NodeProgram:
 def constant_program(bit: int) -> NodeProgram:
     """Every node outputs *bit* immediately; no messages."""
 
-    def init(v, neighbors, n, rng):
+    def init(v, neighbors, n):
         return None
 
     def step(state, r, inbox):
@@ -417,7 +369,7 @@ def silent_program() -> NodeProgram:
     """Never decides; exists to exercise the round cap.  It is reactive,
     so its runs jump to the cap after round 0."""
 
-    def init(v, neighbors, n, rng):
+    def init(v, neighbors, n):
         return None
 
     def step(state, r, inbox):

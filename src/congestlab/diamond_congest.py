@@ -338,7 +338,6 @@ def _cluster_flag_payload(dec: Decomposition, v: int, count: int, w: int) -> str
 def run_sparse_phase(
     g: Graph,
     dec: Decomposition,
-    seed: int = 0,
 ) -> tuple[set[tuple[int, ...]], RunStats]:
     """Execute the sparse broadcast and listing on the simulator.
 
@@ -353,7 +352,7 @@ def run_sparse_phase(
     edge_format = f"0{2 * w}b"
     assigned = {v: dec.es_assigned.get(v, ()) for v in range(n)}
 
-    def init(v, neighbors, n_, rng):
+    def init(v, neighbors, n_):
         return {
             "v": v,
             "nbrs": neighbors,
@@ -405,7 +404,7 @@ def run_sparse_phase(
         }
 
     program = NodeProgram(name="diamond-sparse", init=init, step=step, collect=collect)
-    stats = run(g, program, SimConfig(max_rounds=max(dec.d_min + 3, 4), seed=seed))
+    stats = run(g, program, SimConfig(max_rounds=max(dec.d_min + 3, 4)))
     if stats.timed_out:
         raise RuntimeError("sparse phase exceeded its round schedule")
     found: set[tuple[int, ...]] = set()
@@ -422,7 +421,6 @@ def run_sparse_phase(
 def run_heavy_phase(
     g: Graph,
     dec: Decomposition,
-    seed: int = 0,
     budget: int = DEFAULT_WORK_BUDGET,
 ) -> tuple[set[tuple[int, ...]], RunStats | None, dict]:
     """Stream heavy neighbor lists into clusters, then list per cluster.
@@ -464,7 +462,7 @@ def run_heavy_phase(
                 plan[m] = nbrs[t * chunk : (t + 1) * chunk]
     schedule_end = 2 + max_chunk
 
-    def init(v, neighbors, n_, rng):
+    def init(v, neighbors, n_):
         return {
             "v": v,
             "nbrs": neighbors,
@@ -492,7 +490,7 @@ def run_heavy_phase(
         return {"fragments": {u: tuple(ids) for u, ids in state["fragments"].items()}}
 
     program = NodeProgram(name="diamond-heavy", init=init, step=step, collect=collect)
-    stats = run(g, program, SimConfig(max_rounds=schedule_end + 2, seed=seed))
+    stats = run(g, program, SimConfig(max_rounds=schedule_end + 2))
     if stats.timed_out:
         raise RuntimeError("heavy phase exceeded its round schedule")
 
@@ -549,7 +547,6 @@ def run_light_phase(
     dec: Decomposition,
     *,
     warm: dict,
-    seed: int = 0,
     budget: int = DEFAULT_WORK_BUDGET,
 ) -> tuple[set[tuple[int, ...]], RunStats, dict]:
     """Stream light neighbor lists, query pair statuses, list the rest.
@@ -593,7 +590,7 @@ def run_light_phase(
     ld = math.ceil(max_qlen / chunk_bits)
     decide_round = lb + lc + ld
 
-    def init(v, neighbors, n_, rng):
+    def init(v, neighbors, n_):
         return {
             "v": v,
             "nbrs": neighbors,
@@ -672,7 +669,7 @@ def run_light_phase(
         return {"found": tuple(sorted(state["found"]))}
 
     program = NodeProgram(name="diamond-light", init=init, step=step, collect=collect)
-    stats = run(g, program, SimConfig(max_rounds=decide_round + 2, seed=seed))
+    stats = run(g, program, SimConfig(max_rounds=decide_round + 2))
     if stats.timed_out:
         raise RuntimeError("light phase exceeded its round schedule")
 
@@ -754,7 +751,6 @@ def list_induced_diamonds_congest(
     delta: Fraction = DEFAULT_DELTA,
     epsilon: Fraction = DEFAULT_EPSILON,
     min_degree_constant: int = DEFAULT_MIN_DEGREE_CONSTANT,
-    seed: int = 0,
     budget: int = DEFAULT_WORK_BUDGET,
     with_coverage: bool = False,
 ) -> tuple[tuple[tuple[int, ...], ...], DiamondRunStats]:
@@ -770,12 +766,10 @@ def list_induced_diamonds_congest(
     if problems:
         raise AssertionError("; ".join(problems))
 
-    sparse_found, sparse_stats = run_sparse_phase(g, dec, seed=seed)
-    heavy_found, heavy_stats, heavy_acct = run_heavy_phase(
-        g, dec, seed=seed, budget=budget
-    )
+    sparse_found, sparse_stats = run_sparse_phase(g, dec)
+    heavy_found, heavy_stats, heavy_acct = run_heavy_phase(g, dec, budget=budget)
     light_found, light_stats, light_acct = run_light_phase(
-        g, dec, warm=sparse_stats.listings, seed=seed, budget=budget
+        g, dec, warm=sparse_stats.listings, budget=budget
     )
     all_found = sorted(sparse_found | heavy_found | light_found)
 

@@ -37,7 +37,6 @@ __all__ = [
     "build_four_cycle_family",
     "build_long_cycle_family",
     "colex_subset",
-    "colex_rank",
     "cycle_cut_size",
     "long_cycle_alphabet",
     "long_cycle_cut_size",
@@ -302,14 +301,6 @@ def colex_subset(rank: int, ell: int) -> tuple[int, ...]:
         out.append(c)
         r -= math.comb(c, i)
     return tuple(reversed(out))
-
-
-def colex_rank(subset: Sequence[int]) -> int:
-    """Inverse of colex_subset; accepts the subset in any order."""
-    elems = sorted(subset)
-    if len(set(elems)) != len(elems) or (elems and elems[0] < 0):
-        raise ValueError(f"not a subset of nonnegative integers: {subset!r}")
-    return sum(math.comb(c, i) for i, c in enumerate(elems, start=1))
 
 
 def long_cycle_alphabet(n: int, ell: int) -> int:

@@ -9,8 +9,6 @@ no code with the engine beyond its public types and ``default_bandwidth``.
 
 from __future__ import annotations
 
-import random
-
 from congestlab.congest import ProtocolViolation, RunStats, SimConfig, default_bandwidth
 
 
@@ -18,10 +16,7 @@ def reference_run(g, program, config=SimConfig(), cut=None, record_cut_messages=
     n = g.n
     bandwidth = config.bandwidth_bits or default_bandwidth(n)
     cut = frozenset(cut or ())
-    states = [
-        program.init(v, tuple(sorted(g.adj[v])), n, random.Random(f"{config.seed}:{v}"))
-        for v in range(n)
-    ]
+    states = [program.init(v, tuple(sorted(g.adj[v])), n) for v in range(n)]
     outputs = [None] * n
     mail: dict[int, dict[int, str]] = {}
     per_round, cut_messages = [], []

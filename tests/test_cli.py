@@ -106,6 +106,21 @@ class TestGenFamily:
         pair = read_bundle(tmp_path / "any").pair
         assert (pair.x, pair.y) == ("0000", "0000")
 
+    def test_random_input_flags_are_rejected_with_explicit_bits(self, tmp_path, capsys):
+        args = ["gen-family", "c4", "--n", "2", "--x", "0", "--y", "0", "--out"]
+        out = str(tmp_path / "x")
+        for flags in (["--input-seed", "5"], ["--input-density", "0.9"]):
+            assert main(args + [out, *flags]) == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert err == (
+                f"error: {flags[0]} applies to random inputs only; "
+                "it cannot be combined with --x/--y\n"
+            )
+        both = ["--input-seed", "5", "--input-density", "0.9"]
+        assert main(args + [out, *both]) == EXIT_USAGE
+        assert "--input-seed" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_inputs_need_explicit_bits_or_an_input_seed(self, tmp_path, capsys):
         rc = main(["gen-family", "c4", "--n", "2", "--out", str(tmp_path / "x")])
         assert rc == EXIT_USAGE
@@ -273,6 +288,43 @@ class TestRunCongest:
             err = capsys.readouterr().err
             assert err.startswith(f"error: flood source {source} is not a vertex")
         assert main(args + ["--program", "flood:7"]) == EXIT_OK
+
+    def test_an_argument_to_a_program_that_takes_none_is_a_usage_error(
+        self, tmp_path, capsys
+    ):
+        g = tmp_path / "g.txt"
+        _write_random_graph(g, n=6)
+        for spec in ("detect-four-cycle:5", "silent:zzz", "constant-one:7"):
+            rc = main(["run-congest", "--graph", str(g), "--program", spec])
+            assert rc == EXIT_USAGE, spec
+            name, _, arg = spec.partition(":")
+            assert capsys.readouterr().err == (
+                f"error: program {name} takes no argument, got {arg!r}\n"
+            )
+
+    def test_a_flood_source_that_is_not_an_integer_is_a_usage_error(
+        self, tmp_path, capsys
+    ):
+        g = tmp_path / "g.txt"
+        _write_random_graph(g, n=6)
+        for source in ("abc", "1.5", "0x2"):
+            rc = main(["run-congest", "--graph", str(g), "--program", f"flood:{source}"])
+            assert rc == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert err == f"error: bad flood source {source!r}: not an integer\n"
+
+    def test_the_simulator_takes_no_seed(self, tmp_path, capsys):
+        # The engine draws nothing, so neither simulator command has --seed.
+        g = tmp_path / "g.txt"
+        _write_random_graph(g, n=6)
+        for argv in (
+            ["run-congest", "--graph", str(g), "--program", "flood"],
+            ["run-diamond-listing", "--graph", str(g)],
+        ):
+            with pytest.raises(SystemExit) as info:
+                main(argv + ["--seed", "0"])
+            assert info.value.code == EXIT_USAGE
+            assert "unrecognized arguments: --seed 0" in capsys.readouterr().err
 
     def test_model_violation_is_a_usage_error_naming_program_and_round(
         self, tmp_path, capsys

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import random
 
@@ -126,7 +125,7 @@ class TestStockPrograms:
         # stepped every round until the last decision.
         steps: list[tuple[int, int]] = []
 
-        def init(v, neighbors, n, rng):
+        def init(v, neighbors, n):
             return v
 
         def step(state, r, inbox):
@@ -154,7 +153,7 @@ class TestStockPrograms:
         # before 2, yet 2 is stepped first: id order, not mail order.
         steps: list[tuple[int, int]] = []
 
-        def init(v, neighbors, n, rng):
+        def init(v, neighbors, n):
             return v, neighbors
 
         def step(state, r, inbox):
@@ -216,7 +215,7 @@ def _raises_violation(program: str, node: int, round_index: int):
 
 class TestViolations:
     def test_oversized_message_is_rejected(self):
-        def init(v, neighbors, n, rng):
+        def init(v, neighbors, n):
             return neighbors
 
         def step(state, r, inbox):
@@ -227,7 +226,7 @@ class TestViolations:
             run(_cycle_graph(4), prog, SimConfig(bandwidth_bits=8))
 
     def test_sending_to_a_non_neighbor_is_rejected(self):
-        def init(v, neighbors, n, rng):
+        def init(v, neighbors, n):
             return v
 
         def step(state, r, inbox):
@@ -239,7 +238,7 @@ class TestViolations:
             run(_cycle_graph(4), prog)
 
     def test_two_messages_over_one_edge_in_a_round_are_rejected(self):
-        def init(v, neighbors, n, rng):
+        def init(v, neighbors, n):
             return neighbors
 
         def step(state, r, inbox):
@@ -254,7 +253,7 @@ class TestViolations:
         # Node 2 sends the bad payload in round 1, after a clean round 0.
         for payload in ("2", "0120", "01 ", " 01", b"01", 1, None):
 
-            def init(v, neighbors, n, rng):
+            def init(v, neighbors, n):
                 return (v, neighbors)
 
             def step(state, r, inbox):
@@ -267,7 +266,7 @@ class TestViolations:
                 run(_cycle_graph(4), prog)
 
     def test_empty_payload_is_a_message(self):
-        def init(v, neighbors, n, rng):
+        def init(v, neighbors, n):
             return neighbors
 
         def step(state, r, inbox):
@@ -282,7 +281,7 @@ class TestViolations:
     def _one_outbox_program(outbox) -> NodeProgram:
         """Node 0 sends *outbox* in round 0; everyone decides 0 at once."""
 
-        def init(v, neighbors, n, rng):
+        def init(v, neighbors, n):
             return v
 
         def step(state, r, inbox):
@@ -329,7 +328,7 @@ class TestViolations:
         assert run(_complete_graph(4), prog).max_message_bits == 3
 
     def test_an_output_other_than_zero_or_one_is_rejected(self):
-        def init(v, neighbors, n, rng):
+        def init(v, neighbors, n):
             return v
 
         def step(state, r, inbox):
@@ -342,7 +341,7 @@ class TestViolations:
     def test_flipping_a_final_output_is_rejected(self):
         # Node 0 flips its decision in round 1; node 1 stays undecided
         # so the run is still alive to observe the flip.
-        def init(v, neighbors, n, rng):
+        def init(v, neighbors, n):
             return v
 
         def step(state, r, inbox):
@@ -356,8 +355,12 @@ class TestViolations:
 
 class TestDeterminism:
     @staticmethod
-    def _noisy_program() -> NodeProgram:
-        def init(v, neighbors, n, rng):
+    def _noisy_program(seed: int) -> NodeProgram:
+        """Each node draws three bits from its own stream, seeded from
+        *seed* and its id, and sends one per round."""
+
+        def init(v, neighbors, n):
+            rng = random.Random(f"{seed}:{v}")
             return {"nbrs": neighbors, "bits": [str(rng.randint(0, 1)) for _ in range(3)]}
 
         def step(state, r, inbox):
@@ -369,55 +372,16 @@ class TestDeterminism:
 
     def test_same_seed_gives_identical_stats(self):
         g = random_graph(12, 0.3, random.Random(5))
-        a = run(g, self._noisy_program(), SimConfig(seed=9), cut=g.edges)
-        b = run(g, self._noisy_program(), SimConfig(seed=9), cut=g.edges)
+        a = run(g, self._noisy_program(9), cut=g.edges)
+        b = run(g, self._noisy_program(9), cut=g.edges)
         assert a == b
 
     def test_per_node_streams_differ_across_nodes(self):
         g = _cycle_graph(6)
-        stats = run(g, self._noisy_program(), SimConfig(seed=0), record_cut_messages=True, cut=g.edges)
+        stats = run(g, self._noisy_program(0), record_cut_messages=True, cut=g.edges)
         payloads = {bits for _, _, _, bits in stats.cut_messages}
         assert payloads == {"0", "1"}
         assert stats.message_count == 6 * 2 * 3
-
-    def test_node_rngs_draw_the_seeded_per_node_streams(self):
-        # Draws in init and again in a later round, through the paths of
-        # random.Random that reach the generator: random(), getrandbits()
-        # and the state accessors.  Each node touches it first a different
-        # way; a reseed or a restored state replaces the node's stream.
-        def first_draws(rng, v):
-            first = (
-                rng.getstate,
-                rng.random,
-                lambda: rng.getrandbits(40),
-                lambda: rng.seed(v),
-                lambda: rng.setstate(random.Random(v).getstate()),
-                lambda: copy.deepcopy(rng).random(),
-            )[v]
-            return [first(), rng.randint(0, 10**12), rng.random(), rng.choice("abcdefgh")]
-
-        def later_draws(rng):
-            xs = list(range(12))
-            rng.shuffle(xs)
-            sample = rng.sample(range(1000), 4)
-            return [sample, rng.gauss(0, 1), rng.gauss(0, 1), rng.randbytes(9), xs]
-
-        def init(v, neighbors, n, rng):
-            return {"rng": rng, "draws": first_draws(rng, v)}
-
-        def step(state, r, inbox):
-            if r == 2:
-                state["draws"] += later_draws(state["rng"])
-                state["draws"].append(state["rng"].getstate())
-                return state, [], 0
-            return state, [], None
-
-        prog = NodeProgram(name="drawer", init=init, step=step, collect=lambda st: st["draws"])
-        stats = run(_cycle_graph(6), prog, SimConfig(seed=41))
-        for v in range(6):
-            ref = random.Random(f"41:{v}")
-            expected = first_draws(ref, v) + later_draws(ref) + [ref.getstate()]
-            assert stats.listings[v] == expected
 
 
 class TestCutAccounting:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -27,7 +28,6 @@ from congestlab.families import (
     build_cycle_family,
     build_four_cycle_family,
     build_long_cycle_family,
-    colex_rank,
     colex_subset,
     cycle_cut_size,
     long_cycle_alphabet,
@@ -83,10 +83,13 @@ class TestColexCodes:
             (1, 2, 3),
         ]
 
-    @PROPERTY_SETTINGS
-    @given(rank=st.integers(min_value=0, max_value=5000), ell=st.integers(1, 5))
-    def test_rank_and_unrank_are_inverse(self, rank: int, ell: int):
-        assert colex_rank(colex_subset(rank, ell)) == rank
+    def test_subsets_follow_the_colex_order_of_sorted_combinations(self):
+        # Colex order compares subsets from their largest element down.  Every
+        # rank below comb(n, ell) names a subset of range(n).
+        n = 14
+        for ell in range(1, 6):
+            colex = sorted(combinations(range(n), ell), key=lambda s: s[::-1])
+            assert [colex_subset(r, ell) for r in range(len(colex))] == colex, ell
 
     def test_alphabet_size_is_exact_for_integer_roots(self):
         # ceil(ell * n**(1/ell)) without float error: 2 * 1000**(1/2)

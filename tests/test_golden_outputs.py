@@ -34,7 +34,7 @@ EXPECTED = {
     "bench.cycle-protocol.csv": "f2cc171bd42ee186452ff31c88595625d0c325d2a7b1e47819fca46353e6ab61",
     "bench.diamond-listing.csv": "65e9625796603064483ff1e1bfe8f869be6e6848ca4a605f5a2e14b0eea5fa4d",
     "bench.diamond-protocol.csv": "a0231a95d6e280089c44e1e394b83d304019bee55ef60f56fbcbc6aac9f9c21a",
-    "ck.congest.json": "1965fe2d9e46e22131e5d7b2529feb44dcb68ae09019c723e2d55c9020f721e1",
+    "ck.congest.json": "17901058b4ded852c48adc029692ef32d92d6e9b035062831ba4854d2cbec7db",
     "ck.cycles4.json": "4d38e35a6bfcd888bf84f9ab1a21a2b8b3d4e2f536743f28dffd9f95d283b70d",
     "ck.cycles5.json": "1725f18a6a15415b657d1663e627f6789537265cba80067754c73ef49c15b84a",
     "ck.cycles6.json": "2f7b876984bef3f81ecf7cbcb6333b3a7cd31fe071bb88f0d550c4f2647dad53",
@@ -43,7 +43,7 @@ EXPECTED = {
     "ck/graph.txt": "16f6eb785a051a5563bd93e21677de52a1650d58e1efd06179ae0c8b83a6d948",
     "ck/inputs.json": "d4ad08440367233aa725319c2b7686f583f142c2913287b2281a47fc5cf2a256",
     "ck/meta.json": "ededce69bca1fe87e166afcf2cd846cf0fb58e44674a1a2ad303fb1d10a08fae",
-    "diamond.congest.json": "835c51f0e370e9112c43cd30333f5760e3c6edb2673d9d653bde9dfb7047d995",
+    "diamond.congest.json": "a201c983f7ba8255386b381fda3c45127ccbaaec4541c7880eac06d2b000f7f5",
     "diamond.cycles4.json": "e5c5685d89c3c7c71449863a5282a1604033f8508dd7ce0d880755ab9d38ea26",
     "diamond.cycles5.json": "035af43899b8980dd1d9c14499519cfb6450b382588bf8f482ac206b6fdee6e6",
     "diamond.cycles6.json": "5f861c693dad74a60a88aeb9d86ac3f3ff6916cf0790e3abee1f6bea7c77269a",
@@ -53,8 +53,8 @@ EXPECTED = {
     "diamond/inputs.json": "e59a18ca5aaea30ed08dfaf5e9a28ad71d2541b7bd2caeb66bb7cd37bcd3c61c",
     "diamond/meta.json": "e16f355c147d5fc7ab799becf65559a21deea8f4505eacf96eb102f746972a46",
     "gnp.diamonds.json": "748b0e5c61c6f268c8f1da3eb02aaec69e64ceb3bc04a2909c55d7eeabbc3407",
-    "gnp.listing.json": "0fb6b58c178a0e36161649b7087412e4b6ecb67029970da054d72277814cffd1",
-    "longcycle.congest.json": "9b0b96c0bc653024769117905a880f08818a8875eda60aefbf4a78f4b84449b4",
+    "gnp.listing.json": "63f336ef0b5778b11ada0a7d232475fc0195e01ec94769ebb6ff14b2634fa7c9",
+    "longcycle.congest.json": "586d0c0713af40c76d571770c7095f65dbc3618daeab597b12dfd0e972b596f8",
     "longcycle.cycles4.json": "16fd26bfb16aeac11820d45cc3a256d55880198bc9d2aca2f29c0ceb3d288d6a",
     "longcycle.cycles5.json": "0545aec87f46249063eeb878943193209a3275b68b7761c77f132e3251da41e9",
     "longcycle.cycles6.json": "d6cff18aed4eb81cf66feb3135df949413c5f86e7f94cd7da241c7ecff44a44a",
@@ -64,7 +64,7 @@ EXPECTED = {
     "longcycle/inputs.json": "1d1dcc30231ac61c8303c3c7b33d9155873220c30b7636c015e21034b588a949",
     "longcycle/meta.json": "23003477575eda6a7ac11dbf3e6478d476e0e10057ccd5c48d5f35ce992bc814",
     "planted.diamonds.json": "0a22b6711880b887b94735df3a3efa1fc2725202d4a7b748564a0695b546919a",
-    "planted.listing.json": "48b667167dcfea92c10cc83aa055fe66d4df3448f00d68bcb6931f5e3c3bc6f5",
+    "planted.listing.json": "39819ffdeee911231e5084ab723fb438ecfd73bda79340ef59f90fc06d77f33c",
     "verify.ck.json": "84b1b0e67333821fdc8547a7a2a1f9c0a5db195fe2391cbe50de184ff3c52be9",
     "verify.longcycle.json": "535a7d86c9f8a4a02e840cc863b3becc0937b31b6beeff47ae9a80309fa360e9",
 }

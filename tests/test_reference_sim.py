@@ -35,14 +35,17 @@ def _outcome(runner, g, program, config, cut):
         return f"ProtocolViolation: {exc}"
 
 
-def _random_program(fault_rate: float, bandwidth: int, reactive: bool) -> NodeProgram:
-    """Each node draws its moves from its own seeded stream.  It logs its
-    mail, decides, flips or stays silent, and sends nothing, a shared
-    broadcast, or distinct payloads to neighbours in random order.  With
-    probability *fault_rate* a step flips its output or emits 2, and
-    with that probability again one or two messages each break a rule.  The reactive form
-    draws and acts only in round 0 or with mail, and otherwise repeats
-    its last output."""
+def _random_program(
+    fault_rate: float, bandwidth: int, reactive: bool, seed: int
+) -> NodeProgram:
+    """Each node draws its moves from its own stream, seeded from *seed*
+    and its id.  It logs its mail, decides, flips or stays silent, and
+    sends nothing, a shared broadcast, or distinct payloads to
+    neighbours in random order.  With probability *fault_rate* a step
+    flips its output or emits 2, and with that probability again one or
+    two messages each break a rule.  The reactive form draws and acts
+    only in round 0 or with mail, and otherwise repeats its last
+    output."""
 
     def payload(rng):
         return "".join(rng.choice("01") for _ in range(rng.randint(0, bandwidth)))
@@ -58,7 +61,8 @@ def _random_program(fault_rate: float, bandwidth: int, reactive: bool) -> NodePr
             return rng.choice(nbrs or (0,)), rng.choice(NON_BIT_PAYLOADS)
         return rng.choice(nbrs or (0,)), "1" * (bandwidth + 1 + rng.randrange(3))
 
-    def init(v, neighbors, n, rng):
+    def init(v, neighbors, n):
+        rng = random.Random(f"{seed}:{v}")
         return {"n": n, "nbrs": neighbors, "rng": rng, "out": None, "said": None, "heard": []}
 
     def step(state, r, inbox):
@@ -105,9 +109,9 @@ def _instances(draw):
     config = SimConfig(
         bandwidth_bits=draw(st.none() | st.integers(min_value=1, max_value=6)),
         max_rounds=draw(st.integers(min_value=1, max_value=12)),
-        seed=draw(st.integers(min_value=0, max_value=2**32)),
     )
-    return g, cut, config
+    seed = draw(st.integers(min_value=0, max_value=2**32))
+    return g, cut, config, seed
 
 
 class TestAgainstTheTwin:
@@ -119,10 +123,10 @@ class TestAgainstTheTwin:
     )
     @given(instance=_instances(), fault_rate=st.sampled_from((0.0, 0.02, 0.1, 0.3)))
     def test_random_programs_match_the_twin(self, instance, fault_rate):
-        g, cut, config = instance
+        g, cut, config, seed = instance
         bandwidth = config.bandwidth_bits or default_bandwidth(g.n)
         for reactive in (False, True):
-            program = _random_program(fault_rate, bandwidth, reactive)
+            program = _random_program(fault_rate, bandwidth, reactive, seed)
             assert _outcome(run, g, program, config, cut) == _outcome(
                 reference_run, g, program, config, cut
             )
@@ -133,7 +137,7 @@ class TestAgainstTheTwin:
             g = random_graph(10 + seed, 0.15 + 0.05 * seed, random.Random(seed))
             cut = crossing_edges(g, range(g.n // 2))
             program = PROGRAMS[name](str(seed) if name == "flood" else None)
-            config = SimConfig(max_rounds=30, seed=seed)
+            config = SimConfig(max_rounds=30)
             assert _outcome(run, g, program, config, cut) == _outcome(
                 reference_run, g, program, config, cut
             )

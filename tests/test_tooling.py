@@ -2,8 +2,8 @@
 pulls in no third-party runtime dependency, every name a module exports
 exists, the package namespace is the star import of each module with an
 ``__all__``, no module exports a name it imports, no module imports
-a name it never uses, and the simulator's naive twin borrows nothing
-from the engine."""
+a name it never uses, the simulator's naive twin borrows nothing from
+the engine, and the engine imports no random module."""
 
 from __future__ import annotations
 
@@ -135,3 +135,16 @@ def test_the_simulator_twin_uses_no_engine_internals():
             used.add(node.name.rsplit(".", 1)[-1])
             used.add(node.asname)
     assert used & forbidden == set()
+
+
+def test_the_engine_imports_no_random_module():
+    """The simulator adds no randomness to a run; a program that draws
+    builds its own stream, so ``congest`` needs no ``random``."""
+    tree = ast.parse(Path(congest.__file__).read_text(encoding="utf-8"))
+    modules = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules += [f"{node.module or ''}.{alias.name}" for alias in node.names]
+    assert [m for m in modules if "random" in m.split(".")] == []
