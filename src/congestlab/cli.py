@@ -8,14 +8,16 @@ bytes; bench additionally reports oracle wall time, which is the one
 intentionally non-reproducible column.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (such as
-a count below 1, an --input-density outside [0, 1], --input-seed,
---input-density or --intersecting yes|no together with --x/--y, an
-argument to a program that takes none, a flood source that is not an
-integer or not a vertex of the graph, an option a subcommand does not
-have, such as --seed on run-congest, or a --cut or --partition bundle
-that does not belong to --graph) or a simulator model violation,
-3 work budget exceeded.
-CONGESTLAB_WORK_BUDGET overrides the default enumeration budget.
+a count below 1, an --input-density or --densities value outside
+[0, 1], a --delta or --epsilon below 0, --input-seed, --input-density
+or --intersecting yes|no together with --x/--y, an argument to a
+program that takes none, a flood source that is not an integer or not
+a vertex of the graph, a cycles:<k> protocol whose k is not an
+integer, an option a subcommand does not have, such as --seed on
+run-congest, or a --cut or --partition bundle that does not belong to
+--graph) or a simulator model violation, 3 work budget exceeded.
+CONGESTLAB_WORK_BUDGET overrides the default enumeration budget; a
+value that is not an integer of at least 1 is a usage error.
 """
 
 from __future__ import annotations
@@ -85,7 +87,17 @@ FAMILY_ALIASES = {
 
 def work_budget() -> int:
     env = os.environ.get("CONGESTLAB_WORK_BUDGET")
-    return int(env) if env else DEFAULT_WORK_BUDGET
+    if not env:
+        return DEFAULT_WORK_BUDGET
+    try:
+        budget = int(env)
+    except ValueError:
+        budget = 0  # reported below, as a value under 1 is
+    if budget < 1:
+        raise SystemExit2(
+            f"CONGESTLAB_WORK_BUDGET must be an integer of at least 1, got {env!r}"
+        )
+    return budget
 
 
 def _write_out(data: bytes, path: str | None) -> None:
@@ -100,11 +112,14 @@ def _read_graph(path: str) -> Graph:
     return Graph.from_text(Path(path).read_text(encoding="utf-8"))
 
 
-def _fraction(text: str) -> Fraction:
+def _nonnegative_fraction(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a fraction: {text!r}") from exc
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {text}")
+    return value
 
 
 def _positive_int(text: str) -> int:
@@ -123,6 +138,10 @@ def _unit_float(text: str) -> float:
 
 def _positive_ints(text: str) -> list[int]:
     return [_positive_int(item) for item in text.split(",")]
+
+
+def _unit_floats(text: str) -> list[float]:
+    return [_unit_float(item) for item in text.split(",")]
 
 
 def _make_inputs(args, bit_count: int) -> InputPair:
@@ -265,7 +284,13 @@ def cmd_run_protocol(args) -> int:
     side_a = frozenset(read_split(args.partition, g)[0])
     budget = work_budget()
     if args.protocol.startswith("cycles:"):
-        k = int(args.protocol.split(":", 1)[1])
+        arg = args.protocol.split(":", 1)[1]
+        try:
+            k = int(arg)
+        except ValueError:
+            raise SystemExit2(
+                f"--protocol cycles:<k> needs an integer k, got {arg!r}"
+            ) from None
         result = cycle_listing_protocol(g, side_a, k, budget=budget)
         oracle = list_induced_cycles(g, k, budget=budget)
     elif args.protocol == "diamond":
@@ -355,10 +380,9 @@ def _bench_run(args, g: Graph, side_a, k: int | None, budget: int, row: dict) ->
 
 def _bench_rows(args):
     budget = work_budget()
-    densities = [float(d) for d in args.densities.split(",")]
     ks = (4, 5, 6, 7) if args.suite == "cycle-protocol" else (None,)
     for n in args.sizes:
-        for density in densities:
+        for density in args.densities:
             rng = random.Random(f"{args.seed}:{n}:{density}")
             g = random_graph(n, density, rng)
             side_a = frozenset(v for v in range(n) if rng.random() < 0.5)
@@ -480,9 +504,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run-diamond-listing", help="distributed diamond listing")
     p.add_argument("--graph", required=True)
-    p.add_argument("--delta", type=_fraction, default=DEFAULT_DELTA)
-    p.add_argument("--epsilon", type=_fraction, default=DEFAULT_EPSILON)
-    p.add_argument("--min-degree-constant", type=int, default=DEFAULT_MIN_DEGREE_CONSTANT)
+    p.add_argument("--delta", type=_nonnegative_fraction, default=DEFAULT_DELTA)
+    p.add_argument("--epsilon", type=_nonnegative_fraction, default=DEFAULT_EPSILON)
+    p.add_argument(
+        "--min-degree-constant", type=_positive_int, default=DEFAULT_MIN_DEGREE_CONSTANT
+    )
     p.add_argument("--stats-out")
     p.add_argument("--list-out", help="also write the full diamond list")
     p.add_argument("--check-oracle", action="store_true")
@@ -500,7 +526,12 @@ def build_parser() -> argparse.ArgumentParser:
         default="16,24,32",
         help="comma-separated n values",
     )
-    p.add_argument("--densities", default="0.1,0.2", help="comma-separated")
+    p.add_argument(
+        "--densities",
+        type=_unit_floats,
+        default="0.1,0.2",
+        help="comma-separated values in [0, 1]",
+    )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_bench)

@@ -39,7 +39,7 @@ from .families import (
     build_cycle_family,
     build_long_cycle_family,
 )
-from .graphs import DEFAULT_WORK_BUDGET, induced_edges, list_induced_cycles
+from .graphs import DEFAULT_WORK_BUDGET, has_induced_cycle, induced_edges
 
 __all__ = [
     "FamilyCheckReport",
@@ -79,9 +79,7 @@ def cycle_harness(n: int, k: int, budget: int = DEFAULT_WORK_BUDGET) -> FamilyHa
         params={"n": n, "k": k},
         bit_count=n * n,
         build=lambda pair: build_cycle_family(n, k, pair),
-        predicate=lambda inst: bool(
-            list_induced_cycles(inst.graph, k, budget=budget)
-        ),
+        predicate=lambda inst: has_induced_cycle(inst.graph, k, budget=budget),
     )
 
 
@@ -102,9 +100,7 @@ def long_cycle_harness(
         build=lambda pair: build_long_cycle_family(
             n, ell, m, pair, include_centers=include_centers
         ),
-        predicate=lambda inst: bool(
-            list_induced_cycles(inst.graph, target, budget=budget)
-        ),
+        predicate=lambda inst: has_induced_cycle(inst.graph, target, budget=budget),
     )
 
 

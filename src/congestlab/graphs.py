@@ -37,6 +37,7 @@ __all__ = [
     "eccentricity",
     "frac_pow_ceil",
     "frac_pow_floor",
+    "has_induced_cycle",
     "induced_edge_count",
     "induced_edges",
     "is_induced_cycle",
@@ -291,7 +292,8 @@ def list_induced_cycles(
     A cycle is reported once, anchored at its minimum vertex, with the
     tie between the two traversal directions broken by requiring the
     second path vertex to be smaller than the closing vertex.  Returned
-    tuples are the sorted vertex sets, in sorted order.
+    tuples are the sorted vertex sets, in sorted order.  The search is
+    shared with ``has_induced_cycle``, which stops at the first cycle.
 
     The search runs on int bitmasks: bit w of ``masks[v]`` is set when
     w is a neighbor of v, and the vertices a path may no longer touch
@@ -318,9 +320,42 @@ def list_induced_cycles(
     exceeds.  Each step adds its units at once; the count only grows,
     so a call finishes exactly when its total is within *budget*.
     """
+    out: list[tuple[int, ...]] = []
+    _induced_cycle_search(g, k, budget, quota, out.append)
+    return sorted(out)
+
+
+class _Witness(Exception):
+    """Stops the shared cycle search at the first cycle it finds."""
+
+
+def _stop(cycle: tuple[int, ...]) -> None:
+    raise _Witness
+
+
+def has_induced_cycle(g: Graph, k: int, budget: int = DEFAULT_WORK_BUDGET) -> bool:
+    """True when *g* holds an induced k-cycle; stops at the first one found.
+
+    Runs the search of ``list_induced_cycles`` until it finds a cycle.
+    Its work is exactly the listing's up to and including the step that
+    finds that first witness, and it raises ``WorkBudgetExceeded`` only
+    if that prefix exceeds *budget*, so it may return True under a
+    budget the full listing exceeds.  On a graph with no induced k-cycle
+    its work, and the estimate of any exception, are the listing's.
+    """
+    try:
+        _induced_cycle_search(g, k, budget, None, _stop)
+    except _Witness:
+        return True
+    return False
+
+
+def _induced_cycle_search(
+    g: Graph, k: int, budget: int, quota: tuple[Iterable[int], int] | None, emit
+) -> None:
+    """The search ``list_induced_cycles`` documents; passes each cycle to emit."""
     if k < 3:
         raise ValueError("cycles need k >= 3")
-    out: list[tuple[int, ...]] = []
     work = 0
     masks = [sum(1 << w for w in nb) for nb in g.adj]
     # own: the quota's vertex mask; spare: how many vertices off it a
@@ -349,7 +384,7 @@ def list_induced_cycles(
             closers &= above_second & ~banned
             while closers:
                 low = closers & -closers
-                out.append(tuple(sorted(path + [low.bit_length() - 1])))
+                emit(tuple(sorted(path + [low.bit_length() - 1])))
                 closers ^= low
             return
         work += last.bit_count()
@@ -377,7 +412,7 @@ def list_induced_cycles(
                 closers &= closable
                 while closers:
                     x = closers & -closers
-                    out.append(tuple(sorted(path + [c, x.bit_length() - 1])))
+                    emit(tuple(sorted(path + [c, x.bit_length() - 1])))
                     closers ^= x
                 grow ^= low
             return
@@ -410,7 +445,6 @@ def list_induced_cycles(
             above_second = -(2 << v1)
             extend([s, v1], (1 << s) | low, room if low & own else room - 1)
             second_vertices ^= low
-    return sorted(out)
 
 
 def list_induced_diamonds_naive(

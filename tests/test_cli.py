@@ -401,6 +401,30 @@ class TestRunProtocol:
         )
         assert rc == EXIT_USAGE
 
+    def test_a_cycle_length_that_is_not_an_integer_is_a_usage_error(
+        self, tmp_path, capsys
+    ):
+        bundle = tmp_path / "bundle"
+        main(["gen-family", "c4", "--n", "2", "--x", "8", "--y", "8", "--out", str(bundle)])
+        run = ["run-protocol", "--graph", str(bundle / "graph.txt"),
+               "--partition", str(bundle), "--protocol"]
+        for spec in ("cycles:abc", "cycles:"):
+            assert main(run + [spec]) == EXIT_USAGE, spec
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "--protocol" in err, spec
+
+    def test_a_work_budget_below_one_or_not_an_integer_is_a_usage_error(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        bundle = tmp_path / "bundle"
+        main(["gen-family", "c4", "--n", "2", "--x", "8", "--y", "8", "--out", str(bundle)])
+        run = ["run-protocol", "--graph", str(bundle / "graph.txt"),
+               "--partition", str(bundle), "--protocol", "cycles:4"]
+        for value in ("abc", "-5", "0"):
+            monkeypatch.setenv("CONGESTLAB_WORK_BUDGET", value)
+            assert main(run) == EXIT_USAGE, value
+            assert "CONGESTLAB_WORK_BUDGET" in capsys.readouterr().err, value
+
     def test_tiny_work_budget_maps_to_the_budget_exit_code(self, tmp_path, monkeypatch):
         bundle = tmp_path / "bundle"
         gen = ["gen-family", "diamond", "--n", "16", "--seed", "1", "--input-seed", "7"]
@@ -533,6 +557,22 @@ class TestRunDiamondListing:
             main(["run-diamond-listing", "--graph", str(g), "--delta", "zero"])
         assert info.value.code == 2
 
+    def test_negative_exponents_and_a_zero_constant_are_usage_errors(
+        self, tmp_path, capsys
+    ):
+        g = tmp_path / "g.txt"
+        _write_random_graph(g, n=10)
+        cases = [
+            (["--delta", "-1"], "--delta"),
+            (["--epsilon=-1/2"], "--epsilon"),
+            (["--min-degree-constant", "0"], "--min-degree-constant"),
+        ]
+        for flags, named in cases:
+            with pytest.raises(SystemExit) as info:
+                main(["run-diamond-listing", "--graph", str(g)] + flags)
+            assert info.value.code == EXIT_USAGE, flags
+            assert f"argument {named}:" in capsys.readouterr().err, flags
+
 
 class TestBenchAndReport:
     def test_bench_emits_the_frozen_csv_schema(self, tmp_path):
@@ -569,6 +609,13 @@ class TestBenchAndReport:
         ]
         assert len(rows) == 2 * 4  # densities x cycle lengths
         assert all(r["found"] == r["oracle_found"] for r in rows)
+
+    def test_densities_outside_the_unit_interval_are_usage_errors(self, capsys):
+        for densities in ("abc", "2", "0.1,"):
+            with pytest.raises(SystemExit) as info:
+                main(["bench", "--suite", "cycle-protocol", "--densities", densities])
+            assert info.value.code == EXIT_USAGE, densities
+            assert "argument --densities:" in capsys.readouterr().err, densities
 
     def test_report_merges_deterministically(self, tmp_path, capsys):
         p1, p2 = tmp_path / "r1.json", tmp_path / "r2.json"

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from congestlab.bitstrings import bits_intersect
+from congestlab.families import InputPair, build_cycle_family, build_long_cycle_family
 from congestlab.graphs import (
     DEFAULT_WORK_BUDGET,
     Graph,
@@ -17,6 +19,7 @@ from congestlab.graphs import (
     crossing_edges,
     diameter,
     eccentricity,
+    has_induced_cycle,
     induced_edge_count,
     induced_edges,
     is_induced_cycle,
@@ -175,25 +178,27 @@ class TestPrunedSearchMatchesNaive:
     def test_cycle_length_below_three_is_rejected(self):
         with pytest.raises(ValueError):
             list_induced_cycles(_cycle_graph(5), 2)
+        with pytest.raises(ValueError):
+            has_induced_cycle(_cycle_graph(5), 2)
 
     def test_triangle_listing_works_through_the_closing_branch(self):
         g = Graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
         assert list_induced_cycles(g, 3) == [(0, 1, 2)]
 
 
-def _work_count(g: Graph, k: int, **kwargs) -> int:
-    """The smallest budget under which list_induced_cycles finishes."""
+def _work_count(g: Graph, k: int, search=list_induced_cycles, **kwargs) -> int:
+    """The smallest budget under which *search* finishes."""
     lo, hi = -1, 1
     while True:
         try:
-            list_induced_cycles(g, k, budget=hi, **kwargs)
+            search(g, k, budget=hi, **kwargs)
             break
         except WorkBudgetExceeded:
             lo, hi = hi, 2 * hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
         try:
-            list_induced_cycles(g, k, budget=mid, **kwargs)
+            search(g, k, budget=mid, **kwargs)
             hi = mid
         except WorkBudgetExceeded:
             lo = mid
@@ -290,6 +295,61 @@ class TestWorkBudget:
         g = random_graph(20, 0.2, random.Random(3))
         list_induced_cycles(g, 5, budget=DEFAULT_WORK_BUDGET)
         list_induced_diamonds(g, budget=DEFAULT_WORK_BUDGET)
+
+
+def _estimate(search, g: Graph, k: int, budget: int) -> int:
+    with pytest.raises(WorkBudgetExceeded) as info:
+        search(g, k, budget=budget)
+    return info.value.estimate
+
+
+class TestHasInducedCycle:
+    def test_agrees_with_both_listing_routes_on_seeded_random_graphs(self):
+        rng = random.Random(29)
+        for _ in range(25):
+            g = random_graph(rng.randint(6, 14), rng.choice([0.15, 0.3, 0.5]), rng)
+            for k in range(3, 9):
+                found = has_induced_cycle(g, k)
+                assert found == bool(list_induced_cycles(g, k))
+                assert found == bool(list_induced_cycles_naive(g, k))
+
+    def test_family_instances_hold_their_cycle_iff_the_inputs_intersect(self):
+        # Every pair at n = 2 (4-bit inputs), center-less as the
+        # family predicates build them.
+        inputs = ["".join(bits) for bits in product("01", repeat=4)]
+        pairs = [InputPair(x=x, y=y) for x in inputs for y in inputs]
+        for pair in pairs:
+            expected = bits_intersect(pair.x, pair.y)
+            for k in range(4, 8):
+                g = build_cycle_family(2, k, pair).graph
+                assert has_induced_cycle(g, k) == expected, (k, pair)
+            g = build_long_cycle_family(2, 2, 0, pair, include_centers=False).graph
+            assert has_induced_cycle(g, 16) == expected, pair
+
+    def test_without_a_cycle_it_spends_the_listings_work(self):
+        # A clique holds no induced 6-cycle, so both calls run the
+        # whole search: same total work, same estimate at every budget.
+        g = _complete_graph(12)
+        assert not has_induced_cycle(g, 6, budget=858)
+        for budget in (10, 400, 857):
+            assert _estimate(has_induced_cycle, g, 6, budget) == _estimate(
+                list_induced_cycles, g, 6, budget
+            )
+
+    def test_an_early_witness_passes_a_budget_the_listing_exceeds(self):
+        # (k, W of the listing, W up to the first witness); below the
+        # second figure the two calls cross the budget at the same step.
+        g = random_graph(20, 0.3, random.Random(3))
+        for k, full, first in [(3, 138, 7), (5, 1168, 17), (7, 3983, 90)]:
+            assert _work_count(g, k) == full
+            assert _work_count(g, k, search=has_induced_cycle) == first
+            assert has_induced_cycle(g, k, budget=first)
+            with pytest.raises(WorkBudgetExceeded):
+                list_induced_cycles(g, k, budget=first)
+            for budget in (first // 2, first - 1):
+                assert _estimate(has_induced_cycle, g, k, budget) == _estimate(
+                    list_induced_cycles, g, k, budget
+                )
 
 
 class TestDistancesAndCuts:
