@@ -13,9 +13,10 @@ a count below 1, an --input-density or --densities value outside
 or --intersecting yes|no together with --x/--y, an argument to a
 program that takes none, a flood source that is not an integer or not
 a vertex of the graph, a cycles:<k> protocol whose k is not an
-integer, an option a subcommand does not have, such as --seed on
-run-congest, or a --cut or --partition bundle that does not belong to
---graph) or a simulator model violation, 3 work budget exceeded.
+integer, c4 with a --k other than 4, an option a subcommand does not
+have, such as --seed on run-congest, or a --cut or --partition bundle
+that does not belong to --graph) or a simulator model violation, 3 work
+budget exceeded.
 CONGESTLAB_WORK_BUDGET overrides the default enumeration budget; a
 value that is not an integer of at least 1 is a usage error.
 """
@@ -190,6 +191,8 @@ def _harness(
     ``gen-family`` and ``verify-family`` reject it alike.
     """
     family = FAMILY_ALIASES[args.family]
+    if args.family == "c4" and args.k != 4:
+        raise SystemExit2(f"c4 is the 4-cycle family; for --k {args.k} use cycle or ck")
     if family == "cycle":
         return cycle_harness(args.n, args.k, budget=budget)
     if family == "long-cycle":
@@ -365,8 +368,8 @@ def _bench_run(args, g: Graph, side_a, k: int | None, budget: int, row: dict) ->
         row["params"] += f";delta={stats.delta};epsilon={stats.epsilon}"
         executed = stats.sparse_rounds + stats.heavy_executed_rounds
         row["rounds"] = executed + stats.light_executed_rounds
-        row["cut_bits"] = ""
-        row["payload_bits"] = stats.heavy_charged_rounds_sum
+        row["cut_edges"] = ""
+        row["heavy_charged_rounds"] = stats.heavy_charged_rounds_sum
         row["found"] = len(diamonds)
         return
     if k is None:
@@ -399,7 +402,7 @@ def _bench_rows(args):
                     "algorithm": args.suite,
                     "n": n,
                     "params": ("" if k is None else f"k={k};") + f"density={density}",
-                    "cut_bits": cut,
+                    "cut_edges": cut,
                     "oracle_found": len(oracle),
                     "oracle_seconds": f"{oracle_s:.6f}",
                 }
@@ -414,7 +417,8 @@ def cmd_bench(args) -> int:
         "n",
         "params",
         "rounds",
-        "cut_bits",
+        "heavy_charged_rounds",
+        "cut_edges",
         "payload_bits",
         "bound_bits",
         "found",

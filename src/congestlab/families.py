@@ -30,7 +30,6 @@ from .bitstrings import pair_index, validate_bits
 from .graphs import Graph, crossing_edges, frac_pow_ceil
 
 __all__ = [
-    "CodeAssignment",
     "FamilyInstance",
     "InputPair",
     "build_cycle_family",
@@ -40,7 +39,6 @@ __all__ = [
     "cycle_cut_size",
     "long_cycle_alphabet",
     "long_cycle_cut_size",
-    "make_code_assignment",
 ]
 
 
@@ -193,62 +191,49 @@ def build_cycle_family(n: int, k: int, pair: InputPair) -> FamilyInstance:
     t_upper = math.ceil((k - 4) / 2)
     t_lower = (k - 4) // 2
 
-    a1 = list(range(0, n))
-    a2 = list(range(n, 2 * n))
-    b1 = list(range(2 * n, 3 * n))
-    b2 = list(range(3 * n, 4 * n))
+    blocks = {
+        name: tuple(range(q * n, (q + 1) * n))
+        for q, name in enumerate(("a1", "a2", "b1", "b2"))
+    }
+    a1, a2, b1, b2 = blocks.values()
     labels = {}
     for i in range(1, n + 1):
-        labels[a1[i - 1]] = f"a1_{i}"
-        labels[a2[i - 1]] = f"a2_{i}"
-        labels[b1[i - 1]] = f"b1_{i}"
-        labels[b2[i - 1]] = f"b2_{i}"
+        for name, ids in blocks.items():
+            labels[ids[i - 1]] = f"{name}_{i}"
 
-    next_id = 4 * n
-    upper_internals: list[list[int]] = []
-    for i in range(1, n + 1):
-        ids = list(range(next_id, next_id + t_upper))
-        next_id += t_upper
-        upper_internals.append(ids)
-        for s, v in enumerate(ids, start=1):
-            labels[v] = f"a1b1_{i}_{s}"
-    lower_internals: list[list[int]] = []
-    for i in range(1, n + 1):
-        ids = list(range(next_id, next_id + t_lower))
-        next_id += t_lower
-        lower_internals.append(ids)
-        for s, v in enumerate(ids, start=1):
-            labels[v] = f"a2b2_{i}_{s}"
-
+    # Path "a1b1" i runs a1_i - internals - b1_i, "a2b2" i likewise; the
+    # first ceil(t/2) internals of each path sit on side A.
     edges: list[tuple[int, int]] = []
+    side_a = set(a1) | set(a2)
+    side_b = set(b1) | set(b2)
+    path_internals: dict[str, list[list[int]]] = {}
+    next_id = 4 * n
+    for kind, t in (("a1b1", t_upper), ("a2b2", t_lower)):
+        path_internals[kind] = []
+        for i in range(n):
+            ids = list(range(next_id, next_id + t))
+            next_id += t
+            path_internals[kind].append(ids)
+            for s, v in enumerate(ids, start=1):
+                labels[v] = f"{kind}_{i + 1}_{s}"
+            head = math.ceil(t / 2)
+            side_a.update(ids[:head])
+            side_b.update(ids[head:])
+            chain = [blocks[kind[:2]][i], *ids, blocks[kind[2:]][i]]
+            edges.extend(zip(chain, chain[1:]))
+
     for i in range(n):
         for j in range(i + 1, n):
             edges.append((a1[i], a1[j]))
             edges.append((b2[i], b2[j]))
             if k % 2:
                 edges.append((a2[i], a2[j]))
-    for i in range(n):
-        chain_u = [a1[i], *upper_internals[i], b1[i]]
-        edges.extend(zip(chain_u, chain_u[1:]))
-        chain_l = [a2[i], *lower_internals[i], b2[i]]
-        edges.extend(zip(chain_l, chain_l[1:]))
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             if pair.x[pair_index(i, j, n)] == "1":
                 edges.append((a1[i - 1], a2[j - 1]))
             if pair.y[pair_index(i, j, n)] == "1":
                 edges.append((b1[i - 1], b2[j - 1]))
-
-    side_a = set(a1) | set(a2)
-    side_b = set(b1) | set(b2)
-    for ids in upper_internals:
-        head = math.ceil(len(ids) / 2)
-        side_a.update(ids[:head])
-        side_b.update(ids[head:])
-    for ids in lower_internals:
-        head = math.ceil(len(ids) / 2)
-        side_a.update(ids[:head])
-        side_b.update(ids[head:])
 
     inst = _instance(
         family="cycle",
@@ -259,19 +244,8 @@ def build_cycle_family(n: int, k: int, pair: InputPair) -> FamilyInstance:
         side_a=side_a,
         side_b=side_b,
         labels=labels,
-        blocks={
-            "a1": tuple(a1),
-            "a2": tuple(a2),
-            "b1": tuple(b1),
-            "b2": tuple(b2),
-        },
-        meta={
-            "target_length": k,
-            "path_internals": {
-                "a1b1": upper_internals,
-                "a2b2": lower_internals,
-            },
-        },
+        blocks=blocks,
+        meta={"target_length": k, "path_internals": path_internals},
     )
     assert inst.cut_size == cycle_cut_size(n)
     return inst
@@ -312,36 +286,6 @@ def long_cycle_alphabet(n: int, ell: int) -> int:
     if n < 1 or ell < 1:
         raise ValueError("need n >= 1 and ell >= 1")
     return frac_pow_ceil(ell**ell * n, Fraction(1, ell))
-
-
-@dataclass(frozen=True)
-class CodeAssignment:
-    """Injective map from block indices 1..n to ell-subsets of the alphabet."""
-
-    n: int
-    ell: int
-    alphabet: int
-    codes: tuple[tuple[int, ...], ...]
-
-    def code(self, i: int) -> tuple[int, ...]:
-        """Sorted code subset of 1-based block index i."""
-        return self.codes[i - 1]
-
-
-def make_code_assignment(n: int, ell: int) -> CodeAssignment:
-    """Assign block index i the colex-rank-(i-1) ell-subset of the alphabet.
-
-    The alphabet size makes comb(alphabet, ell) >= n, so the first n
-    colex subsets exist and stay within range.
-    """
-    alphabet = long_cycle_alphabet(n, ell)
-    if math.comb(alphabet, ell) < n:
-        raise AssertionError(
-            f"alphabet {alphabet} too small for {n} codes of size {ell}"
-        )
-    codes = tuple(colex_subset(i, ell) for i in range(n))
-    assert all(c[-1] < alphabet for c in codes)
-    return CodeAssignment(n=n, ell=ell, alphabet=alphabet, codes=codes)
 
 
 def long_cycle_cut_size(
@@ -403,8 +347,12 @@ def build_long_cycle_family(
     if pair.length != n * n:
         raise ValueError(f"pair has {pair.length} bits, family needs {n * n}")
 
-    code = make_code_assignment(n, ell)
-    r = code.alphabet
+    # Sub-block i gets the colex-rank-(i-1) ell-subset of the alphabet.
+    # Colex order puts the largest symbol last, so the last code fits in
+    # range(r) exactly when comb(r, ell) >= n.
+    r = long_cycle_alphabet(n, ell)
+    codes = [colex_subset(i, ell) for i in range(n)]
+    assert codes[-1][-1] < r
 
     def sub_block(base: int, i: int) -> list[int]:
         return [base + (i - 1) * ell + (j - 1) for j in range(1, ell + 1)]
@@ -450,8 +398,7 @@ def build_long_cycle_family(
     join_distinct_sub_blocks(base_a2, cross_only=True)
     join_distinct_sub_blocks(base_b1, cross_only=True)
 
-    for i in range(1, n + 1):
-        sigma = code.code(i)
+    for i, sigma in enumerate(codes, start=1):
         for j in range(1, ell + 1):
             t = sigma[j - 1]
             edges.append((sub_block(base_a1, i)[j - 1], base_ua + t))
@@ -537,7 +484,7 @@ def build_long_cycle_family(
         meta={
             "target_length": ell * (8 + m),
             "alphabet": r,
-            "codes": [list(c) for c in code.codes],
+            "codes": [list(c) for c in codes],
             "subblocks": {
                 "a1": [sub_block(base_a1, i) for i in range(1, n + 1)],
                 "a2": [sub_block(base_a2, i) for i in range(1, n + 1)],

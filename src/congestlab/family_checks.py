@@ -45,11 +45,9 @@ __all__ = [
     "FamilyCheckReport",
     "FamilyHarness",
     "check_block_counts",
-    "check_long_cycle_structure",
     "cycle_harness",
     "diamond_harness",
     "diamond_harness_from_seed",
-    "four_cycle_harness",
     "long_cycle_harness",
     "verify_family_conditions",
 ]
@@ -67,10 +65,6 @@ class FamilyHarness:
     bit_count: int
     build: Callable[[InputPair], FamilyInstance]
     predicate: Callable[[FamilyInstance], bool]
-
-
-def four_cycle_harness(n: int) -> FamilyHarness:
-    return cycle_harness(n, 4)
 
 
 def cycle_harness(n: int, k: int, budget: int = DEFAULT_WORK_BUDGET) -> FamilyHarness:
@@ -294,18 +288,28 @@ def verify_family_conditions(
     )
 
 
+# Each input block of the long-cycle family and the code block it wires to.
+_CODE_BLOCKS = {"a1": "upper_a", "a2": "lower_a", "b1": "upper_b", "b2": "lower_b"}
+
+
 def check_block_counts(
     inst: FamilyInstance, cycle: tuple[int, ...]
 ) -> dict[str, object]:
-    """Count audit of a found target cycle in the long-cycle family.
+    """Audit of a found target cycle in the unpadded long-cycle family.
 
-    Reports how many cycle vertices land in each of the eight blocks,
-    whether all eight counts equal ell, whether the four input blocks
-    stay within ell, and code-purity violations: per side, the code
-    vertices on the cycle must be exactly the code set of one sub-block
-    index, with the owning block's vertices inside that sub-block.
-    Off-design cycles stitched from two sub-blocks satisfy the count
-    clauses but fail code purity.
+    This is the structural lemma behind the k >= 8 bound.  ``counts``
+    holds the cycle's vertices in each of the eight blocks;
+    ``eight_blocks_exact`` says all eight equal ell, and
+    ``input_blocks_within`` that the four input blocks stay within ell.
+    ``code_violations`` lists code-purity failures: each code block's
+    cycle vertices must be exactly the code of one sub-block, with the
+    matching input block's cycle vertices inside that sub-block.
+    Off-design cycles stitched from two sub-blocks pass the count
+    clauses but fail code purity.  ``pairing_violations`` lists a
+    touched center, a1/b1 or a2/b2 sub-blocks that disagree, and a
+    pairing (i, j) that is not a shared 1 of x and y.  ``passed`` holds
+    when every clause does.  Exact counts with pure codes mean the cycle
+    uses one whole sub-block per input block and exactly its code.
     """
     if inst.family != "longcycle":
         raise ValueError("block count check applies to the long-cycle family")
@@ -313,119 +317,51 @@ def check_block_counts(
         raise ValueError("block count check is defined for the unpadded family")
     ell = inst.params["ell"]
     cyc = set(cycle)
-
-    block_names = (
-        "a1", "a2", "b1", "b2", "upper_a", "lower_a", "upper_b", "lower_b",
-    )
-    counts = {
-        name: sum(1 for v in inst.blocks[name] if v in cyc)
-        for name in block_names
+    on_cycle = {
+        name: cyc.intersection(inst.blocks[name])
+        for name in (*_CODE_BLOCKS, *_CODE_BLOCKS.values())
     }
+    counts = {name: len(vs) for name, vs in on_cycle.items()}
+
     code_violations: list[str] = []
     codes = [set(c) for c in inst.meta["codes"]]
-    for owner, code_block in (
-        ("a1", "upper_a"),
-        ("a2", "lower_a"),
-        ("b1", "upper_b"),
-        ("b2", "lower_b"),
-    ):
+    sub_index: dict[str, int] = {}
+    for owner, code_block in _CODE_BLOCKS.items():
         base = inst.blocks[code_block][0]
-        used = {v - base for v in cyc if v in set(inst.blocks[code_block])}
-        owners = [i for i, c in enumerate(codes, start=1) if c == used]
-        if not owners:
+        used = {v - base for v in on_cycle[code_block]}
+        if used not in codes:
             code_violations.append(
                 f"{code_block}: symbols {sorted(used)} match no sub-block code"
             )
             continue
-        sub = set(inst.meta["subblocks"][owner][owners[0] - 1])
-        stray = [v for v in inst.blocks[owner] if v in cyc and v not in sub]
-        if stray:
+        i = sub_index[owner] = codes.index(used) + 1
+        if not on_cycle[owner] <= set(inst.meta["subblocks"][owner][i - 1]):
             code_violations.append(
-                f"{owner}: vertices outside sub-block {owners[0]} "
-                f"own the {code_block} symbols"
-            )
-    return {
-        "counts": counts,
-        "eight_blocks_exact": all(c == ell for c in counts.values()),
-        "input_blocks_within": all(
-            counts[name] <= ell for name in ("a1", "a2", "b1", "b2")
-        ),
-        "code_violations": code_violations,
-    }
-
-
-def check_long_cycle_structure(
-    inst: FamilyInstance, cycle: tuple[int, ...]
-) -> list[str]:
-    """Structural audit of a found target cycle in the long-cycle family.
-
-    A valid target cycle must use one whole sub-block from each of the
-    four blocks, exactly the code vertices of those sub-blocks' codes,
-    and no centers; and the sub-block pairing must point at a shared 1
-    in the inputs.  Returns human-readable violations, empty when the
-    cycle is canonical.
-    """
-    if inst.family != "longcycle":
-        raise ValueError("structure check applies to the long-cycle family")
-    if inst.params["m"] != 0:
-        raise ValueError("structure check is defined for the unpadded family")
-    n = inst.params["n"]
-    ell = inst.params["ell"]
-    cyc = set(cycle)
-    violations: list[str] = []
-
-    centers = set(inst.blocks["centers"])
-    if cyc & centers:
-        violations.append(f"cycle touches centers {sorted(cyc & centers)}")
-
-    hit_subblock: dict[str, int] = {}
-    for block_name in ("a1", "a2", "b1", "b2"):
-        subblocks = inst.meta["subblocks"][block_name]
-        hits = [
-            (i, [v for v in sb if v in cyc])
-            for i, sb in enumerate(subblocks, start=1)
-            if any(v in cyc for v in sb)
-        ]
-        if len(hits) != 1:
-            violations.append(
-                f"block {block_name}: expected one sub-block, hit {len(hits)}"
-            )
-            continue
-        i, used = hits[0]
-        if len(used) != ell:
-            violations.append(
-                f"block {block_name}: sub-block {i} used {len(used)} of {ell}"
-            )
-        hit_subblock[block_name] = i
-
-    codes = inst.meta["codes"]
-    code_pairing = {
-        "upper_a": "a1",
-        "lower_a": "a2",
-        "upper_b": "b1",
-        "lower_b": "b2",
-    }
-    for code_block, owner in code_pairing.items():
-        if owner not in hit_subblock:
-            continue
-        base = inst.blocks[code_block][0]
-        used = {v - base for v in cyc if v in set(inst.blocks[code_block])}
-        expected = set(codes[hit_subblock[owner] - 1])
-        if used != expected:
-            violations.append(
-                f"code block {code_block}: used {sorted(used)}, "
-                f"expected {sorted(expected)}"
+                f"{owner}: vertices outside sub-block {i} own the {code_block} symbols"
             )
 
-    if all(b in hit_subblock for b in ("a1", "a2", "b1", "b2")):
-        if hit_subblock["a1"] != hit_subblock["b1"]:
-            violations.append("a1 and b1 sub-blocks disagree")
-        if hit_subblock["a2"] != hit_subblock["b2"]:
-            violations.append("a2 and b2 sub-blocks disagree")
-        i, j = hit_subblock["a1"], hit_subblock["a2"]
-        idx = pair_index(i, j, n)
+    pairing_violations: list[str] = []
+    touched = sorted(cyc.intersection(inst.blocks["centers"]))
+    if touched:
+        pairing_violations.append(f"cycle touches centers {touched}")
+    if len(sub_index) == 4:
+        if sub_index["a1"] != sub_index["b1"]:
+            pairing_violations.append("a1 and b1 sub-blocks disagree")
+        if sub_index["a2"] != sub_index["b2"]:
+            pairing_violations.append("a2 and b2 sub-blocks disagree")
+        i, j = sub_index["a1"], sub_index["a2"]
+        idx = pair_index(i, j, inst.params["n"])
         if inst.pair.x[idx] != "1" or inst.pair.y[idx] != "1":
-            violations.append(
+            pairing_violations.append(
                 f"sub-block pairing ({i},{j}) does not point at a shared 1"
             )
-    return violations
+
+    eight_blocks_exact = all(c == ell for c in counts.values())
+    return {
+        "counts": counts,
+        "eight_blocks_exact": eight_blocks_exact,
+        "input_blocks_within": all(counts[name] <= ell for name in _CODE_BLOCKS),
+        "code_violations": code_violations,
+        "pairing_violations": pairing_violations,
+        "passed": eight_blocks_exact and not code_violations and not pairing_violations,
+    }

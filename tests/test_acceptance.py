@@ -56,7 +56,7 @@ from congestlab.families import (
 )
 from congestlab.family_checks import (
     check_block_counts,
-    four_cycle_harness,
+    cycle_harness,
     verify_family_conditions,
 )
 from congestlab.graphs import (
@@ -105,7 +105,7 @@ def _all_pairs(k: int) -> list[tuple[str, str]]:
 
 
 def _four_cycle_report() -> bytes:
-    harness_report = verify_family_conditions(four_cycle_harness(2), exhaustive=True)
+    harness_report = verify_family_conditions(cycle_harness(2, 4), exhaustive=True)
 
     n2_mismatches = []
     for x, y in _all_pairs(4):

@@ -71,6 +71,16 @@ class TestGenFamily:
         inst = read_bundle(out)
         assert any(a == b == "1" for a, b in zip(inst.pair.x, inst.pair.y))
 
+    def test_c4_takes_no_other_cycle_length(self, tmp_path, capsys):
+        args = ["gen-family", "c4", "--n", "2", "--x", "8", "--y", "8", "--out"]
+        rc = main(args + [str(tmp_path / "k5"), "--k", "5"])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "--k 5" in err and "cycle or ck" in err
+        assert not (tmp_path / "k5").exists()
+        assert main(args + [str(tmp_path / "k4"), "--k", "4"]) == EXIT_OK
+        assert read_bundle(tmp_path / "k4").params == {"n": 2, "k": 4}
+
     def test_diamond_family_requires_a_seed(self, tmp_path, capsys):
         rc = main(
             ["gen-family", "diamond", "--n", "16", "--x", "0", "--y", "0", "--out", str(tmp_path / "x")]
@@ -185,6 +195,17 @@ class TestVerifyFamily:
         assert report["passed"] is True
         assert report["exhaustive"] is True
         assert report["pairs_checked"] == 256
+
+    def test_c4_takes_no_other_cycle_length(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        rc = main(["verify-family", "c4", "--n", "2", "--k", "6", "--json-out", str(out)])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "--k 6" in err and "cycle or ck" in err
+        assert not out.exists()
+        rc = main(["verify-family", "c4", "--n", "2", "--k", "4", "--json-out", str(out)])
+        assert rc == EXIT_OK
+        assert json.loads(out.read_text())["params"] == {"n": 2, "k": 4}
 
     def test_long_cycle_family_verifies_for_singleton_codes(self, tmp_path):
         out = tmp_path / "report.json"
@@ -600,7 +621,8 @@ class TestBenchAndReport:
             "n",
             "params",
             "rounds",
-            "cut_bits",
+            "heavy_charged_rounds",
+            "cut_edges",
             "payload_bits",
             "bound_bits",
             "found",

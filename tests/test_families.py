@@ -32,15 +32,13 @@ from congestlab.families import (
     cycle_cut_size,
     long_cycle_alphabet,
     long_cycle_cut_size,
-    make_code_assignment,
 )
 from congestlab.family_checks import (
     COUNTEREXAMPLE_CAP,
     FamilyHarness,
     check_block_counts,
-    check_long_cycle_structure,
+    cycle_harness,
     diamond_harness_from_seed,
-    four_cycle_harness,
     long_cycle_harness,
     verify_family_conditions,
 )
@@ -105,16 +103,21 @@ class TestColexCodes:
                 assert r**ell >= ell**ell * n > (r - 1) ** ell, (n, ell)
 
     def test_codes_are_distinct_subsets_of_the_alphabet(self):
-        code = make_code_assignment(20, 2)
-        assert len(set(code.codes)) == 20
-        for c in code.codes:
+        inst = build_long_cycle_family(20, 2, 0, _pair(zeros(400), zeros(400)))
+        codes = [tuple(c) for c in inst.meta["codes"]]
+        assert len(set(codes)) == 20
+        for c in codes:
             assert len(c) == 2
-            assert all(0 <= s < code.alphabet for s in c)
+            assert all(0 <= s < inst.meta["alphabet"] for s in c)
 
     def test_code_lookup_is_one_based(self):
-        code = make_code_assignment(4, 2)
-        assert code.code(1) == (0, 1)
-        assert code.code(4) == (0, 3)
+        # Sub-block i is wired to code i - 1 of the colex order.
+        inst = build_long_cycle_family(4, 2, 0, _pair(zeros(16), zeros(16)))
+        assert inst.meta["codes"][0] == [0, 1]
+        assert inst.meta["codes"][3] == [0, 3]
+        a1_4 = [_id_by_label(inst, f"a1_4_{j}") for j in (1, 2)]
+        ua = [_id_by_label(inst, f"ua_{t}") for t in (0, 3)]
+        assert all(inst.graph.has_edge(u, v) for u, v in zip(a1_4, ua))
 
 
 class TestFourCycleFamily:
@@ -135,7 +138,7 @@ class TestFourCycleFamily:
         assert list_induced_cycles_naive(inst.graph, 4) == []
 
     def test_harness_conditions_hold_exhaustively_for_two_blocks(self):
-        report = verify_family_conditions(four_cycle_harness(2), exhaustive=True)
+        report = verify_family_conditions(cycle_harness(2, 4), exhaustive=True)
         assert report.exhaustive
         assert report.pairs_checked == 256
         assert report.passed, report.conditions
@@ -239,7 +242,7 @@ class TestLongCycleFamily:
         inst = build_long_cycle_family(2, 1, 0, _pair("0001", "0001"), include_centers=False)
         cycles = list_induced_cycles_naive(inst.graph, 8)
         assert len(cycles) == 1
-        assert check_long_cycle_structure(inst, cycles[0]) == []
+        assert check_block_counts(inst, cycles[0])["passed"]
 
     def test_padding_stretches_the_target_for_even_m(self):
         inst = build_long_cycle_family(2, 1, 2, _pair("0001", "0001"), include_centers=False)
@@ -338,7 +341,10 @@ class TestLongCycleFamily:
             "a1: vertices outside sub-block 2 own the upper_a symbols",
             "a2: vertices outside sub-block 2 own the lower_a symbols",
         ]
-        assert check_long_cycle_structure(inst, chimera) != []
+        assert report["pairing_violations"] == [
+            "sub-block pairing (2,2) does not point at a shared 1"
+        ]
+        assert not report["passed"]
 
     def test_paired_codes_stay_clean_on_disjoint_pairs_at_n3(self):
         rng = random.Random("paired-codes-n3")
@@ -408,7 +414,8 @@ class TestBlockCountAudit:
         assert rep["input_blocks_within"]
         assert all(v == 2 for v in rep["counts"].values())
         assert rep["code_violations"] == []
-        assert check_long_cycle_structure(inst, cycles[0]) == []
+        assert rep["pairing_violations"] == []
+        assert rep["passed"]
 
     def test_singleton_code_counts_are_all_one(self):
         inst = build_long_cycle_family(2, 1, 0, _pair("0001", "0001"), include_centers=False)
@@ -417,6 +424,36 @@ class TestBlockCountAudit:
         rep = check_block_counts(inst, cycles[0])
         assert all(v == 1 for v in rep["counts"].values())
         assert rep["code_violations"] == []
+
+    # The slot-(1,1) target cycle of the singleton-code family at n = 2.
+    CANONICAL = ("a1_1_1", "ua_0", "ub_0", "b1_1_1", "b2_1_1", "lb_0", "la_0", "a2_1_1")
+
+    @staticmethod
+    def _audit(labels, x="1000", y="1000", include_centers=False):
+        inst = build_long_cycle_family(
+            2, 1, 0, _pair(x, y), include_centers=include_centers
+        )
+        rep = check_block_counts(inst, tuple(_id_by_label(inst, lab) for lab in labels))
+        assert rep["eight_blocks_exact"] and rep["code_violations"] == []
+        assert not rep["passed"]
+        return rep["pairing_violations"]
+
+    def test_a_center_on_the_cycle_is_a_pairing_violation(self):
+        (message,) = self._audit((*self.CANONICAL, "center_a"), include_centers=True)
+        assert message.startswith("cycle touches centers")
+
+    def test_upper_sub_blocks_that_disagree_are_a_pairing_violation(self):
+        labels = [{"b1_1_1": "b1_2_1", "ub_0": "ub_1"}.get(v, v) for v in self.CANONICAL]
+        assert self._audit(labels) == ["a1 and b1 sub-blocks disagree"]
+
+    def test_lower_sub_blocks_that_disagree_are_a_pairing_violation(self):
+        labels = [{"b2_1_1": "b2_2_1", "lb_0": "lb_1"}.get(v, v) for v in self.CANONICAL]
+        assert self._audit(labels) == ["a2 and b2 sub-blocks disagree"]
+
+    def test_a_pairing_off_the_shared_ones_is_a_pairing_violation(self):
+        assert self._audit(self.CANONICAL, y="0000") == [
+            "sub-block pairing (1,1) does not point at a shared 1"
+        ]
 
     def test_audit_rejects_padded_instances(self):
         inst = build_long_cycle_family(2, 1, 2, _pair("0001", "0001"), include_centers=False)

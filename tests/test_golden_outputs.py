@@ -31,9 +31,9 @@ from congestlab.cli import EXIT_OK, main
 from congestlab.graphs import Graph, random_graph
 
 EXPECTED = {
-    "bench.cycle-protocol.csv": "f2cc171bd42ee186452ff31c88595625d0c325d2a7b1e47819fca46353e6ab61",
-    "bench.diamond-listing.csv": "65e9625796603064483ff1e1bfe8f869be6e6848ca4a605f5a2e14b0eea5fa4d",
-    "bench.diamond-protocol.csv": "a0231a95d6e280089c44e1e394b83d304019bee55ef60f56fbcbc6aac9f9c21a",
+    "bench.cycle-protocol.csv": "62a12610c521b0c8bd2b9cf787b812768e5565b910b599734d2f673fd2111753",
+    "bench.diamond-listing.csv": "7708d24b815f07a303eab281c4e2d051b5a1d649a75eb7c5ad66b0d332eae4b2",
+    "bench.diamond-protocol.csv": "526122c8174c228f51de69fa90eb1376e573f80f77824603812f8287b53a9a2b",
     "ck.congest.json": "17901058b4ded852c48adc029692ef32d92d6e9b035062831ba4854d2cbec7db",
     "ck.cycles4.json": "4d38e35a6bfcd888bf84f9ab1a21a2b8b3d4e2f536743f28dffd9f95d283b70d",
     "ck.cycles5.json": "1725f18a6a15415b657d1663e627f6789537265cba80067754c73ef49c15b84a",
