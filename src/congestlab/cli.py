@@ -13,10 +13,11 @@ a count below 1, an --input-density or --densities value outside
 or --intersecting yes|no together with --x/--y, an argument to a
 program that takes none, a flood source that is not an integer or not
 a vertex of the graph, a cycles:<k> protocol whose k is not an
-integer, c4 with a --k other than 4, an option a subcommand does not
-have, such as --seed on run-congest, or a --cut or --partition bundle
-that does not belong to --graph) or a simulator model violation, 3 work
-budget exceeded.
+integer, c4 with a --k other than 4, a family flag (--k, --ell, --m,
+--seed) on a family that does not take it, an option a subcommand
+does not have, such as --seed on run-congest, or a --cut or
+--partition bundle that does not belong to --graph) or a simulator
+model violation, 3 work budget exceeded.
 CONGESTLAB_WORK_BUDGET overrides the default enumeration budget; a
 value that is not an integer of at least 1 is a usage error.
 """
@@ -83,6 +84,13 @@ FAMILY_ALIASES = {
     "long-cycle": "long-cycle",
     "c8l": "long-cycle",
     "diamond": "diamond",
+}
+# Each family flag: the one family that takes it, and its default there.
+FAMILY_FLAGS = {
+    "k": ("cycle", 4),
+    "ell": ("long-cycle", 1),
+    "m": ("long-cycle", 0),
+    "seed": ("diamond", None),
 }
 
 
@@ -187,10 +195,16 @@ def _harness(
 ) -> FamilyHarness:
     """The harness of the family *args* names; it holds the builder.
 
-    A diamond seed that keeps no input slot is a usage error here, so
-    ``gen-family`` and ``verify-family`` reject it alike.
+    A flag of another family, and a diamond seed that keeps no input
+    slot, are usage errors here, so ``gen-family`` and ``verify-family``
+    reject them alike.
     """
     family = FAMILY_ALIASES[args.family]
+    for flag, (owner, default) in FAMILY_FLAGS.items():
+        if getattr(args, flag) is None:
+            setattr(args, flag, default)
+        elif owner != family:
+            raise SystemExit2(f"{args.family} takes no --{flag}, a {owner} family flag")
     if args.family == "c4" and args.k != 4:
         raise SystemExit2(f"c4 is the 4-cycle family; for --k {args.k} use cycle or ck")
     if family == "cycle":
@@ -451,10 +465,10 @@ def cmd_report(args) -> int:
 def _add_family_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("family", choices=sorted(FAMILY_ALIASES))
     p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--k", type=int, default=4, help="cycle length (cycle family)")
-    p.add_argument("--ell", type=int, default=1, help="strands (long-cycle family)")
-    p.add_argument("--m", type=int, default=0, help="padding (long-cycle family)")
-    p.add_argument("--seed", type=int, default=None, help="diamond family seed")
+    p.add_argument("--k", type=int, help="cycle length (cycle families, default 4)")
+    p.add_argument("--ell", type=int, help="strands (long-cycle family, default 1)")
+    p.add_argument("--m", type=int, help="padding (long-cycle family, default 0)")
+    p.add_argument("--seed", type=int, help="diamond family seed")
 
 
 def _add_input_flags(p: argparse.ArgumentParser) -> None:

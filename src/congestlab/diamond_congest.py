@@ -285,8 +285,7 @@ def _member_incident_edges(g: Graph, members: frozenset[int]) -> set[tuple[int, 
 
 def _sparse_finds(
     v: int,
-    real_neighbors: frozenset[int],
-    known_es: set[tuple[int, int]],
+    es_adj: dict[int, set[int]],
     nbr_leader: dict[int, int | None],
 ) -> set[tuple[int, ...]]:
     """Diamonds certifiable at v from sparse-edge knowledge alone.
@@ -298,26 +297,22 @@ def _sparse_finds(
     of v) is certified unless they sit in one cluster, a case the wing
     rule of both wings handles instead.
 
-    Both rules walk the sparse adjacency sets built from ``known_es``:
-    the spine partners of v and the candidate wings are intersections of
-    those sets, and a pair is known adjacent when one endpoint's set
-    holds the other.
+    ``es_adj`` maps v and each of its neighbors, its only keys, to their
+    sparse neighbors over the edges v knows.  The spine partners of v and
+    the candidate wings are intersections of those sets, a pair is known
+    adjacent when one endpoint's set holds the other, and a far wing is
+    certified when it is not a key.
     """
-    es_adj: dict[int, set[int]] = {}
-    for a, b in known_es:
-        es_adj.setdefault(a, set()).add(b)
-        es_adj.setdefault(b, set()).add(a)
     found: set[tuple[int, ...]] = set()
-    es_nb = es_adj.get(v, set())
+    es_nb = es_adj[v]
     for a in es_nb:
         a_nb = es_adj[a]
         common = es_nb & a_nb
         # Wing rule: spine (a, b), far wing d.
         for b in common:
             if b > a:
-                for d in (a_nb & es_adj[b]) - real_neighbors:
-                    if d != v:
-                        found.add(tuple(sorted((v, a, b, d))))
+                for d in (a_nb & es_adj[b]) - es_adj.keys():
+                    found.add(tuple(sorted((v, a, b, d))))
         # Spine rule: spine (v, a), wings c < d not known to be adjacent.
         for c in common:
             lc = nbr_leader.get(c)
@@ -353,12 +348,15 @@ def run_sparse_phase(
     assigned = {v: dec.es_assigned.get(v, ()) for v in range(n)}
 
     def init(v, neighbors, n_):
+        partners = {b if a == v else a for a, b in assigned[v]}
+        es_adj = {u: {v} if u in partners else set() for u in neighbors}
+        es_adj[v] = partners
         return {
             "v": v,
             "nbrs": neighbors,
             "own": assigned[v],
             "nbr_leader": {},
-            "known_es": set(assigned[v]),
+            "es_adj": es_adj,
             "decide_round": None,
             "found": set(),
         }
@@ -376,11 +374,16 @@ def run_sparse_phase(
                     longest = max(longest, decode_uint(bits[1:]))
             state["decide_round"] = 1 + longest
         elif inbox:
-            known_es = state["known_es"]
-            for bits in inbox.values():
-                x = int(bits, 2)
-                a, b = x >> w, x & mask
-                known_es.add((a, b) if a < b else (b, a))
+            # A vertex is assigned only its own edges, so each streamed edge
+            # has the sender as an endpoint; the far one x is a key if in N[v].
+            es_adj = state["es_adj"]
+            for src, bits in inbox.items():
+                e = int(bits, 2)
+                a, b = e >> w, e & mask
+                x = b if a == src else a
+                es_adj[src].add(x)
+                if x in es_adj:
+                    es_adj[x].add(src)
         outbox: list[tuple[int, str]] = []
         if r == 0:
             payload = _cluster_flag_payload(dec, v, len(state["own"]), w)
@@ -391,17 +394,12 @@ def run_sparse_phase(
             outbox = [(u, payload) for u in state["nbrs"]]
         output = None
         if r == state["decide_round"]:
-            state["found"] = _sparse_finds(
-                v, frozenset(state["nbrs"]), state["known_es"], state["nbr_leader"]
-            )
+            state["found"] = _sparse_finds(v, state["es_adj"], state["nbr_leader"])
             output = 1 if state["found"] else 0
         return state, outbox, output
 
     def collect(state):
-        return {
-            "found": tuple(sorted(state["found"])),
-            "known_es": frozenset(state["known_es"]),
-        }
+        return {"found": tuple(sorted(state["found"])), "es_adj": state["es_adj"]}
 
     program = NodeProgram(name="diamond-sparse", init=init, step=step, collect=collect)
     stats = run(g, program, SimConfig(max_rounds=max(dec.d_min + 3, 4)))
@@ -596,7 +594,7 @@ def run_light_phase(
             "nbrs": neighbors,
             "entries": sorted(entries[v]),
             "queries": sorted(queries[v].items()),
-            "known_es": warm[v]["known_es"],
+            "es_adj": warm[v]["es_adj"],
             "recv_entries": {},
             "replies": {},
             "answer_bits": {},
@@ -659,7 +657,7 @@ def run_light_phase(
             members = dec.clusters[ci].members
             lights = sorted(u for u, eset in recv_entries.items() if v in eset)
             for u1, u2 in combinations(lights, 2):
-                if (u1, u2) in state["known_es"]:
+                if u2 in state["es_adj"][u1]:
                     continue
                 for c2 in recv_entries[u1] & recv_entries[u2] & g.adj[v] & members:
                     found.add(tuple(sorted((u1, u2, v, c2))))
@@ -830,18 +828,22 @@ def coverage_tags(
     pair picks which pair rule fires.
 
     Each diamond is a sorted vertex tuple, as the listers return them.
+    By the peel invariants ``Decomposition.validate`` checks, member edges
+    join co-members, so the first adjacent co-member pair names the cluster.
     """
     if diamonds is None:
         diamonds = tuple(list_induced_diamonds(g, budget=budget))
-    edges = g.edges
-    es = dec.es_edges()
+    cluster_index = dec.cluster_index
+    adj = g.adj
     tags: dict[tuple[int, ...], str] = {}
     for d in diamonds:
-        em = {e for e in combinations(d, 2) if e in edges} - es
-        if not em:
+        for a, b in combinations(d, 2):
+            ci = cluster_index[a]
+            if ci is not None and ci == cluster_index[b] and b in adj[a]:
+                break
+        else:
             tags[d] = "sparse"
             continue
-        ci = dec.cluster_index[min(em)[0]]
         outside = set(d) - dec.clusters[ci].members
         if not dec.heavy[ci].keys().isdisjoint(d):
             tags[d] = "heavy"

@@ -19,6 +19,19 @@ def _write_random_graph(path, n=24, density=0.15, seed=3):
     return g
 
 
+# (family, flags, the flag named in the error): each family takes only its
+# own flags (--k: cycle, c4, ck; --ell and --m: long-cycle, c8l; --seed:
+# diamond), even where its own flags are given too.
+FOREIGN_FAMILY_FLAGS = [
+    ("long-cycle", ["--k", "7"], "--k"),
+    ("ck", ["--k", "5", "--ell", "3", "--m", "2"], "--ell"),
+    ("cycle", ["--m", "1"], "--m"),
+    ("diamond", ["--seed", "1", "--k", "5"], "--k"),
+    ("c4", ["--seed", "3"], "--seed"),
+    ("c8l", ["--ell", "1", "--seed", "2"], "--seed"),
+]
+
+
 class TestGenFamily:
     def test_bundle_round_trip(self, tmp_path, capsys):
         out = tmp_path / "bundle"
@@ -80,6 +93,25 @@ class TestGenFamily:
         assert not (tmp_path / "k5").exists()
         assert main(args + [str(tmp_path / "k4"), "--k", "4"]) == EXIT_OK
         assert read_bundle(tmp_path / "k4").params == {"n": 2, "k": 4}
+
+    @pytest.mark.parametrize("family, flags, flag", FOREIGN_FAMILY_FLAGS)
+    def test_a_flag_of_another_family_is_a_usage_error(
+        self, tmp_path, capsys, family, flags, flag
+    ):
+        out = tmp_path / "x"
+        args = ["gen-family", family, "--n", "2", "--x", "8", "--y", "8", "--out"]
+        assert main(args + [str(out), *flags]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {family} takes no {flag}, a ")
+        assert not out.exists()
+
+    def test_long_cycle_flags_default_to_one_strand_and_no_padding(self, tmp_path):
+        args = ["gen-family", "long-cycle", "--n", "2", "--x", "8", "--y", "8", "--out"]
+        assert main(args + [str(tmp_path / "default")]) == EXIT_OK
+        assert main(args + [str(tmp_path / "explicit"), "--ell", "1", "--m", "0"]) == EXIT_OK
+        for name in ("graph.txt", "meta.json", "inputs.json"):
+            default = (tmp_path / "default" / name).read_bytes()
+            assert default == (tmp_path / "explicit" / name).read_bytes()
 
     def test_diamond_family_requires_a_seed(self, tmp_path, capsys):
         rc = main(
@@ -166,6 +198,16 @@ class TestGenFamily:
 
 
 class TestVerifyFamily:
+    @pytest.mark.parametrize("family, flags, flag", FOREIGN_FAMILY_FLAGS)
+    def test_a_flag_of_another_family_is_a_usage_error(
+        self, tmp_path, capsys, family, flags, flag
+    ):
+        out = tmp_path / "report.json"
+        args = ["verify-family", family, "--n", "2", "--json-out", str(out)]
+        assert main(args + flags) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"error: {family} takes no {flag}, a ")
+        assert not out.exists()
+
     def test_diamond_family_requires_a_seed(self, capsys):
         rc = main(["verify-family", "diamond", "--n", "16"])
         assert rc == EXIT_USAGE

@@ -10,6 +10,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from reference_sim import reference_run
+from test_golden_outputs import planted_graph
+
+from congestlab import diamond_congest
 from congestlab.diamond_congest import (
     coverage_tags,
     decompose_by_peeling,
@@ -226,6 +230,47 @@ class TestPeelOrderPin:
         self._assert_matches_reference(Graph(0, []))
 
 
+def _seeded_random_graphs():
+    rng = random.Random(31)
+    for i in range(12):
+        n = rng.randint(10, 80)
+        yield random_graph(n, rng.choice([0.05, 0.1, 0.2, 0.35]), random.Random(i))
+
+
+def _dense_blocks_with_a_sparse_fringe():
+    """A G(k, 0.6) block survives peeling as a cluster that is not a
+    clique, so a fringe vertex's two wings can be non-adjacent
+    co-members, which the spine rule must leave to the wings."""
+    for i in range(8):
+        rng = random.Random(100 + i)
+        k, fringe = rng.randint(14, 24), rng.randint(20, 50)
+        edges = [e for e in combinations(range(k), 2) if rng.random() < 0.6]
+        edges += [
+            (a, b)
+            for a, b in combinations(range(k + fringe), 2)
+            if b >= k and rng.random() < 0.12
+        ]
+        yield Graph(k + fringe, edges)
+
+
+def _planted_diamond_family_graphs():
+    for n, seed in ((16, 0), (16, 3), (64, 1)):
+        fx = build_diamond_fixture(n, seed)
+        rng = random.Random(seed)
+        for _ in range(2):
+            x = "".join(rng.choice("01") for _ in range(fx.bit_count))
+            y = "".join(rng.choice("01") for _ in range(fx.bit_count))
+            yield build_diamond_family(fx, InputPair(x, y)).graph
+
+
+GRAPH_SETS = {
+    "seeded-random": _seeded_random_graphs,
+    "dense-blocks": _dense_blocks_with_a_sparse_fringe,
+    "planted-family": _planted_diamond_family_graphs,
+    "golden-planted": lambda: [planted_graph()],
+}
+
+
 class TestSparsePhase:
     """The sparse phase lists exactly the diamonds whose present pairs
     (five edges) are all sparse edges of the decomposition."""
@@ -243,42 +288,28 @@ class TestSparsePhase:
         return len(expected)
 
     def test_seeded_random_graphs(self):
-        rng = random.Random(31)
-        total = 0
-        for i in range(12):
-            n = rng.randint(10, 80)
-            g = random_graph(n, rng.choice([0.05, 0.1, 0.2, 0.35]), random.Random(i))
-            total += self._all_sparse_count(g)
-        assert total > 0
+        assert sum(map(self._all_sparse_count, _seeded_random_graphs())) > 0
 
     def test_dense_blocks_with_a_sparse_fringe(self):
-        # A G(k, 0.6) block survives peeling as a cluster that is not a
-        # clique, so a fringe vertex's two wings can be non-adjacent
-        # co-members, which the spine rule must leave to the wings.
-        total = 0
-        for i in range(8):
-            rng = random.Random(100 + i)
-            k, fringe = rng.randint(14, 24), rng.randint(20, 50)
-            edges = [e for e in combinations(range(k), 2) if rng.random() < 0.6]
-            edges += [
-                (a, b)
-                for a, b in combinations(range(k + fringe), 2)
-                if b >= k and rng.random() < 0.12
-            ]
-            total += self._all_sparse_count(Graph(k + fringe, edges))
-        assert total > 0
+        assert sum(map(self._all_sparse_count, _dense_blocks_with_a_sparse_fringe())) > 0
 
     def test_planted_diamond_family_graphs(self):
-        total = 0
-        for n, seed in ((16, 0), (16, 3), (64, 1)):
-            fx = build_diamond_fixture(n, seed)
-            rng = random.Random(seed)
-            for _ in range(2):
-                x = "".join(rng.choice("01") for _ in range(fx.bit_count))
-                y = "".join(rng.choice("01") for _ in range(fx.bit_count))
-                g = build_diamond_family(fx, InputPair(x, y)).graph
-                total += self._all_sparse_count(g)
-        assert total > 0
+        assert sum(map(self._all_sparse_count, _planted_diamond_family_graphs())) > 0
+
+    @pytest.mark.parametrize("name", sorted(GRAPH_SETS))
+    def test_warm_start_knowledge_is_the_closed_neighbourhood_edges(self, name):
+        # Node v knows the sparse edges assigned to v or to a neighbour,
+        # filed under each endpoint in N[v] and under no other key.
+        for g in GRAPH_SETS[name]():
+            dec = decompose_by_peeling(g)
+            listings = run_sparse_phase(g, dec)[1].listings
+            for v in range(g.n):
+                closed = g.adj[v] | {v}
+                known = [e for u in closed for e in dec.es_assigned.get(u, ())]
+                es_adj = listings[v]["es_adj"]
+                assert es_adj.keys() == closed
+                for x in closed:
+                    assert es_adj[x] == {b if a == x else a for a, b in known if x in (a, b)}
 
 
 class TestHeavyLightSplit:
@@ -407,6 +438,82 @@ class TestPhasesOnHandGadgets:
         assert found == set()
         assert stats is None
         assert acct["engaged_clusters"] == 0
+
+
+def _tags_from_edge_sets(g: Graph, dec, diamonds) -> dict[tuple[int, ...], str]:
+    """The tag rule written from edge sets: a diamond's member edges are
+    its edges that are not sparse, and its cluster is that of the first
+    endpoint of the smallest member edge."""
+    es = dec.es_edges()
+    tags = {}
+    for d in diamonds:
+        em = {e for e in combinations(d, 2) if e in g.edges} - es
+        if not em:
+            tags[d] = "sparse"
+            continue
+        ci = dec.cluster_index[min(em)[0]]
+        outside = set(d) - dec.clusters[ci].members
+        if any(v in dec.heavy[ci] for v in d):
+            tags[d] = "heavy"
+        elif len(outside) <= 1:
+            tags[d] = "light-reconcile"
+        elif g.has_edge(*outside):
+            tags[d] = "light-pair-present"
+        else:
+            tags[d] = "light-pair-absent"
+    return tags
+
+
+class TestCoverageTags:
+    def test_cluster_index_rule_matches_the_edge_set_rule(self):
+        seen: set[str] = set()
+        for name in sorted(GRAPH_SETS):
+            for g in GRAPH_SETS[name]():
+                dec = decompose_by_peeling(g)
+                diamonds = tuple(list_induced_diamonds(g))
+                tags = coverage_tags(g, dec, diamonds)
+                assert tags == _tags_from_edge_sets(g, dec, diamonds), name
+                seen |= set(tags.values())
+        assert seen == {
+            "sparse",
+            "heavy",
+            "light-reconcile",
+            "light-pair-present",
+            "light-pair-absent",
+        }
+
+
+class TestPhasesAgainstTheNaiveTwin:
+    """Each phase program run on ``reference_sim`` yields the same
+    listings and every ``RunStats`` field the engine does."""
+
+    @staticmethod
+    def _phases(g: Graph):
+        dec = decompose_by_peeling(g)
+        sparse = run_sparse_phase(g, dec)
+        heavy = run_heavy_phase(g, dec)
+        light = run_light_phase(g, dec, warm=sparse[1].listings)
+        return sparse, heavy, light
+
+    @pytest.mark.parametrize("name", sorted(GRAPH_SETS))
+    def test_phases_match_the_twin(self, name, monkeypatch):
+        twin_runs = []
+
+        def twin(*args, **kwargs):
+            twin_runs.append(args[1].name)
+            return reference_run(*args, **kwargs)
+
+        engaged = 0
+        for g in GRAPH_SETS[name]():
+            engine = self._phases(g)
+            with monkeypatch.context() as patch:
+                patch.setattr(diamond_congest, "run", twin)
+                twin_out = self._phases(g)
+            for phase, ours, theirs in zip(("sparse", "heavy", "light"), engine, twin_out):
+                assert ours == theirs, phase
+            engaged += engine[1][1] is not None
+        assert set(twin_runs) >= {"diamond-sparse", "diamond-light"}
+        assert ("diamond-heavy" in twin_runs) == (engaged > 0)
 
 
 class TestFullListing:
