@@ -316,7 +316,7 @@ def cmd_run_protocol(args) -> int:
     else:
         raise SystemExit2(f"unknown protocol {args.protocol!r}")
     listed = result.all_listed
-    oracle_match = set(listed) == set(oracle)
+    oracle_match = listed == tuple(oracle)
     t = result.transcript
     payload = {
         "schema_version": SCHEMA_VERSION,

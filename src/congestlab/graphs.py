@@ -384,7 +384,7 @@ def _induced_cycle_search(
             closers &= above_second & ~banned
             while closers:
                 low = closers & -closers
-                emit(tuple(sorted(path + [low.bit_length() - 1])))
+                emit((*path, low.bit_length() - 1))
                 closers ^= low
             return
         work += last.bit_count()
@@ -400,11 +400,12 @@ def _induced_cycle_search(
             # Each candidate is the last path vertex: run its closing
             # step here, as a call to extend would, without the call.
             closable = above_second & ~banned
+            tight = room < 2  # only then can a candidate use the room up
             while grow:
                 low = grow & -grow
                 c = low.bit_length() - 1
                 closers = masks[c] & anchor
-                if not (room if low & own else room - 1):
+                if tight and not (room if low & own else room - 1):
                     closers &= own
                 work += closers.bit_count()
                 if work > budget:
@@ -412,7 +413,9 @@ def _induced_cycle_search(
                 closers &= closable
                 while closers:
                     x = closers & -closers
-                    emit(tuple(sorted(path + [c, x.bit_length() - 1])))
+                    found = path + [c, x.bit_length() - 1]
+                    found.sort()
+                    emit(tuple(found))
                     closers ^= x
                 grow ^= low
             return
@@ -432,9 +435,9 @@ def _induced_cycle_search(
         if work > budget:
             raise WorkBudgetExceeded("pruned cycle search", work, budget)
         # -(2 << x) has every bit above x set.  Path vertices after the
-        # second lie above s and off its neighborhood; at k = 3 the first
-        # call to extend is already the closing step, at k >= 4 the call
-        # that finds the last path vertex closes it.
+        # second lie above s and off its neighborhood.  At k = 3 the first
+        # call to extend closes s < v1 < x, already sorted; at k >= 4 the
+        # call that finds the last path vertex closes it.
         allowed = -(2 << s) & ~anchor
         second_vertices = anchor & -(2 << s)
         if not room:

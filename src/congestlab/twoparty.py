@@ -175,7 +175,8 @@ class CycleListingResult:
 
     @property
     def all_listed(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(sorted(set(self.a_list) | set(self.b_list)))
+        """The sorted side lists merged; their quotas make them disjoint."""
+        return tuple(sorted(self.a_list + self.b_list))
 
 
 def _edges_near_cut(view: PartyView) -> frozenset[tuple[int, int]]:
@@ -234,12 +235,10 @@ def cycle_listing_protocol(
         received_b = decode_edge_list(transcript.messages[1].bits, w)
     else:
         received_a = received_b = frozenset()
-    a_list = _list_cycles_side(view_a, received_a, k, budget)
-    b_list = _list_cycles_side(view_b, received_b, k, budget)
     return CycleListingResult(
         k=k,
-        a_list=a_list,
-        b_list=b_list,
+        a_list=_list_cycles_side(view_a, received_a, k, budget),
+        b_list=_list_cycles_side(view_b, received_b, k, budget),
         transcript=transcript,
         bound_bits=4 * w * g.n * len(view_a.cut_edges),
     )
@@ -265,7 +264,8 @@ class DiamondListingResult:
 
     @property
     def all_listed(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(sorted(set(self.a_list) | set(self.b_list)))
+        """The sorted side lists merged; the degree split makes them disjoint."""
+        return tuple(sorted(self.a_list + self.b_list))
 
 
 def _internal_degree(view: PartyView) -> dict[int, int]:

@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import random
 
 import pytest
 
+from congestlab import cli
 from congestlab.bundles import read_bundle
-from congestlab.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, main
+from congestlab.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 from congestlab.graphs import random_graph
+from congestlab.twoparty import cycle_listing_protocol
 
 
 def _write_random_graph(path, n=24, density=0.15, seed=3):
@@ -447,6 +450,24 @@ class TestRunProtocol:
         assert payload["oracle_match"] is True
         assert payload["within_bound"] is True
         assert payload["listed"]
+
+    def test_a_cycle_listed_twice_is_no_oracle_match(self, tmp_path, monkeypatch):
+        def listing_one_cycle_twice(*args, **kwargs):
+            res = cycle_listing_protocol(*args, **kwargs)
+            return dataclasses.replace(
+                res, b_list=tuple(sorted(res.b_list + res.all_listed[:1]))
+            )
+
+        monkeypatch.setattr(cli, "cycle_listing_protocol", listing_one_cycle_twice)
+        bundle = tmp_path / "bundle"
+        main(["gen-family", "c4", "--n", "2", "--x", "8", "--y", "8", "--out", str(bundle)])
+        out = tmp_path / "protocol.json"
+        rc = main(["run-protocol", "--graph", str(bundle / "graph.txt"), "--partition",
+                   str(bundle), "--protocol", "cycles:4", "--out", str(out)])
+        payload = json.loads(out.read_text())
+        assert payload["listed"][0] == payload["listed"][1]
+        assert payload["oracle_match"] is False
+        assert rc == EXIT_VERIFY
 
     def test_unknown_protocol_is_a_usage_error(self, tmp_path, capsys):
         bundle = tmp_path / "bundle"

@@ -21,15 +21,17 @@ PACKAGE_DIR = Path(congestlab.__file__).resolve().parent
 
 
 def test_importing_the_package_loads_no_numpy():
+    # networkx is a test-only oracle (tests/test_chordless_oracle.py).
     env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
+    code = "import sys, congestlab; print({'numpy', 'networkx'} & set(sys.modules))"
     out = subprocess.run(
-        [sys.executable, "-c", "import sys, congestlab; print('numpy' in sys.modules)"],
+        [sys.executable, "-c", code],
         env=env,
         capture_output=True,
         text=True,
         check=True,
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "set()"
 
 
 def _imported_names(tree: ast.Module) -> dict[str, int]:

@@ -23,6 +23,8 @@ from congestlab.graphs import (
     random_graph,
 )
 from congestlab.twoparty import (
+    CycleListingResult,
+    DiamondListingResult,
     Transcript,
     _edges_near_cut,
     _list_cycles_side,
@@ -56,6 +58,15 @@ def _graph_and_side(draw, max_n: int = 10):
 
 def _halves(n: int) -> frozenset[int]:
     return frozenset(range(n // 2))
+
+
+def _assert_sides_merge_to(res, oracle) -> None:
+    """all_listed merges the side lists by one sort, which is exact only
+    when each side is sorted and no tuple is on both sides."""
+    assert list(res.a_list) == sorted(res.a_list)
+    assert list(res.b_list) == sorted(res.b_list)
+    assert set(res.a_list).isdisjoint(res.b_list)
+    assert res.all_listed == tuple(oracle)
 
 
 class TestViews:
@@ -146,10 +157,18 @@ class TestCycleProtocol:
 
     def test_each_cycle_is_listed_by_exactly_one_party(self):
         rng = random.Random(3)
-        g = random_graph(14, 0.25, rng)
-        side = _halves(14)
-        res = cycle_listing_protocol(g, side, 5)
-        assert not set(res.a_list) & set(res.b_list)
+        for _ in range(8):
+            n = rng.randint(10, 22)
+            g = random_graph(n, rng.choice([0.15, 0.3]), rng)
+            side = frozenset(rng.sample(range(n), n // 2))
+            for k in range(3, 8):
+                res = cycle_listing_protocol(g, side, k)
+                _assert_sides_merge_to(res, list_induced_cycles(g, k))
+
+    def test_a_cycle_listed_by_both_parties_shows_twice(self):
+        cycle = (0, 1, 2, 3)
+        res = CycleListingResult(4, (cycle,), (cycle,), Transcript(2), 0)
+        assert res.all_listed == (cycle, cycle)
 
     def test_side_listers_match_filtering_the_full_listing(self):
         rng = random.Random(19)
@@ -187,10 +206,13 @@ class TestDiamondProtocol:
             g = random_graph(n, rng.choice([0.15, 0.35]), rng)
             side = frozenset(rng.sample(range(n), n // 2))
             res = diamond_listing_protocol(g, side)
-            assert tuple(sorted(set(res.a_list) | set(res.b_list))) == tuple(
-                sorted(list_induced_diamonds_naive(g))
-            )
+            _assert_sides_merge_to(res, sorted(list_induced_diamonds_naive(g)))
             assert res.transcript.payload_bits() <= res.bound_bits
+
+    def test_a_diamond_listed_by_both_parties_shows_twice(self):
+        d = (0, 1, 2, 3)
+        res = DiamondListingResult((d,), (d,), Transcript(2), 0, False, frozenset())
+        assert res.all_listed == (d, d)
 
     def test_light_windows_let_side_a_list_balanced_diamonds(self):
         # A dense side A (its first half) with few cut edges per vertex
@@ -208,7 +230,7 @@ class TestDiamondProtocol:
                 edges += [(a, b) for b in rng.sample(range(half, n), rng.randint(0, 3))]
             g, side = Graph(n, edges), frozenset(range(half))
             res = diamond_listing_protocol(g, side)
-            assert res.all_listed == tuple(list_induced_diamonds(g)), seed
+            _assert_sides_merge_to(res, list_induced_diamonds(g))
             assert res.within_bound, seed
             windows_sent += res.transcript.payload_bits(kind="light-windows") > 0
             balanced += sum(len(side.intersection(d)) == 2 for d in res.a_list)
@@ -223,16 +245,15 @@ class TestDiamondProtocol:
         res = diamond_listing_protocol(g, _halves(n))
         assert res.dense_cut_fallback
         assert res.a_list == ()
-        assert res.b_list == tuple(sorted(list_induced_diamonds_naive(g)))
+        _assert_sides_merge_to(res, sorted(list_induced_diamonds_naive(g)))
 
     def test_family_instance_with_a_shared_slot(self):
         fx = build_diamond_fixture(16, 1)
         k = fx.bit_count
         inst = build_diamond_family(fx, InputPair(singleton(k, 1), singleton(k, 1)))
         res = diamond_listing_protocol(inst.graph, set(inst.side_a))
-        union = set(res.a_list) | set(res.b_list)
-        assert union == set(list_induced_diamonds_naive(inst.graph))
-        assert tuple(sorted(fx.quadruples[1])) in union
+        _assert_sides_merge_to(res, sorted(list_induced_diamonds_naive(inst.graph)))
+        assert tuple(sorted(fx.quadruples[1])) in res.all_listed
         assert res.transcript.payload_bits() <= res.bound_bits
 
     def test_empty_cut_means_an_empty_transcript(self):
