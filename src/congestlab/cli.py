@@ -15,9 +15,11 @@ program that takes none, a flood source that is not an integer or not
 a vertex of the graph, a cycles:<k> protocol whose k is not an
 integer, c4 with a --k other than 4, a family flag (--k, --ell, --m,
 --seed) on a family that does not take it, an option a subcommand
-does not have, such as --seed on run-congest, or a --cut or
---partition bundle that does not belong to --graph) or a simulator
-model violation, 3 work budget exceeded.
+does not have, such as --seed on run-congest, a --cut or
+--partition bundle that does not belong to --graph, or a path it
+cannot use: a missing file, a directory where a file is read, or an
+existing file as --out) or a simulator model violation, 3 work budget
+exceeded.
 CONGESTLAB_WORK_BUDGET overrides the default enumeration budget; a
 value that is not an integer of at least 1 is a usage error.
 """
@@ -53,11 +55,12 @@ from .diamond_congest import (
     DEFAULT_MIN_DEGREE_CONSTANT,
     list_induced_diamonds_congest,
 )
+from .diamond_family import build_diamond_fixture
 from .families import InputPair
 from .family_checks import (
     FamilyHarness,
     cycle_harness,
-    diamond_harness_from_seed,
+    diamond_harness,
     long_cycle_harness,
     verify_family_conditions,
 )
@@ -215,7 +218,7 @@ def _harness(
         )
     if args.seed is None:
         raise SystemExit2("the diamond family needs an explicit --seed")
-    harness = diamond_harness_from_seed(args.n, args.seed, budget=budget)
+    harness = diamond_harness(build_diamond_fixture(args.n, args.seed), budget=budget)
     if harness.bit_count == 0:
         raise SystemExit2(
             f"seed {args.seed} yields no usable slots at n={args.n}; pick another"
@@ -573,7 +576,7 @@ def main(argv: list[str] | None = None) -> int:
     except WorkBudgetExceeded as exc:
         print(f"work budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ValueError, FileNotFoundError, KeyError, ProtocolViolation) as exc:
+    except (ValueError, OSError, KeyError, ProtocolViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -30,7 +30,6 @@ from .bundles import canonical_json_bytes
 from .diamond_family import (
     DiamondFixture,
     build_diamond_family,
-    build_diamond_fixture,
     has_two_two_diamond,
 )
 from .families import (
@@ -47,7 +46,6 @@ __all__ = [
     "check_block_counts",
     "cycle_harness",
     "diamond_harness",
-    "diamond_harness_from_seed",
     "long_cycle_harness",
     "verify_family_conditions",
 ]
@@ -108,12 +106,6 @@ def diamond_harness(
         build=lambda pair: build_diamond_family(fixture, pair),
         predicate=lambda inst: has_two_two_diamond(inst, budget=budget),
     )
-
-
-def diamond_harness_from_seed(
-    n: int, seed: int, budget: int = DEFAULT_WORK_BUDGET
-) -> FamilyHarness:
-    return diamond_harness(build_diamond_fixture(n, seed), budget=budget)
 
 
 @dataclass

@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
-from typing import Callable
 
 from .bitstrings import bits_intersect
 from .congest import (
@@ -46,7 +45,6 @@ from .graphs import (
     induced_edges,
     list_induced_cycles,
     list_induced_diamonds,
-    norm_edge,
 )
 
 __all__ = [
@@ -256,7 +254,6 @@ class DiamondListingResult:
     transcript: Transcript
     bound_bits: int
     dense_cut_fallback: bool
-    heavy: frozenset[int]
 
     @property
     def within_bound(self) -> bool:
@@ -290,87 +287,38 @@ def _heavy_vertices(view: PartyView) -> frozenset[int]:
     )
 
 
-def _majority_diamonds(view: PartyView, budget: int) -> list[tuple[int, ...]]:
-    """Diamonds with >= 3 own vertices: every pair touches this side, so
-    the party's own view decides them."""
-    known = Graph(view.n, view.internal_edges | view.cut_edges)
-    return [
+def _list_diamonds_side(
+    view: PartyView,
+    received: frozenset[tuple[int, int]],
+    heavy: frozenset[int],
+    budget: int,
+) -> tuple[tuple[int, ...], ...]:
+    """List the induced diamonds this party is responsible for.
+
+    A party owns every diamond with at least three own vertices, and a
+    balanced (2 + 2) diamond goes to side A when neither of its A
+    vertices is in *heavy* (side A's heavy vertices, which side B
+    decodes), to side B otherwise, so every diamond is listed exactly
+    once.  The knowledge graph holds the own side, the cut and the
+    received batch.  It has only true edges, so an owned diamond is one
+    of the graph, and none is missed, when the knowledge graph pins
+    every pair status among its vertices, absence included:
+
+    - with three or more own vertices, every pair touches this side;
+    - in a balanced diamond of side A at most one of the six pairs is
+      missing, so some A vertex sees both far vertices across the cut;
+      that vertex is light, so the far pair lies inside its window and
+      its status arrived in the window batch;
+    - in a balanced diamond of side B the A pair touches a heavy
+      vertex, and the heavy batch carries every internal edge of it.
+    """
+    known = Graph(view.n, view.internal_edges | view.cut_edges | received)
+    return tuple(
         d
         for d in list_induced_diamonds(known, budget=budget)
-        if sum(1 for v in d if v in view.own_vertices) >= 3
-    ]
-
-
-def _balanced_diamonds(
-    view: PartyView,
-    present: frozenset[tuple[int, int]],
-    anchors: set[int],
-    keep: Callable[[int, int], bool],
-) -> set[tuple[int, ...]]:
-    """Diamonds {v, q, b1, b2} with anchor v, two cut neighbors b1, b2 of
-    v, and q a cut neighbor of b1 or b2 accepted by keep(v, q), whose six
-    pair statuses show exactly five edges in *present*."""
-    found: set[tuple[int, ...]] = set()
-    for v in sorted(anchors):
-        for b1, b2 in combinations(sorted(view.cut_neighbors(v)), 2):
-            partners = view.cut_neighbors(b1) | view.cut_neighbors(b2)
-            for q in sorted(partners - {v}):
-                if not keep(v, q):
-                    continue
-                pairs = [
-                    norm_edge(v, q),
-                    norm_edge(v, b1),
-                    norm_edge(v, b2),
-                    norm_edge(q, b1),
-                    norm_edge(q, b2),
-                    norm_edge(b1, b2),
-                ]
-                if sum(p in present for p in pairs) == 5:
-                    found.add(tuple(sorted((v, q, b1, b2))))
-    return found
-
-
-def _diamond_list_a(
-    view: PartyView,
-    window_edges: frozenset[tuple[int, int]],
-    heavy: frozenset[int],
-    budget: int,
-) -> tuple[tuple[int, ...], ...]:
-    """Side A's share: all diamonds with >= 3 A vertices, plus the balanced
-    ones whose two A vertices are both light.
-
-    For a balanced diamond with both A vertices light, some A vertex of
-    it sees both far vertices across the cut (at most one of the six
-    pairs is missing), so the far pair lies inside that vertex's window
-    and its status arrived in the window batch.
-    """
-    found = set(_majority_diamonds(view, budget))
-    found |= _balanced_diamonds(
-        view,
-        view.internal_edges | view.cut_edges | window_edges,
-        view.cut_adjacency.keys() & (view.own_vertices - heavy),
-        lambda v, q: q not in heavy and q in view.own_vertices,
+        if (own := len(view.own_vertices.intersection(d))) >= 3
+        or (own == 2 and heavy.isdisjoint(d) == (view.side == "a"))
     )
-    return tuple(sorted(found))
-
-
-def _diamond_list_b(
-    view: PartyView,
-    heavy: frozenset[int],
-    heavy_edges: frozenset[tuple[int, int]],
-    budget: int,
-) -> tuple[tuple[int, ...], ...]:
-    """Side B's share: all diamonds with >= 3 B vertices, plus the balanced
-    ones with at least one heavy A vertex (their A-pair status is pinned
-    by the heavy-incident batch)."""
-    found = set(_majority_diamonds(view, budget))
-    found |= _balanced_diamonds(
-        view,
-        view.internal_edges | view.cut_edges | heavy_edges,
-        view.cut_adjacency.keys() - view.own_vertices,
-        lambda u, q: q not in view.own_vertices and (u in heavy or q in heavy),
-    )
-    return tuple(sorted(found))
 
 
 def diamond_listing_protocol(
@@ -387,6 +335,12 @@ def diamond_listing_protocol(
     definition, so both batches are sqrt(n)-per-cut-edge sized.  When
     the cut is so large that |cut|^2 >= n^3, side A ships all its
     internal edges instead and side B lists everything.
+
+    Each party then lists as the cycle parties do: one knowledge graph
+    (own side, cut, received batch), one listing, and its own share.  A
+    diamond with three or more vertices on one side belongs to that
+    side, and a 2 + 2 diamond to side A when both its A vertices are
+    light, to side B otherwise.
     """
     view_a, view_b = make_views(g, side_a)
     n = g.n
@@ -408,7 +362,6 @@ def diamond_listing_protocol(
             transcript=transcript,
             bound_bits=bound,
             dense_cut_fallback=True,
-            heavy=frozenset(),
         )
 
     heavy = _heavy_vertices(view_a)
@@ -435,15 +388,12 @@ def diamond_listing_protocol(
         recv_heavy_edges = frozenset()
         recv_windows = frozenset()
 
-    a_list = _diamond_list_a(view_a, recv_windows, heavy, budget)
-    b_list = _diamond_list_b(view_b, recv_heavy, recv_heavy_edges, budget)
     return DiamondListingResult(
-        a_list=a_list,
-        b_list=b_list,
+        a_list=_list_diamonds_side(view_a, recv_windows, heavy, budget),
+        b_list=_list_diamonds_side(view_b, recv_heavy_edges, recv_heavy, budget),
         transcript=transcript,
         bound_bits=bound,
         dense_cut_fallback=False,
-        heavy=heavy,
     )
 
 

@@ -727,3 +727,29 @@ class TestBenchAndReport:
             {"schema_version": "1", "n": "10", "found": "3"},
             {"schema_version": "1", "n": "20", "found": "0"},
         ]
+
+
+# (argv with {tmp} for a scratch directory, what is wrong with its path):
+# a missing file, a directory read as a file, an existing file as --out.
+UNUSABLE_PATHS = [
+    (["report", "--inputs", "{tmp}/missing.json"], "missing"),
+    (["report", "--inputs", "{tmp}"], "directory"),
+    (["run-congest", "--graph", "{tmp}", "--program", "flood"], "directory"),
+    (
+        ["gen-family", "c4", "--n", "2", "--x", "8", "--y", "8", "--out", "{tmp}/file"],
+        "existing file",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    ("argv", "problem"),
+    UNUSABLE_PATHS,
+    ids=[f"{argv[0]}-{problem}" for argv, problem in UNUSABLE_PATHS],
+)
+def test_a_path_the_cli_cannot_use_is_a_usage_error(tmp_path, capsys, argv, problem):
+    (tmp_path / "file").write_text("")
+    rc = main([arg.replace("{tmp}", str(tmp_path)) for arg in argv])
+    assert rc == EXIT_USAGE, problem
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err, problem

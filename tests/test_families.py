@@ -22,6 +22,7 @@ from congestlab.bitstrings import (
     singleton,
     zeros,
 )
+from congestlab.diamond_family import build_diamond_fixture
 from congestlab.families import (
     FamilyInstance,
     InputPair,
@@ -38,7 +39,7 @@ from congestlab.family_checks import (
     FamilyHarness,
     check_block_counts,
     cycle_harness,
-    diamond_harness_from_seed,
+    diamond_harness,
     long_cycle_harness,
     verify_family_conditions,
 )
@@ -380,7 +381,7 @@ class TestSampledVerification:
     """verify_family_conditions on its designed-plus-random battery."""
 
     def test_diamond_family_passes_on_sampled_pairs(self):
-        harness = diamond_harness_from_seed(16, 1)
+        harness = diamond_harness(build_diamond_fixture(16, 1))
         report = verify_family_conditions(harness, exhaustive=False)
         assert not report.exhaustive
         assert report.pairs_checked == 40

@@ -2,8 +2,9 @@
 pulls in no third-party runtime dependency, every name a module exports
 exists, the package namespace is the star import of each module with an
 ``__all__``, no module exports a name it imports, no module imports
-a name it never uses, the simulator's naive twin borrows nothing from
-the engine, and the engine imports no random module."""
+a name it never uses, no module-level private name goes unreferenced,
+the simulator's naive twin borrows nothing from the engine, and the
+engine imports no random module."""
 
 from __future__ import annotations
 
@@ -87,6 +88,47 @@ def test_modules_import_no_unused_names():
         if names:
             unused[path.name] = names
     assert unused == {}
+
+
+def _private_definitions(tree: ast.Module) -> set[str]:
+    """Module-level defs, classes and assignments whose name starts with
+    one underscore (dunders such as ``__all__`` are not helpers)."""
+    names: set[str] = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def _referenced_names(tree: ast.Module) -> set[str]:
+    used: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name)
+    return used
+
+
+def test_no_private_helper_is_dead():
+    """Every module-level private name is referenced by some module of
+    the package; a helper nothing reads is dead code."""
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+    }
+    used = set().union(*map(_referenced_names, trees.values()))
+    dead = {}
+    for name, tree in trees.items():
+        names = sorted(_private_definitions(tree) - used)
+        if names:
+            dead[name] = names
+    assert dead == {}
 
 
 def test_package_star_imports_every_module_with_an_all():

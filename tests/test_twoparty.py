@@ -198,7 +198,60 @@ class TestCycleProtocol:
         assert res.all_listed == tuple(sorted(list_induced_cycles_naive(g, 5)))
 
 
+def _light_window_graph(seed: int) -> tuple[Graph, frozenset[int]]:
+    """A dense side A (its first half) with few cut edges per vertex, so
+    most cut endpoints of A are light and side B ships their windows."""
+    rng = random.Random(seed)
+    n = rng.choice([24, 36, 48, 64])
+    half = n // 2
+    p_a, p_b = rng.uniform(0.6, 0.95), rng.uniform(0.1, 0.6)
+    edges = [e for e in combinations(range(half), 2) if rng.random() < p_a]
+    edges += [e for e in combinations(range(half, n), 2) if rng.random() < p_b]
+    for a in range(half):
+        edges += [(a, b) for b in rng.sample(range(half, n), rng.randint(0, 3))]
+    return Graph(n, edges), frozenset(range(half))
+
+
+def _diamond_shares(g: Graph, side_a: frozenset[int]):
+    """The oracle listing split by the ownership rule, computed from the
+    whole graph: three or more vertices on a side go to that side, and
+    a 2 + 2 diamond goes to A exactly when both its A vertices are light
+    (n * cut_deg^2 <= internal_deg^2)."""
+    heavy = {
+        v
+        for v in side_a
+        if g.n * len(g.adj[v] - side_a) ** 2 > len(g.adj[v] & side_a) ** 2
+    }
+    a_list, b_list = [], []
+    for d in list_induced_diamonds(g):
+        own = len(side_a.intersection(d))
+        owner_a = own >= 3 or (own == 2 and heavy.isdisjoint(d))
+        (a_list if owner_a else b_list).append(d)
+    return tuple(a_list), tuple(b_list)
+
+
 class TestDiamondProtocol:
+    def test_each_party_lists_exactly_its_share(self):
+        cases = []
+        rng = random.Random(29)
+        for _ in range(10):
+            n = rng.randint(8, 24)
+            g = random_graph(n, rng.choice([0.15, 0.35]), rng)
+            cases.append((g, frozenset(rng.sample(range(n), n // 2))))
+        cases += [_light_window_graph(seed) for seed in range(16)]
+        fx = build_diamond_fixture(16, 1)
+        k = fx.bit_count
+        inst = build_diamond_family(fx, InputPair(singleton(k, 1), singleton(k, 1)))
+        cases.append((inst.graph, frozenset(inst.side_a)))
+        balanced = {"a": 0, "b": 0}
+        for g, side in cases:
+            res = diamond_listing_protocol(g, side)
+            assert not res.dense_cut_fallback
+            assert (res.a_list, res.b_list) == _diamond_shares(g, side)
+            for name, share in (("a", res.a_list), ("b", res.b_list)):
+                balanced[name] += sum(len(side.intersection(d)) == 2 for d in share)
+        assert balanced["a"] > 0 and balanced["b"] > 0
+
     def test_matches_the_oracle_on_seeded_random_graphs(self):
         rng = random.Random(29)
         for _ in range(10):
@@ -211,7 +264,7 @@ class TestDiamondProtocol:
 
     def test_a_diamond_listed_by_both_parties_shows_twice(self):
         d = (0, 1, 2, 3)
-        res = DiamondListingResult((d,), (d,), Transcript(2), 0, False, frozenset())
+        res = DiamondListingResult((d,), (d,), Transcript(2), 0, False)
         assert res.all_listed == (d, d)
 
     def test_light_windows_let_side_a_list_balanced_diamonds(self):
@@ -220,15 +273,7 @@ class TestDiamondProtocol:
         # and side A lists the balanced (2 + 2) diamonds that need them.
         windows_sent = balanced = 0
         for seed in range(16):
-            rng = random.Random(seed)
-            n = rng.choice([24, 36, 48, 64])
-            half = n // 2
-            p_a, p_b = rng.uniform(0.6, 0.95), rng.uniform(0.1, 0.6)
-            edges = [e for e in combinations(range(half), 2) if rng.random() < p_a]
-            edges += [e for e in combinations(range(half, n), 2) if rng.random() < p_b]
-            for a in range(half):
-                edges += [(a, b) for b in rng.sample(range(half, n), rng.randint(0, 3))]
-            g, side = Graph(n, edges), frozenset(range(half))
+            g, side = _light_window_graph(seed)
             res = diamond_listing_protocol(g, side)
             _assert_sides_merge_to(res, list_induced_diamonds(g))
             assert res.within_bound, seed
