@@ -97,7 +97,7 @@ def read_bundle(directory: str | Path) -> FamilyInstance:
     d = Path(directory)
     g = Graph.from_text((d / "graph.txt").read_text())
     meta = json.loads((d / "meta.json").read_text())
-    side_a, cut = _checked_split(meta, g)
+    side_a, _ = _checked_split(meta, g)
     inputs = json.loads((d / "inputs.json").read_text())
     pair = InputPair(
         x=hex_to_bits(inputs["x_hex"], inputs["bits"]),
@@ -109,8 +109,6 @@ def read_bundle(directory: str | Path) -> FamilyInstance:
         pair=pair,
         graph=g,
         side_a=side_a,
-        side_b=tuple(meta["side_b"]),
-        cut_edges=cut,
         labels={int(v): name for v, name in meta["labels"].items()},
         blocks={key: tuple(vs) for key, vs in meta["blocks"].items()},
         meta=meta["meta"],

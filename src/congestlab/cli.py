@@ -106,7 +106,7 @@ def work_budget() -> int:
     except ValueError:
         budget = 0  # reported below, as a value under 1 is
     if budget < 1:
-        raise SystemExit2(
+        raise ValueError(
             f"CONGESTLAB_WORK_BUDGET must be an integer of at least 1, got {env!r}"
         )
     return budget
@@ -158,7 +158,7 @@ def _unit_floats(text: str) -> list[float]:
 
 def _make_inputs(args, bit_count: int) -> InputPair:
     if (args.x is None) != (args.y is None):
-        raise SystemExit2("--x and --y must be given together")
+        raise ValueError("--x and --y must be given together")
     if args.x is not None:
         random_only = (
             ("--input-seed", args.input_seed is not None),
@@ -167,7 +167,7 @@ def _make_inputs(args, bit_count: int) -> InputPair:
         )
         for flag, given in random_only:
             if given:
-                raise SystemExit2(
+                raise ValueError(
                     f"{flag} applies to random inputs only; "
                     "it cannot be combined with --x/--y"
                 )
@@ -175,7 +175,7 @@ def _make_inputs(args, bit_count: int) -> InputPair:
         y = hex_to_bits(args.y, bit_count)
         return InputPair(x=x, y=y)
     if args.input_seed is None:
-        raise SystemExit2("give --x/--y or --input-seed")
+        raise ValueError("give --x/--y or --input-seed")
     rng = random.Random(args.input_seed)
     density = {} if args.input_density is None else {"density": args.input_density}
     x = random_bits(bit_count, rng, **density)
@@ -187,10 +187,6 @@ def _make_inputs(args, bit_count: int) -> InputPair:
     elif args.intersecting == "no":
         y = "".join("0" if xb == "1" else yb for xb, yb in zip(x, y))
     return InputPair(x=x, y=y)
-
-
-class SystemExit2(Exception):
-    """Usage error detected after argparse; mapped to exit code 2."""
 
 
 def _harness(
@@ -207,9 +203,9 @@ def _harness(
         if getattr(args, flag) is None:
             setattr(args, flag, default)
         elif owner != family:
-            raise SystemExit2(f"{args.family} takes no --{flag}, a {owner} family flag")
+            raise ValueError(f"{args.family} takes no --{flag}, a {owner} family flag")
     if args.family == "c4" and args.k != 4:
-        raise SystemExit2(f"c4 is the 4-cycle family; for --k {args.k} use cycle or ck")
+        raise ValueError(f"c4 is the 4-cycle family; for --k {args.k} use cycle or ck")
     if family == "cycle":
         return cycle_harness(args.n, args.k, budget=budget)
     if family == "long-cycle":
@@ -217,10 +213,10 @@ def _harness(
             args.n, args.ell, args.m, budget=budget, include_centers=include_centers
         )
     if args.seed is None:
-        raise SystemExit2("the diamond family needs an explicit --seed")
+        raise ValueError("the diamond family needs an explicit --seed")
     harness = diamond_harness(build_diamond_fixture(args.n, args.seed), budget=budget)
     if harness.bit_count == 0:
-        raise SystemExit2(
+        raise ValueError(
             f"seed {args.seed} yields no usable slots at n={args.n}; pick another"
         )
     return harness
@@ -249,17 +245,17 @@ def _program(spec: str, n: int) -> NodeProgram:
     Only ``flood`` takes an argument, its source vertex."""
     name, _, arg = spec.partition(":")
     if name not in PROGRAMS:
-        raise SystemExit2(f"unknown program {name!r}; have {sorted(PROGRAMS)}")
+        raise ValueError(f"unknown program {name!r}; have {sorted(PROGRAMS)}")
     if name != "flood":
         if arg:
-            raise SystemExit2(f"program {name} takes no argument, got {arg!r}")
+            raise ValueError(f"program {name} takes no argument, got {arg!r}")
         return PROGRAMS[name](None)
     try:
         source = int(arg or 0)
     except ValueError:
-        raise SystemExit2(f"bad flood source {arg!r}: not an integer") from None
+        raise ValueError(f"bad flood source {arg!r}: not an integer") from None
     if not 0 <= source < n:
-        raise SystemExit2(
+        raise ValueError(
             f"flood source {arg or 0} is not a vertex of the {n}-vertex graph"
         )
     return PROGRAMS[name](arg or None)
@@ -308,7 +304,7 @@ def cmd_run_protocol(args) -> int:
         try:
             k = int(arg)
         except ValueError:
-            raise SystemExit2(
+            raise ValueError(
                 f"--protocol cycles:<k> needs an integer k, got {arg!r}"
             ) from None
         result = cycle_listing_protocol(g, side_a, k, budget=budget)
@@ -317,7 +313,7 @@ def cmd_run_protocol(args) -> int:
         result = diamond_listing_protocol(g, side_a, budget=budget)
         oracle = list_induced_diamonds(g, budget=budget)
     else:
-        raise SystemExit2(f"unknown protocol {args.protocol!r}")
+        raise ValueError(f"unknown protocol {args.protocol!r}")
     listed = result.all_listed
     oracle_match = listed == tuple(oracle)
     t = result.transcript
@@ -570,9 +566,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit2 as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except WorkBudgetExceeded as exc:
         print(f"work budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -48,7 +48,7 @@ simulator where communication actually happens:
 
 The three phase outputs are provably disjoint and their union is the
 full induced-diamond set; coverage_tags computes the expected phase of
-every oracle diamond so tests can assert the partition exactly.
+each diamond of a listing so tests can assert the partition exactly.
 
 All thresholds of the form n^(p/q) are compared in exact integer
 arithmetic; floats never decide a classification.
@@ -812,12 +812,9 @@ def list_induced_diamonds_congest(
 
 
 def coverage_tags(
-    g: Graph,
-    dec: Decomposition,
-    diamonds: tuple[tuple[int, ...], ...] | None = None,
-    budget: int = DEFAULT_WORK_BUDGET,
+    g: Graph, dec: Decomposition, diamonds: tuple[tuple[int, ...], ...]
 ) -> dict[tuple[int, ...], str]:
-    """Expected phase for every induced diamond.
+    """Expected phase for each induced diamond of g in *diamonds*.
 
     A diamond's five edges are either all sparse, or they include member
     edges of exactly one cluster (member edges of two different clusters
@@ -831,8 +828,6 @@ def coverage_tags(
     By the peel invariants ``Decomposition.validate`` checks, member edges
     join co-members, so the first adjacent co-member pair names the cluster.
     """
-    if diamonds is None:
-        diamonds = tuple(list_induced_diamonds(g, budget=budget))
     cluster_index = dec.cluster_index
     adj = g.adj
     tags: dict[tuple[int, ...], str] = {}

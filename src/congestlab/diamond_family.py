@@ -40,7 +40,7 @@ import random
 from dataclasses import dataclass, field
 
 from .families import FamilyInstance, InputPair
-from .graphs import DEFAULT_WORK_BUDGET, Graph, crossing_edges, list_induced_diamonds
+from .graphs import DEFAULT_WORK_BUDGET, Graph, list_induced_diamonds
 
 __all__ = [
     "DiamondFixture",
@@ -65,13 +65,11 @@ class DiamondFixture:
 
     n: int
     seed: int
-    block_size: int
     graph: Graph
     a_vertices: tuple[int, ...]
     b_vertices: tuple[int, ...]
     partner_vertices: tuple[int, ...]
     a_blocks: tuple[tuple[int, ...], ...]
-    b_blocks: tuple[tuple[int, ...], ...]
     good_pairs: tuple[tuple[int, int], ...]
     astar: frozenset[int]
     quadruples: tuple[tuple[int, int, int, int], ...]
@@ -163,13 +161,11 @@ def build_diamond_fixture(n: int, seed: int) -> DiamondFixture:
     return DiamondFixture(
         n=n,
         seed=seed,
-        block_size=r,
         graph=g,
         a_vertices=tuple(a),
         b_vertices=tuple(b),
         partner_vertices=tuple(partner),
         a_blocks=a_blocks,
-        b_blocks=b_blocks,
         good_pairs=tuple(good),
         astar=astar,
         quadruples=tuple(quadruples),
@@ -196,17 +192,12 @@ def build_diamond_family(fixture: DiamondFixture, pair: InputPair) -> FamilyInst
             edges.append((a1, a2))
         if pair.y[k] == "1":
             edges.append((b1, b2))
-    g = Graph(fixture.graph.n, edges)
-    side_a = fixture.a_vertices
-    side_b = fixture.b_vertices + fixture.partner_vertices
     inst = FamilyInstance(
         family="diamond",
         params={"n": fixture.n, "seed": fixture.seed},
         pair=pair,
-        graph=g,
-        side_a=side_a,
-        side_b=tuple(sorted(side_b)),
-        cut_edges=crossing_edges(g, side_a),
+        graph=Graph(fixture.graph.n, edges),
+        side_a=fixture.a_vertices,
         labels=dict(fixture.labels),
         blocks={
             "a": fixture.a_vertices,

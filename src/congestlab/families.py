@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from functools import cached_property
 
 from .bitstrings import pair_index, validate_bits
 from .graphs import Graph, crossing_edges, frac_pow_ceil
@@ -62,13 +62,14 @@ class InputPair:
 class FamilyInstance:
     """A built two-sided graph plus the bookkeeping the harness needs.
 
-    ``side_a`` and ``side_b`` partition the vertices; internal edges of
-    side A are a function of x alone, side B of y alone.  ``cut_edges``
-    is derived from the split and checked against the family's closed
-    form by the builder.  ``labels`` names every vertex for debugging
-    and bundle output; ``blocks`` groups vertex ids by structural role;
-    ``meta`` carries family-specific structure (code assignments, path
-    internals, quadruples) and is JSON-serializable.
+    ``side_a`` lists side A's vertices in ascending order; ``side_b``
+    is every other vertex, and ``cut_edges`` the edges between the two,
+    both derived once on first use.  Internal edges of side A are a
+    function of x alone, side B of y alone, and the builders check the
+    cut against the family's closed form.  ``labels`` names every vertex
+    for debugging and bundle output; ``blocks`` groups vertex ids by
+    structural role; ``meta`` carries family-specific structure (code
+    assignments, path internals, quadruples) and is JSON-serializable.
     """
 
     family: str
@@ -76,49 +77,28 @@ class FamilyInstance:
     pair: InputPair
     graph: Graph
     side_a: tuple[int, ...]
-    side_b: tuple[int, ...]
-    cut_edges: frozenset[tuple[int, int]]
     labels: dict[int, str] = field(repr=False)
     blocks: dict[str, tuple[int, ...]] = field(repr=False)
     meta: dict = field(repr=False)
 
     def __post_init__(self) -> None:
-        sa, sb = set(self.side_a), set(self.side_b)
-        if sa & sb or len(sa) + len(sb) != self.graph.n:
-            raise ValueError("sides must partition the vertex set")
-        if self.cut_edges != crossing_edges(self.graph, sa):
-            raise ValueError("cut_edges disagrees with the side split")
+        a = self.side_a
+        ascending = all(u < v for u, v in zip(a, a[1:]))
+        if a and not (ascending and 0 <= a[0] and a[-1] < self.graph.n):
+            raise ValueError("side_a must be ascending, distinct graph vertices")
+
+    @cached_property
+    def side_b(self) -> tuple[int, ...]:
+        side_a = set(self.side_a)
+        return tuple(v for v in self.graph.vertices() if v not in side_a)
+
+    @cached_property
+    def cut_edges(self) -> frozenset[tuple[int, int]]:
+        return crossing_edges(self.graph, self.side_a)
 
     @property
     def cut_size(self) -> int:
         return len(self.cut_edges)
-
-
-def _instance(
-    family: str,
-    params: dict,
-    pair: InputPair,
-    n_vertices: int,
-    edges: list[tuple[int, int]],
-    side_a: Sequence[int],
-    side_b: Sequence[int],
-    labels: dict[int, str],
-    blocks: dict[str, tuple[int, ...]],
-    meta: dict,
-) -> FamilyInstance:
-    g = Graph(n_vertices, edges)
-    return FamilyInstance(
-        family=family,
-        params=params,
-        pair=pair,
-        graph=g,
-        side_a=tuple(sorted(side_a)),
-        side_b=tuple(sorted(side_b)),
-        cut_edges=crossing_edges(g, side_a),
-        labels=labels,
-        blocks=blocks,
-        meta=meta,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +184,7 @@ def build_cycle_family(n: int, k: int, pair: InputPair) -> FamilyInstance:
     # Path "a1b1" i runs a1_i - internals - b1_i, "a2b2" i likewise; the
     # first ceil(t/2) internals of each path sit on side A.
     edges: list[tuple[int, int]] = []
-    side_a = set(a1) | set(a2)
-    side_b = set(b1) | set(b2)
+    side_a = [*a1, *a2]
     path_internals: dict[str, list[list[int]]] = {}
     next_id = 4 * n
     for kind, t in (("a1b1", t_upper), ("a2b2", t_lower)):
@@ -216,9 +195,7 @@ def build_cycle_family(n: int, k: int, pair: InputPair) -> FamilyInstance:
             path_internals[kind].append(ids)
             for s, v in enumerate(ids, start=1):
                 labels[v] = f"{kind}_{i + 1}_{s}"
-            head = math.ceil(t / 2)
-            side_a.update(ids[:head])
-            side_b.update(ids[head:])
+            side_a.extend(ids[: math.ceil(t / 2)])
             chain = [blocks[kind[:2]][i], *ids, blocks[kind[2:]][i]]
             edges.extend(zip(chain, chain[1:]))
 
@@ -235,14 +212,12 @@ def build_cycle_family(n: int, k: int, pair: InputPair) -> FamilyInstance:
             if pair.y[pair_index(i, j, n)] == "1":
                 edges.append((b1[i - 1], b2[j - 1]))
 
-    inst = _instance(
+    inst = FamilyInstance(
         family="cycle",
         params={"n": n, "k": k},
         pair=pair,
-        n_vertices=next_id,
-        edges=edges,
-        side_a=side_a,
-        side_b=side_b,
+        graph=Graph(next_id, edges),
+        side_a=tuple(sorted(side_a)),
         labels=labels,
         blocks=blocks,
         meta={"target_length": k, "path_internals": path_internals},
@@ -424,21 +399,17 @@ def build_long_cycle_family(
             elif ell >= 2:
                 edges.extend((u, v) for u in blk_b1 for v in blk_b2)
 
-    side_a = set(range(base_a1, base_a2)) | set(range(base_a2, base_b1))
-    side_a |= set(range(base_ua, base_ub))
-    side_b = set(range(base_b1, base_ua)) | set(range(base_ub, base_lb + r))
+    side_a = [*range(base_a1, base_b1), *range(base_ua, base_ub)]
 
     if include_centers:
         # Centers attach to everything on their own side before padding
         # is appended, so padding internals stay off the centers.
         center_a, center_b = centers
-        for v in sorted(side_a):
-            edges.append((center_a, v))
-        for v in sorted(side_b):
-            edges.append((center_b, v))
+        on_a = set(side_a)
+        for v in range(base_lb + r):
+            edges.append((center_a if v in on_a else center_b, v))
         edges.append((center_a, center_b))
-        side_a.add(center_a)
-        side_b.add(center_b)
+        side_a.append(center_a)
 
     pad_upper = m // 2
     pad_lower = (m + 1) // 2
@@ -450,9 +421,7 @@ def build_long_cycle_family(
         next_id += count
         for s, w in enumerate(ids, start=1):
             labels[w] = f"{tag}_{t}_{s}"
-        head = math.ceil(count / 2)
-        side_a.update(ids[:head])
-        side_b.update(ids[head:])
+        side_a.extend(ids[: math.ceil(count / 2)])
         chain = [u, *ids, v]
         edges.extend(zip(chain, chain[1:]))
 
@@ -461,14 +430,12 @@ def build_long_cycle_family(
     for t in range(r):
         matched_pair_chain(base_la + t, base_lb + t, pad_lower, "lpad", t)
 
-    inst = _instance(
+    inst = FamilyInstance(
         family="longcycle",
         params={"n": n, "ell": ell, "m": m, "centers": include_centers},
         pair=pair,
-        n_vertices=next_id,
-        edges=edges,
-        side_a=side_a,
-        side_b=side_b,
+        graph=Graph(next_id, edges),
+        side_a=tuple(sorted(side_a)),
         labels=labels,
         blocks={
             "a1": tuple(range(base_a1, base_a2)),

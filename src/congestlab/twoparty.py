@@ -83,9 +83,6 @@ class PartyView:
             adj.setdefault(b, set()).add(a)
         return {v: frozenset(nb) for v, nb in adj.items()}
 
-    def cut_degree(self, v: int) -> int:
-        return len(self.cut_neighbors(v))
-
     def cut_neighbors(self, v: int) -> frozenset[int]:
         return self.cut_adjacency.get(v, frozenset())
 
@@ -265,21 +262,16 @@ class DiamondListingResult:
         return tuple(sorted(self.a_list + self.b_list))
 
 
-def _internal_degree(view: PartyView) -> dict[int, int]:
-    deg = {v: 0 for v in view.own_vertices}
-    for u, v in view.internal_edges:
-        deg[u] += 1
-        deg[v] += 1
-    return deg
-
-
 def _heavy_vertices(view: PartyView) -> frozenset[int]:
     """Own-side vertices whose cut degree beats internal degree / sqrt(n).
 
     Integer-exact comparison: n * cut_deg^2 > internal_deg^2.  A vertex
     with no cut edge is never heavy.
     """
-    internal = _internal_degree(view)
+    internal = dict.fromkeys(view.own_vertices, 0)
+    for u, v in view.internal_edges:
+        internal[u] += 1
+        internal[v] += 1
     return frozenset(
         v
         for v, nb in view.cut_adjacency.items()

@@ -376,7 +376,7 @@ class TestPhasesOnHandGadgets:
     def test_light_gadget_coverage_tags(self):
         g = self._light_gadget()
         dec = decompose_by_peeling(g)
-        tags = coverage_tags(g, dec)
+        tags = coverage_tags(g, dec, tuple(list_induced_diamonds(g)))
         assert tags[(0, 1, 12, 13)] == "light-pair-present"
         counts: dict[str, int] = {}
         for t in tags.values():
@@ -397,7 +397,7 @@ class TestPhasesOnHandGadgets:
         assert acct["engaged_clusters"] == 1
         assert acct["gathered_entries_max"] <= acct["gathered_entries_cap"]
         assert heavy_stats is not None and heavy_stats.message_count > 0
-        tags = coverage_tags(g, dec)
+        tags = coverage_tags(g, dec, tuple(list_induced_diamonds(g)))
         assert set(tags.values()) == {"heavy"}
 
     def test_heavy_phase_leaves_all_sparse_hub_diamonds_to_the_sparse_phase(self):

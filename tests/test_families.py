@@ -22,7 +22,8 @@ from congestlab.bitstrings import (
     singleton,
     zeros,
 )
-from congestlab.diamond_family import build_diamond_fixture
+from congestlab.bundles import read_bundle, write_bundle
+from congestlab.diamond_family import build_diamond_family, build_diamond_fixture
 from congestlab.families import (
     FamilyInstance,
     InputPair,
@@ -370,7 +371,6 @@ def _broken_harness() -> FamilyHarness:
         g = Graph(n, edges)
         return FamilyInstance(
             family="broken", params={}, pair=pair, graph=g, side_a=(0, 1),
-            side_b=tuple(range(2, n)), cut_edges=crossing_edges(g, {0, 1}),
             labels={}, blocks={}, meta={},
         )
 
@@ -403,6 +403,44 @@ class TestSampledVerification:
         harness = dataclasses.replace(_broken_harness(), bit_count=bits)
         report = verify_family_conditions(harness, samples=40, exhaustive=False)
         assert report.pairs_checked == pairs
+
+
+def _split_instances() -> list[FamilyInstance]:
+    """A cycle, a centered long-cycle and a diamond instance."""
+    fixture = build_diamond_fixture(16, 1)
+    bits = fixture.bit_count
+    return [
+        build_cycle_family(2, 5, _pair("1001", "0101")),
+        build_long_cycle_family(2, 2, 1, _pair("0110", "0100")),
+        build_diamond_family(fixture, _pair(ones(bits), singleton(bits, 0))),
+    ]
+
+
+class TestInstanceSplit:
+    @pytest.mark.parametrize("inst", _split_instances(), ids=lambda i: i.family)
+    def test_side_b_and_the_cut_follow_from_side_a(self, inst):
+        side_a = set(inst.side_a)
+        assert inst.side_a == tuple(sorted(side_a))
+        assert inst.side_b == tuple(v for v in range(inst.graph.n) if v not in side_a)
+        assert inst.cut_edges == crossing_edges(inst.graph, side_a)
+        assert inst.cut_size == len(inst.cut_edges)
+
+    @pytest.mark.parametrize("side_a", [(1, 0), (0, 0, 1), (-1, 0), (2, 4)])
+    def test_side_a_must_be_ascending_distinct_graph_vertices(self, side_a):
+        with pytest.raises(ValueError, match="side_a"):
+            FamilyInstance(
+                family="t", params={}, pair=_pair("0", "0"), graph=Graph(4, []),
+                side_a=side_a, labels={}, blocks={}, meta={},
+            )
+
+    @pytest.mark.parametrize("inst", _split_instances(), ids=lambda i: i.family)
+    def test_a_bundle_round_trip_keeps_every_field(self, inst, tmp_path):
+        back = read_bundle(write_bundle(inst, tmp_path / inst.family))
+        for name in (
+            "family", "params", "pair", "graph", "side_a", "side_b",
+            "cut_edges", "labels", "blocks", "meta",
+        ):
+            assert getattr(back, name) == getattr(inst, name), name
 
 
 class TestBlockCountAudit:

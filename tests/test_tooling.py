@@ -3,14 +3,17 @@ pulls in no third-party runtime dependency, every name a module exports
 exists, the package namespace is the star import of each module with an
 ``__all__``, no module exports a name it imports, no module imports
 a name it never uses, no module-level private name goes unreferenced,
-the simulator's naive twin borrows nothing from the engine, and the
-engine imports no random module."""
+the simulator's naive twin borrows nothing from the engine, the
+engine imports no random module, and the benchmark's tracer still
+finds, and reads the results of, every function it traces."""
 
 from __future__ import annotations
 
 import ast
 import importlib
+import importlib.util
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -192,3 +195,56 @@ def test_the_engine_imports_no_random_module():
         elif isinstance(node, ast.ImportFrom):
             modules += [f"{node.module or ''}.{alias.name}" for alias in node.names]
     assert [m for m in modules if "random" in m.split(".")] == []
+
+
+def _load_tracing():
+    """``perfbench/tracing.py``, loaded by path as the benchmark loads it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_trace_target_resolves_and_reports():
+    """The tracer rebinds library functions by name and reads their
+    return shapes; a rename or a reshaped result must fail here, not
+    only in the benchmark's self-test."""
+    tracing = _load_tracing()
+    for _, home, func_name, _ in tracing.TARGETS:
+        module = importlib.import_module(f"congestlab.{home}")
+        assert callable(getattr(module, func_name, None)), f"{home}.{func_name}"
+
+    cl = congestlab
+    g = cl.random_graph(24, 0.3, random.Random(3))
+    side = range(12)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        cl.cycle_listing_protocol(g, side, 4)
+        cl.diamond_listing_protocol(g, side)
+        cl.list_induced_diamonds_congest(g, with_coverage=True)
+        inst = cl.build_four_cycle_family(2, cl.InputPair("1000", "1000"))
+        cl.congest_reduction(inst, cl.naive_four_cycle_program())
+        cl.build_long_cycle_family(1, 2, 0, cl.InputPair("1", "1"))
+        cl.verify_family_conditions(cl.cycle_harness(1, 4))
+        fixture = cl.build_diamond_fixture(16, 1)
+        cl.verify_family_conditions(cl.diamond_harness(fixture), samples=4)
+    finally:
+        tracer.uninstall()
+
+    spans = {span[0] for span in tracer.spans}
+    metrics = tracing.layer_metrics(tracer.spans)
+    for name in {target[0] for target in tracing.TARGETS} | {"congest.run"}:
+        assert name in spans, name
+        assert any(key.startswith(f"{name}.") for key in metrics), name
+    for key in (
+        "twoparty.cycle_listing_protocol.payload_bits",
+        "twoparty.diamond_listing_protocol.payload_bits",
+        "twoparty.congest_reduction.transcript_bits",
+        "congest.run.rounds",
+        "diamond_congest.run_sparse_phase.rounds",
+        "families.build.calls",
+        "family_checks.verify_family_conditions.pairs",
+    ):
+        assert metrics[key] > 0, key
