@@ -8,8 +8,9 @@ or in the pruned search surface as value mismatches here.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -18,11 +19,12 @@ from hypothesis import strategies as st
 from congestlab.bitstrings import (
     bits_intersect,
     ones,
+    random_bits,
     random_nonintersecting_pair,
     singleton,
     zeros,
 )
-from congestlab.bundles import read_bundle, write_bundle
+from congestlab.bundles import canonical_json_bytes, read_bundle, write_bundle
 from congestlab.diamond_family import build_diamond_family, build_diamond_fixture
 from congestlab.families import (
     FamilyInstance,
@@ -403,6 +405,38 @@ class TestSampledVerification:
         harness = dataclasses.replace(_broken_harness(), bit_count=bits)
         report = verify_family_conditions(harness, samples=40, exhaustive=False)
         assert report.pairs_checked == pairs
+
+
+# sha256 over every build of _builder_grid(); pinned before the cycle and
+# long-cycle builders were rewritten around one sub-block table, so any
+# changed vertex id, label, block, edge or meta entry shows here.
+BUILDER_GRID_DIGEST = "a9c0ac37490e3db69046466af5a18a9889ca538301c01fa6f50d0213dd87fd4b"
+
+
+def _builder_grid():
+    """Seeded pairs for cycle n = 1..4, k = 4..9 and long-cycle
+    n = 1..3, ell = 1..3, m = 0..3, with and without centers."""
+    rng = random.Random(0)
+
+    def pair(n: int) -> InputPair:
+        return InputPair(random_bits(n * n, rng), random_bits(n * n, rng))
+
+    for n, k in product(range(1, 5), range(4, 10)):
+        yield build_cycle_family(n, k, pair(n))
+    for n, ell, m in product(range(1, 4), range(1, 4), range(4)):
+        for centers in (True, False):
+            yield build_long_cycle_family(
+                n, ell, m, pair(n), include_centers=centers
+            )
+
+
+def test_the_builders_are_pinned_byte_for_byte():
+    digest = hashlib.sha256()
+    for inst in _builder_grid():
+        labels = {str(v): name for v, name in inst.labels.items()}
+        fields = [inst.graph.to_text(), inst.side_a, labels, inst.blocks, inst.meta]
+        digest.update(canonical_json_bytes([*fields, inst.params]))
+    assert digest.hexdigest() == BUILDER_GRID_DIGEST
 
 
 def _split_instances() -> list[FamilyInstance]:
