@@ -63,47 +63,55 @@ def write_bundle(inst: FamilyInstance, directory: str | Path) -> Path:
     return d
 
 
-def _checked_split(meta: dict, g: Graph) -> tuple[tuple[int, ...], frozenset]:
-    """Side A and the cut of a bundle's meta, after checking that the
-    schema is supported, that side_a and side_b split g's vertices and
-    that the stored cut is the one g and side_a give."""
+def _checked_side_a(meta: dict, g: Graph) -> tuple[int, ...]:
+    """Side A of a bundle's meta, after checking that the schema is
+    supported and that side_a and side_b split g's vertices."""
     if meta["schema_version"] != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema version {meta['schema_version']}")
     side_a = tuple(meta["side_a"])
     ids = side_a + tuple(meta["side_b"])
     if len(ids) != g.n or set(ids) != set(range(g.n)):
         raise ValueError(f"side_a and side_b do not split the {g.n} graph vertices")
-    cut = crossing_edges(g, side_a)
+    return side_a
+
+
+def _check_cut(meta: dict, cut: frozenset) -> None:
+    """ValueError unless the stored cut is *cut*, the one the graph and
+    side A give."""
     if frozenset(tuple(e) for e in meta["cut_edges"]) != cut:
         raise ValueError("stored cut_edges disagree with the graph and side split")
-    return side_a, cut
 
 
 def read_split(path: str | Path, g: Graph) -> tuple[tuple[int, ...], frozenset]:
     """Side A and the cut stored in a bundle directory (or its meta.json),
     checked against *g* as read_bundle checks them; ValueError if they
-    do not belong to g."""
+    do not belong to g or a key is missing."""
     p = Path(path)
     if p.is_dir():
         p = p / "meta.json"
     meta = json.loads(p.read_text(encoding="utf-8"))
     try:
-        return _checked_split(meta, g)
+        side_a = _checked_side_a(meta, g)
+        cut = crossing_edges(g, side_a)
+        _check_cut(meta, cut)
+    except KeyError as exc:
+        raise ValueError(f"missing key {exc.args[0]} in {p}") from None
     except TypeError as exc:
         raise ValueError(f"malformed {p}: {exc}") from exc
+    return side_a, cut
 
 
 def read_bundle(directory: str | Path) -> FamilyInstance:
     d = Path(directory)
     g = Graph.from_text((d / "graph.txt").read_text())
     meta = json.loads((d / "meta.json").read_text())
-    side_a, _ = _checked_split(meta, g)
+    side_a = _checked_side_a(meta, g)
     inputs = json.loads((d / "inputs.json").read_text())
     pair = InputPair(
         x=hex_to_bits(inputs["x_hex"], inputs["bits"]),
         y=hex_to_bits(inputs["y_hex"], inputs["bits"]),
     )
-    return FamilyInstance(
+    inst = FamilyInstance(
         family=meta["family"],
         params=meta["params"],
         pair=pair,
@@ -113,3 +121,5 @@ def read_bundle(directory: str | Path) -> FamilyInstance:
         blocks={key: tuple(vs) for key, vs in meta["blocks"].items()},
         meta=meta["meta"],
     )
+    _check_cut(meta, inst.cut_edges)
+    return inst

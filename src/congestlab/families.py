@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations, product
 
 from .bitstrings import pair_index, validate_bits
 from .graphs import Graph, crossing_edges, frac_pow_ceil
@@ -32,6 +33,7 @@ from .graphs import Graph, crossing_edges, frac_pow_ceil
 __all__ = [
     "FamilyInstance",
     "InputPair",
+    "LONG_CYCLE_CODE_BLOCKS",
     "build_cycle_family",
     "build_four_cycle_family",
     "build_long_cycle_family",
@@ -168,55 +170,42 @@ def build_cycle_family(n: int, k: int, pair: InputPair) -> FamilyInstance:
     if pair.length != n * n:
         raise ValueError(f"pair has {pair.length} bits, family needs {n * n}")
 
-    t_upper = math.ceil((k - 4) / 2)
-    t_lower = (k - 4) // 2
-
     blocks = {
         name: tuple(range(q * n, (q + 1) * n))
         for q, name in enumerate(("a1", "a2", "b1", "b2"))
     }
     a1, a2, b1, b2 = blocks.values()
-    labels = {}
-    for i in range(1, n + 1):
-        for name, ids in blocks.items():
-            labels[ids[i - 1]] = f"{name}_{i}"
-
-    # Path "a1b1" i runs a1_i - internals - b1_i, "a2b2" i likewise; the
-    # first ceil(t/2) internals of each path sit on side A.
+    labels = {
+        v: f"{name}_{i}"
+        for name, ids in blocks.items()
+        for i, v in enumerate(ids, start=1)
+    }
     edges: list[tuple[int, int]] = []
     side_a = [*a1, *a2]
+    # Path "a1b1" i runs a1_i - internals - b1_i, "a2b2" i likewise.
     path_internals: dict[str, list[list[int]]] = {}
-    next_id = 4 * n
-    for kind, t in (("a1b1", t_upper), ("a2b2", t_lower)):
-        path_internals[kind] = []
-        for i in range(n):
-            ids = list(range(next_id, next_id + t))
-            next_id += t
-            path_internals[kind].append(ids)
-            for s, v in enumerate(ids, start=1):
-                labels[v] = f"{kind}_{i + 1}_{s}"
-            side_a.extend(ids[: math.ceil(t / 2)])
-            chain = [blocks[kind[:2]][i], *ids, blocks[kind[2:]][i]]
-            edges.extend(zip(chain, chain[1:]))
+    for kind, t in (("a1b1", math.ceil((k - 4) / 2)), ("a2b2", (k - 4) // 2)):
+        ends = zip(blocks[kind[:2]], blocks[kind[2:]])
+        path_internals[kind] = [
+            _cut_path(u, v, t, f"{kind}_{i}", labels, side_a, edges)
+            for i, (u, v) in enumerate(ends, start=1)
+        ]
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            edges.append((a1[i], a1[j]))
-            edges.append((b2[i], b2[j]))
-            if k % 2:
-                edges.append((a2[i], a2[j]))
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if pair.x[pair_index(i, j, n)] == "1":
-                edges.append((a1[i - 1], a2[j - 1]))
-            if pair.y[pair_index(i, j, n)] == "1":
-                edges.append((b1[i - 1], b2[j - 1]))
+    # a1 and b2 are cliques, and a2 too at odd k.
+    for name in ("a1", "b2", "a2") if k % 2 else ("a1", "b2"):
+        edges.extend(combinations(blocks[name], 2))
+    for i, j in product(range(n), repeat=2):
+        idx = pair_index(i + 1, j + 1, n)
+        if pair.x[idx] == "1":
+            edges.append((a1[i], a2[j]))
+        if pair.y[idx] == "1":
+            edges.append((b1[i], b2[j]))
 
     inst = FamilyInstance(
         family="cycle",
         params={"n": n, "k": k},
         pair=pair,
-        graph=Graph(next_id, edges),
+        graph=Graph(len(labels), edges),
         side_a=tuple(sorted(side_a)),
         labels=labels,
         blocks=blocks,
@@ -224,6 +213,31 @@ def build_cycle_family(n: int, k: int, pair: InputPair) -> FamilyInstance:
     )
     assert inst.cut_size == cycle_cut_size(n)
     return inst
+
+
+def _cut_path(
+    u: int,
+    v: int,
+    count: int,
+    tag: str,
+    labels: dict[int, str],
+    side_a: list[int],
+    edges: list[tuple[int, int]],
+) -> list[int]:
+    """Subdivide the cut edge from u on side A to v on side B.
+
+    The *count* new vertices take the next free ids (every vertex so far
+    is labelled, so they start at len(labels)) and are labelled
+    tag_1..tag_count from u on.  The first ceil(count/2) join side A, so
+    the path still crosses the cut once.  Returns the new ids in order.
+    """
+    ids = list(range(len(labels), len(labels) + count))
+    for s, w in enumerate(ids, start=1):
+        labels[w] = f"{tag}_{s}"
+    side_a.extend(ids[: (count + 1) // 2])
+    chain = [u, *ids, v]
+    edges.extend(zip(chain, chain[1:]))
+    return ids
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +264,15 @@ def colex_subset(rank: int, ell: int) -> tuple[int, ...]:
         out.append(c)
         r -= math.comb(c, i)
     return tuple(reversed(out))
+
+
+# Each input block of the long-cycle family and the code block it wires to.
+LONG_CYCLE_CODE_BLOCKS = {
+    "a1": "upper_a",
+    "a2": "lower_a",
+    "b1": "upper_b",
+    "b2": "lower_b",
+}
 
 
 def long_cycle_alphabet(n: int, ell: int) -> int:
@@ -329,135 +352,83 @@ def build_long_cycle_family(
     codes = [colex_subset(i, ell) for i in range(n)]
     assert codes[-1][-1] < r
 
-    def sub_block(base: int, i: int) -> list[int]:
-        return [base + (i - 1) * ell + (j - 1) for j in range(1, ell + 1)]
-
-    base_a1, base_a2 = 0, n * ell
-    base_b1, base_b2 = 2 * n * ell, 3 * n * ell
-    base_ua = 4 * n * ell
-    base_la = base_ua + r
-    base_ub = base_la + r
-    base_lb = base_ub + r
-    centers: tuple[int, ...] = ()
-    if include_centers:
-        centers = (base_lb + r, base_lb + r + 1)
+    # Ids run through the input blocks a1, a2, b1, b2 (n sub-blocks of
+    # ell each), then the code blocks (one id per symbol), labelled by
+    # the first and last letters of their names: ua, la, ub, lb.
+    width = n * ell
+    blocks = {
+        name: tuple(range(q * width, (q + 1) * width))
+        for q, name in enumerate(LONG_CYCLE_CODE_BLOCKS)
+    }
+    blocks |= {
+        code_block: tuple(range(4 * width + q * r, 4 * width + (q + 1) * r))
+        for q, code_block in enumerate(LONG_CYCLE_CODE_BLOCKS.values())
+    }
+    subblocks = {
+        name: [list(blocks[name][s : s + ell]) for s in range(0, width, ell)]
+        for name in LONG_CYCLE_CODE_BLOCKS
+    }
 
     labels: dict[int, str] = {}
-    for i in range(1, n + 1):
-        for j in range(1, ell + 1):
-            labels[sub_block(base_a1, i)[j - 1]] = f"a1_{i}_{j}"
-            labels[sub_block(base_a2, i)[j - 1]] = f"a2_{i}_{j}"
-            labels[sub_block(base_b1, i)[j - 1]] = f"b1_{i}_{j}"
-            labels[sub_block(base_b2, i)[j - 1]] = f"b2_{i}_{j}"
-    for t in range(r):
-        labels[base_ua + t] = f"ua_{t}"
-        labels[base_la + t] = f"la_{t}"
-        labels[base_ub + t] = f"ub_{t}"
-        labels[base_lb + t] = f"lb_{t}"
-    if include_centers:
-        labels[centers[0]] = "center_a"
-        labels[centers[1]] = "center_b"
-
     edges: list[tuple[int, int]] = []
+    for name, code_block in LONG_CYCLE_CODE_BLOCKS.items():
+        subs, code = subblocks[name], blocks[code_block]
+        for i, sub in enumerate(subs, start=1):
+            labels.update((v, f"{name}_{i}_{j}") for j, v in enumerate(sub, start=1))
+        tag = code_block[0] + code_block[-1]
+        labels.update((v, f"{tag}_{t}") for t, v in enumerate(code))
+        # a1 and b2 sub-blocks are completely joined, a2 and b1 ones only
+        # between vertices at different positions.
+        full = name in ("a1", "b2")
+        for sub, sub2 in combinations(subs, 2):
+            straight = set(zip(sub, sub2))
+            edges.extend(e for e in product(sub, sub2) if full or e not in straight)
+        # Vertex j of sub-block i attaches to the j-th symbol of code i.
+        for sub, sigma in zip(subs, codes):
+            edges.extend((v, code[t]) for v, t in zip(sub, sigma))
 
-    def join_distinct_sub_blocks(base: int, cross_only: bool = False) -> None:
-        for i in range(1, n + 1):
-            for i2 in range(i + 1, n + 1):
-                for p, u in enumerate(sub_block(base, i)):
-                    for p2, v in enumerate(sub_block(base, i2)):
-                        if not (cross_only and p == p2):
-                            edges.append((u, v))
-
-    join_distinct_sub_blocks(base_a1)
-    join_distinct_sub_blocks(base_b2)
-    join_distinct_sub_blocks(base_a2, cross_only=True)
-    join_distinct_sub_blocks(base_b1, cross_only=True)
-
-    for i, sigma in enumerate(codes, start=1):
-        for j in range(1, ell + 1):
-            t = sigma[j - 1]
-            edges.append((sub_block(base_a1, i)[j - 1], base_ua + t))
-            edges.append((sub_block(base_a2, i)[j - 1], base_la + t))
-            edges.append((sub_block(base_b1, i)[j - 1], base_ub + t))
-            edges.append((sub_block(base_b2, i)[j - 1], base_lb + t))
-
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            blk_a1 = sub_block(base_a1, i)
-            blk_a2 = sub_block(base_a2, j)
-            if pair.x[pair_index(i, j, n)] == "1":
-                for t in range(1, ell):
-                    edges.append((blk_a1[t], blk_a2[t - 1]))
-                edges.append((blk_a1[0], blk_a2[ell - 1]))
+    # Bit (i, j) glues upper sub-block i to lower sub-block j, rotated by
+    # one position on side A and straight on side B; a 0 bit joins them
+    # completely when ell >= 2.
+    for bits, upper, lower, rot in ((pair.x, "a1", "a2", 1), (pair.y, "b1", "b2", 0)):
+        for i, j in product(range(n), repeat=2):
+            sub, sub2 = subblocks[upper][i], subblocks[lower][j]
+            if bits[pair_index(i + 1, j + 1, n)] == "1":
+                edges.extend((u, sub2[(p - rot) % ell]) for p, u in enumerate(sub))
             elif ell >= 2:
-                edges.extend((u, v) for u in blk_a1 for v in blk_a2)
-            blk_b1 = sub_block(base_b1, i)
-            blk_b2 = sub_block(base_b2, j)
-            if pair.y[pair_index(i, j, n)] == "1":
-                for t in range(ell):
-                    edges.append((blk_b1[t], blk_b2[t]))
-            elif ell >= 2:
-                edges.extend((u, v) for u in blk_b1 for v in blk_b2)
+                edges.extend(product(sub, sub2))
 
-    side_a = [*range(base_a1, base_b1), *range(base_ua, base_ub)]
-
+    side_a = [*blocks["a1"], *blocks["a2"], *blocks["upper_a"], *blocks["lower_a"]]
+    centers: tuple[int, ...] = ()
     if include_centers:
         # Centers attach to everything on their own side before padding
         # is appended, so padding internals stay off the centers.
-        center_a, center_b = centers
+        centers = center_a, center_b = len(labels), len(labels) + 1
+        labels.update({center_a: "center_a", center_b: "center_b"})
         on_a = set(side_a)
-        for v in range(base_lb + r):
-            edges.append((center_a if v in on_a else center_b, v))
-        edges.append((center_a, center_b))
+        edges.extend((center_a if v in on_a else center_b, v) for v in range(center_a))
+        edges.append(centers)
         side_a.append(center_a)
+    blocks["centers"] = centers
 
-    pad_upper = m // 2
-    pad_lower = (m + 1) // 2
-    next_id = base_lb + r + len(centers)
-
-    def matched_pair_chain(u: int, v: int, count: int, tag: str, t: int) -> None:
-        nonlocal next_id
-        ids = list(range(next_id, next_id + count))
-        next_id += count
-        for s, w in enumerate(ids, start=1):
-            labels[w] = f"{tag}_{t}_{s}"
-        side_a.extend(ids[: math.ceil(count / 2)])
-        chain = [u, *ids, v]
-        edges.extend(zip(chain, chain[1:]))
-
-    for t in range(r):
-        matched_pair_chain(base_ua + t, base_ub + t, pad_upper, "upad", t)
-    for t in range(r):
-        matched_pair_chain(base_la + t, base_lb + t, pad_lower, "lpad", t)
+    for kind, count in (("upper", m // 2), ("lower", (m + 1) // 2)):
+        ends = zip(blocks[f"{kind}_a"], blocks[f"{kind}_b"])
+        for t, (u, v) in enumerate(ends):
+            _cut_path(u, v, count, f"{kind[0]}pad_{t}", labels, side_a, edges)
 
     inst = FamilyInstance(
         family="longcycle",
         params={"n": n, "ell": ell, "m": m, "centers": include_centers},
         pair=pair,
-        graph=Graph(next_id, edges),
+        graph=Graph(len(labels), edges),
         side_a=tuple(sorted(side_a)),
         labels=labels,
-        blocks={
-            "a1": tuple(range(base_a1, base_a2)),
-            "a2": tuple(range(base_a2, base_b1)),
-            "b1": tuple(range(base_b1, base_b2)),
-            "b2": tuple(range(base_b2, base_ua)),
-            "upper_a": tuple(range(base_ua, base_la)),
-            "lower_a": tuple(range(base_la, base_ub)),
-            "upper_b": tuple(range(base_ub, base_lb)),
-            "lower_b": tuple(range(base_lb, base_lb + r)),
-            "centers": centers,
-        },
+        blocks=blocks,
         meta={
             "target_length": ell * (8 + m),
             "alphabet": r,
             "codes": [list(c) for c in codes],
-            "subblocks": {
-                "a1": [sub_block(base_a1, i) for i in range(1, n + 1)],
-                "a2": [sub_block(base_a2, i) for i in range(1, n + 1)],
-                "b1": [sub_block(base_b1, i) for i in range(1, n + 1)],
-                "b2": [sub_block(base_b2, i) for i in range(1, n + 1)],
-            },
+            "subblocks": subblocks,
         },
     )
     assert inst.cut_size == long_cycle_cut_size(n, ell, m, include_centers)

@@ -33,6 +33,7 @@ from .diamond_family import (
     has_two_two_diamond,
 )
 from .families import (
+    LONG_CYCLE_CODE_BLOCKS,
     FamilyInstance,
     InputPair,
     build_cycle_family,
@@ -275,10 +276,6 @@ def verify_family_conditions(
     )
 
 
-# Each input block of the long-cycle family and the code block it wires to.
-_CODE_BLOCKS = {"a1": "upper_a", "a2": "lower_a", "b1": "upper_b", "b2": "lower_b"}
-
-
 def check_block_counts(
     inst: FamilyInstance, cycle: tuple[int, ...]
 ) -> dict[str, object]:
@@ -306,14 +303,14 @@ def check_block_counts(
     cyc = set(cycle)
     on_cycle = {
         name: cyc.intersection(inst.blocks[name])
-        for name in (*_CODE_BLOCKS, *_CODE_BLOCKS.values())
+        for name in (*LONG_CYCLE_CODE_BLOCKS, *LONG_CYCLE_CODE_BLOCKS.values())
     }
     counts = {name: len(vs) for name, vs in on_cycle.items()}
 
     code_violations: list[str] = []
     codes = [set(c) for c in inst.meta["codes"]]
     sub_index: dict[str, int] = {}
-    for owner, code_block in _CODE_BLOCKS.items():
+    for owner, code_block in LONG_CYCLE_CODE_BLOCKS.items():
         base = inst.blocks[code_block][0]
         used = {v - base for v in on_cycle[code_block]}
         if used not in codes:
@@ -347,7 +344,9 @@ def check_block_counts(
     return {
         "counts": counts,
         "eight_blocks_exact": eight_blocks_exact,
-        "input_blocks_within": all(counts[name] <= ell for name in _CODE_BLOCKS),
+        "input_blocks_within": all(
+            counts[name] <= ell for name in LONG_CYCLE_CODE_BLOCKS
+        ),
         "code_violations": code_violations,
         "pairing_violations": pairing_violations,
         "passed": eight_blocks_exact and not code_violations and not pairing_violations,

@@ -48,8 +48,7 @@ from .graphs import (
 )
 
 __all__ = [
-    "CycleListingResult",
-    "DiamondListingResult",
+    "ListingResult",
     "Message",
     "PartyView",
     "ReductionResult",
@@ -151,18 +150,17 @@ def decode_vertex_list(bits: str, w: int) -> frozenset[int]:
     return frozenset(int(bits[i : i + w], 2) for i in range(0, len(bits), w))
 
 
-# ---------------------------------------------------------------------------
-# Short induced cycles (3 <= k <= 7): one structured batch each way.
-# ---------------------------------------------------------------------------
-
-
 @dataclass(frozen=True)
-class CycleListingResult:
-    k: int
+class ListingResult:
+    """What either listing protocol returns: each party's share, the
+    transcript and its payload bound, and whether the diamond protocol
+    fell back to shipping a dense cut's whole side."""
+
     a_list: tuple[tuple[int, ...], ...]
     b_list: tuple[tuple[int, ...], ...]
     transcript: Transcript
     bound_bits: int
+    dense_cut_fallback: bool = False
 
     @property
     def within_bound(self) -> bool:
@@ -170,8 +168,14 @@ class CycleListingResult:
 
     @property
     def all_listed(self) -> tuple[tuple[int, ...], ...]:
-        """The sorted side lists merged; their quotas make them disjoint."""
+        """The sorted side lists merged; each protocol's ownership rule
+        makes them disjoint."""
         return tuple(sorted(self.a_list + self.b_list))
+
+
+# ---------------------------------------------------------------------------
+# Short induced cycles (3 <= k <= 7): one structured batch each way.
+# ---------------------------------------------------------------------------
 
 
 def _edges_near_cut(view: PartyView) -> frozenset[tuple[int, int]]:
@@ -209,7 +213,7 @@ def _list_cycles_side(
 
 def cycle_listing_protocol(
     g: Graph, side_a, k: int, budget: int = DEFAULT_WORK_BUDGET
-) -> CycleListingResult:
+) -> ListingResult:
     """Joint induced k-cycle listing, 3 <= k <= 7.
 
     Each party ships its internal edges that touch a cut endpoint; with
@@ -230,8 +234,7 @@ def cycle_listing_protocol(
         received_b = decode_edge_list(transcript.messages[1].bits, w)
     else:
         received_a = received_b = frozenset()
-    return CycleListingResult(
-        k=k,
+    return ListingResult(
         a_list=_list_cycles_side(view_a, received_a, k, budget),
         b_list=_list_cycles_side(view_b, received_b, k, budget),
         transcript=transcript,
@@ -242,24 +245,6 @@ def cycle_listing_protocol(
 # ---------------------------------------------------------------------------
 # Induced diamonds: degree-split protocol with sublinear payload per cut edge.
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DiamondListingResult:
-    a_list: tuple[tuple[int, ...], ...]
-    b_list: tuple[tuple[int, ...], ...]
-    transcript: Transcript
-    bound_bits: int
-    dense_cut_fallback: bool
-
-    @property
-    def within_bound(self) -> bool:
-        return self.transcript.payload_bits() <= self.bound_bits
-
-    @property
-    def all_listed(self) -> tuple[tuple[int, ...], ...]:
-        """The sorted side lists merged; the degree split makes them disjoint."""
-        return tuple(sorted(self.a_list + self.b_list))
 
 
 def _heavy_vertices(view: PartyView) -> frozenset[int]:
@@ -315,7 +300,7 @@ def _list_diamonds_side(
 
 def diamond_listing_protocol(
     g: Graph, side_a, budget: int = DEFAULT_WORK_BUDGET
-) -> DiamondListingResult:
+) -> ListingResult:
     """Joint induced diamond listing with payload <= 12 * w * sqrt(n) * |cut|.
 
     A vertex of side A is heavy when its cut degree exceeds its internal
@@ -348,7 +333,7 @@ def diamond_listing_protocol(
         received = decode_edge_list(transcript.messages[0].bits, w)
         full = Graph(n, view_b.internal_edges | view_b.cut_edges | received)
         b_list = tuple(sorted(list_induced_diamonds(full, budget=budget)))
-        return DiamondListingResult(
+        return ListingResult(
             a_list=(),
             b_list=b_list,
             transcript=transcript,
@@ -380,12 +365,11 @@ def diamond_listing_protocol(
         recv_heavy_edges = frozenset()
         recv_windows = frozenset()
 
-    return DiamondListingResult(
+    return ListingResult(
         a_list=_list_diamonds_side(view_a, recv_windows, heavy, budget),
         b_list=_list_diamonds_side(view_b, recv_heavy_edges, recv_heavy, budget),
         transcript=transcript,
         bound_bits=bound,
-        dense_cut_fallback=False,
     )
 
 
@@ -457,8 +441,10 @@ def limitation_bound_report(n: int, cut_size: int, kind: str) -> dict:
     from a cut at payload_ceiling bits.  A simulated round moves at
     most one bandwidth unit per cut edge per direction, so no round
     lower bound proved by charging this cut can exceed the ceiling
-    divided by the per-round cut capacity in words.  This reports the
-    technique's reach, not the problem's difficulty.
+    divided by the per-round cut capacity in words.  An empty cut
+    carries no bits, so charging it certifies no round: the ceiling is
+    0.  This reports the technique's reach, not the problem's
+    difficulty.
     """
     w = word_bits(n)
     if kind == "cycle":
@@ -473,9 +459,7 @@ def limitation_bound_report(n: int, cut_size: int, kind: str) -> dict:
         "cut_size": cut_size,
         "word_bits": w,
         "payload_ceiling_bits": payload_ceiling,
-        "round_ceiling": (
-            payload_ceiling / (cut_size * w) if cut_size else math.inf
-        ),
+        "round_ceiling": payload_ceiling / (cut_size * w) if cut_size else 0,
         "note": (
             "ceiling on what cut-charging can certify for this family; "
             "a protocol with this payload exists"

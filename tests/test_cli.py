@@ -588,6 +588,16 @@ class TestBundleChecks:
         commands = _bundle_commands(c4_bundle / "graph.txt", c4_bundle)
         self._assert_rejected(commands, capsys, "stored cut_edges disagree")
 
+    @pytest.mark.parametrize("key", ["schema_version", "side_a", "side_b", "cut_edges"])
+    def test_a_missing_key_is_named_with_its_file(self, c4_bundle, capsys, key):
+        meta = json.loads((c4_bundle / "meta.json").read_text())
+        del meta[key]
+        (c4_bundle / "meta.json").write_text(json.dumps(meta))
+        for argv in _bundle_commands(c4_bundle / "graph.txt", c4_bundle):
+            assert main(argv) == EXIT_USAGE, argv[0]
+            err = capsys.readouterr().err
+            assert err == f"error: missing key {key} in {c4_bundle / 'meta.json'}\n"
+
 
 class TestRunDiamondListing:
     def test_oracle_check_passes_on_a_random_graph(self, tmp_path):

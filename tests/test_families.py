@@ -16,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from congestlab import bundles, families
 from congestlab.bitstrings import (
     bits_intersect,
     ones,
@@ -304,7 +305,8 @@ class TestLongCycleFamily:
         # Pinned counterexample: odd m leaves the upper strands short by
         # one, so two y-connectors close a cycle of exactly the target
         # length 8 + m while the inputs are disjoint.  Even m keeps the
-        # length off-target, hence the iff checks cover even m only.
+        # length off-target, hence ell = 1 iff checks cover even m only;
+        # paired codes (ell = 2, m = 1) show no such cycle at n = 2.
         inst = build_long_cycle_family(2, 1, 1, _pair("0000", "0011"), include_centers=False)
         cycles = list_induced_cycles(inst.graph, 9)
         labelled = [sorted(inst.labels[v] for v in c) for c in cycles]
@@ -407,9 +409,8 @@ class TestSampledVerification:
         assert report.pairs_checked == pairs
 
 
-# sha256 over every build of _builder_grid(); pinned before the cycle and
-# long-cycle builders were rewritten around one sub-block table, so any
-# changed vertex id, label, block, edge or meta entry shows here.
+# sha256 over every build of _builder_grid(): a changed vertex id,
+# label, block, edge, side or meta entry of either builder shows here.
 BUILDER_GRID_DIGEST = "a9c0ac37490e3db69046466af5a18a9889ca538301c01fa6f50d0213dd87fd4b"
 
 
@@ -475,6 +476,22 @@ class TestInstanceSplit:
             "cut_edges", "labels", "blocks", "meta",
         ):
             assert getattr(back, name) == getattr(inst, name), name
+
+    def test_reading_a_bundle_and_its_cut_computes_the_cut_once(
+        self, tmp_path, monkeypatch
+    ):
+        inst = build_cycle_family(2, 5, _pair("1001", "0101"))
+        write_bundle(inst, tmp_path)
+        calls = []
+
+        def counted(g, side_a):
+            calls.append(side_a)
+            return crossing_edges(g, side_a)
+
+        for module in (bundles, families):
+            monkeypatch.setattr(module, "crossing_edges", counted)
+        assert read_bundle(tmp_path).cut_edges == inst.cut_edges
+        assert len(calls) == 1
 
 
 class TestBlockCountAudit:

@@ -3,7 +3,8 @@ pulls in no third-party runtime dependency, every name a module exports
 exists, the package namespace is the star import of each module with an
 ``__all__``, no module exports a name it imports, no module imports
 a name it never uses, no module-level private name goes unreferenced,
-the simulator's naive twin borrows nothing from the engine, the
+every exported function and constant is used outside its module, the
+simulator's naive twin borrows nothing from the engine, the
 engine imports no random module, and the benchmark's tracer still
 finds, and reads the results of, every function it traces."""
 
@@ -248,3 +249,31 @@ def test_every_trace_target_resolves_and_reports():
         "family_checks.verify_family_conditions.pairs",
     ):
         assert metrics[key] > 0, key
+
+
+def test_every_exported_function_and_constant_is_used_elsewhere():
+    """The public counterpart of ``test_no_private_helper_is_dead``:
+    every function and constant a module lists in ``__all__`` is
+    referenced outside its home module, by the package, the tests or
+    the benchmark.  An export nothing else reads is dead surface."""
+    root = PACKAGE_DIR.parents[1]
+    paths = [
+        *PACKAGE_DIR.glob("*.py"),
+        *(root / "tests").glob("*.py"),
+        *(root / "perfbench").glob("*.py"),
+    ]
+    names = {
+        path.resolve(): _referenced_names(ast.parse(path.read_text(encoding="utf-8")))
+        for path in paths
+    }
+    unused = {}
+    for path, module in _library_modules():
+        elsewhere = set().union(*(v for p, v in names.items() if p != path.resolve()))
+        exported = [
+            n
+            for n in getattr(module, "__all__", ())
+            if not isinstance(getattr(module, n), type) and n not in elsewhere
+        ]
+        if exported:
+            unused[path.name] = exported
+    assert unused == {}

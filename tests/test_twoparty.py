@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from itertools import combinations
@@ -11,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from congestlab.bitstrings import singleton, zeros
+from congestlab.bundles import canonical_json_bytes
 from congestlab.congest import SimConfig, constant_program, naive_four_cycle_program, word_bits
 from congestlab.diamond_family import build_diamond_family, build_diamond_fixture
 from congestlab.families import InputPair, build_four_cycle_family
@@ -23,8 +25,7 @@ from congestlab.graphs import (
     random_graph,
 )
 from congestlab.twoparty import (
-    CycleListingResult,
-    DiamondListingResult,
+    ListingResult,
     Transcript,
     _edges_near_cut,
     _list_cycles_side,
@@ -166,7 +167,7 @@ class TestCycleProtocol:
 
     def test_a_cycle_listed_by_both_parties_shows_twice(self):
         cycle = (0, 1, 2, 3)
-        res = CycleListingResult(4, (cycle,), (cycle,), Transcript(2), 0)
+        res = ListingResult((cycle,), (cycle,), Transcript(2), 0)
         assert res.all_listed == (cycle, cycle)
 
     def test_side_listers_match_filtering_the_full_listing(self):
@@ -263,7 +264,7 @@ class TestDiamondProtocol:
 
     def test_a_diamond_listed_by_both_parties_shows_twice(self):
         d = (0, 1, 2, 3)
-        res = DiamondListingResult((d,), (d,), Transcript(2), 0, False)
+        res = ListingResult((d,), (d,), Transcript(2), 0)
         assert res.all_listed == (d, d)
 
     def test_light_windows_let_side_a_list_balanced_diamonds(self):
@@ -347,9 +348,11 @@ class TestLimitationReport:
         assert rep_d["payload_ceiling_bits"] == 12 * 4 * 4 * 8
         assert rep_d["round_ceiling"] == 12 * 4
 
-    def test_zero_cut_reports_an_infinite_ceiling(self):
-        rep = limitation_bound_report(16, 0, "cycle")
-        assert rep["round_ceiling"] == float("inf")
+    def test_zero_cut_reports_a_zero_ceiling_that_serializes(self):
+        for kind in ("cycle", "diamond"):
+            rep = limitation_bound_report(4, 0, kind)
+            assert rep["payload_ceiling_bits"] == rep["round_ceiling"] == 0
+            assert json.loads(canonical_json_bytes(rep)) == rep
 
     def test_unknown_kind_is_rejected(self):
         with pytest.raises(ValueError):
