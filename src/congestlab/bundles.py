@@ -82,6 +82,17 @@ def _check_cut(meta: dict, cut: frozenset) -> None:
         raise ValueError("stored cut_edges disagree with the graph and side split")
 
 
+class _StoredObject(dict):
+    """A JSON object read from *path*; a missing key is a ValueError naming it."""
+
+    def __init__(self, path: Path):
+        super().__init__(json.loads(path.read_text(encoding="utf-8")))
+        self.path = path
+
+    def __missing__(self, key):
+        raise ValueError(f"missing key {key} in {self.path}")
+
+
 def read_split(path: str | Path, g: Graph) -> tuple[tuple[int, ...], frozenset]:
     """Side A and the cut stored in a bundle directory (or its meta.json),
     checked against *g* as read_bundle checks them; ValueError if they
@@ -89,24 +100,23 @@ def read_split(path: str | Path, g: Graph) -> tuple[tuple[int, ...], frozenset]:
     p = Path(path)
     if p.is_dir():
         p = p / "meta.json"
-    meta = json.loads(p.read_text(encoding="utf-8"))
     try:
+        meta = _StoredObject(p)
         side_a = _checked_side_a(meta, g)
         cut = crossing_edges(g, side_a)
         _check_cut(meta, cut)
-    except KeyError as exc:
-        raise ValueError(f"missing key {exc.args[0]} in {p}") from None
     except TypeError as exc:
         raise ValueError(f"malformed {p}: {exc}") from exc
     return side_a, cut
 
 
 def read_bundle(directory: str | Path) -> FamilyInstance:
+    """The instance stored in a bundle directory, checked as read_split
+    checks a split; a missing key is named with its file."""
     d = Path(directory)
     g = Graph.from_text((d / "graph.txt").read_text())
-    meta = json.loads((d / "meta.json").read_text())
-    side_a = _checked_side_a(meta, g)
-    inputs = json.loads((d / "inputs.json").read_text())
+    meta = _StoredObject(d / "meta.json")
+    inputs = _StoredObject(d / "inputs.json")
     pair = InputPair(
         x=hex_to_bits(inputs["x_hex"], inputs["bits"]),
         y=hex_to_bits(inputs["y_hex"], inputs["bits"]),
@@ -116,7 +126,7 @@ def read_bundle(directory: str | Path) -> FamilyInstance:
         params=meta["params"],
         pair=pair,
         graph=g,
-        side_a=side_a,
+        side_a=_checked_side_a(meta, g),
         labels={int(v): name for v, name in meta["labels"].items()},
         blocks={key: tuple(vs) for key, vs in meta["blocks"].items()},
         meta=meta["meta"],

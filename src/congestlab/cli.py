@@ -9,9 +9,10 @@ intentionally non-reproducible column.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (such as
 a count below 1, an --input-density or --densities value outside
-[0, 1], a --delta or --epsilon below 0, --input-seed, --input-density
-or --intersecting yes|no together with --x/--y, an argument to a
-program that takes none, a flood source that is not an integer or not
+[0, 1], a --delta or --epsilon outside [0, 2], two report --inputs
+with the same file name, --input-seed, --input-density or
+--intersecting yes|no together with --x/--y, an argument to a program
+that takes none, a flood source that is not an integer or not
 a vertex of the graph, a cycles:<k> protocol whose k is not an
 integer, c4 with a --k other than 4, a family flag (--k, --ell, --m,
 --seed) on a family that does not take it, an option a subcommand
@@ -450,8 +451,11 @@ def cmd_bench(args) -> int:
 
 def cmd_report(args) -> int:
     merged: dict = {"schema_version": SCHEMA_VERSION, "reports": {}}
+    first: dict[str, Path] = {}  # the merged reports are keyed by file name
     for path in sorted(args.inputs):
         p = Path(path)
+        if (seen := first.setdefault(p.name, p)) != p:
+            raise ValueError(f"report inputs {seen} and {p} share one file name")
         if p.suffix == ".csv":
             with p.open(newline="", encoding="utf-8") as fh:
                 merged["reports"][p.name] = list(csv.DictReader(fh))
@@ -569,7 +573,7 @@ def main(argv: list[str] | None = None) -> int:
     except WorkBudgetExceeded as exc:
         print(f"work budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ValueError, OSError, KeyError, ProtocolViolation) as exc:
+    except (ValueError, OSError, ProtocolViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

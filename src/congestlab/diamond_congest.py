@@ -217,9 +217,15 @@ def decompose_by_peeling(
 
     A non-member is heavy for a cluster with more than light_max =
     floor(n^epsilon) member neighbors and light with 1..light_max.
+
+    delta and epsilon must lie in [0, 2], checked before any power: at
+    delta 1 every vertex already peels, at epsilon 1 none is heavy.
     """
     delta = _as_fraction(delta)
     epsilon = _as_fraction(epsilon)
+    for name, value in (("delta", delta), ("epsilon", epsilon)):
+        if not 0 <= value <= 2:
+            raise ValueError(f"{name} must be in [0, 2], got {value}")
     d_min = min_peel_degree(g.n, delta, min_degree_constant)
     adj = [set(nbrs) for nbrs in g.adj]
     # Built in increasing id order, so it is already a valid heap.

@@ -205,17 +205,14 @@ def induced_edge_count(g: Graph, vs: Iterable[int]) -> int:
 def is_induced_cycle(g: Graph, vs: Iterable[int]) -> bool:
     """True when vs induces a single chordless cycle (so |vs| >= 3).
 
-    Exactly |vs| induced edges with every induced degree 2 forces a
-    disjoint union of cycles; connectivity then forces a single one.
+    Every induced degree 2 forces a disjoint union of cycles (so exactly
+    |vs| induced edges); connectivity then forces a single one.
     """
     s = frozenset(vs)
     k = len(s)
     if k < 3:
         return False
-    degs = {v: len(g.adj[v] & s) for v in s}
-    if any(d != 2 for d in degs.values()):
-        return False
-    if induced_edge_count(g, s) != k:
+    if any(len(g.adj[v] & s) != 2 for v in s):
         return False
     start = next(iter(s))
     seen = {start}

@@ -152,15 +152,12 @@ def decode_vertex_list(bits: str, w: int) -> frozenset[int]:
 
 @dataclass(frozen=True)
 class ListingResult:
-    """What either listing protocol returns: each party's share, the
-    transcript and its payload bound, and whether the diamond protocol
-    fell back to shipping a dense cut's whole side."""
+    """Either listing protocol's result: both shares, the transcript, its bound."""
 
     a_list: tuple[tuple[int, ...], ...]
     b_list: tuple[tuple[int, ...], ...]
     transcript: Transcript
     bound_bits: int
-    dense_cut_fallback: bool = False
 
     @property
     def within_bound(self) -> bool:
@@ -307,11 +304,16 @@ def diamond_listing_protocol(
     degree divided by sqrt(n).  Side A ships the heavy ids and every
     internal edge touching a heavy vertex; side B ships, for each light
     cut endpoint of A, the internal pair statuses inside that vertex's
-    cut neighborhood (as one deduplicated edge batch).  Heavy vertices
-    shed few internal edges by definition, light windows are small by
-    definition, so both batches are sqrt(n)-per-cut-edge sized.  When
-    the cut is so large that |cut|^2 >= n^3, side A ships all its
-    internal edges instead and side B lists everything.
+    cut neighborhood (as one deduplicated edge batch).  On every cut the
+    payload is at most 4 * w * ceil(sqrt(n)) * |cut|:
+
+    - a heavy vertex has internal degree below sqrt(n) times its cut
+      degree, so the heavy batch has fewer than sqrt(n) * |cut| edges,
+      under 2 * w * sqrt(n) * |cut| bits;
+    - a light vertex has internal degree below n, so its cut degree c
+      is below sqrt(n) and its window has fewer than c * sqrt(n) / 2
+      pairs; all windows come to under w * sqrt(n) * |cut| bits;
+    - the heavy ids take at most w * |cut| bits.
 
     Each party then lists as the cycle parties do: one knowledge graph
     (own side, cut, received batch), one listing, and its own share.  A
@@ -320,29 +322,10 @@ def diamond_listing_protocol(
     light, to side B otherwise.
     """
     view_a, view_b = make_views(g, side_a)
-    n = g.n
-    w = word_bits(n)
+    w = word_bits(g.n)
     transcript = Transcript(word_bits=w)
-    cut = view_a.cut_edges
-    bound = 12 * w * ceil_sqrt(n) * len(cut)
-
-    if len(cut) ** 2 >= n**3:
-        transcript.add(
-            "a->b", "all-internal", encode_edge_list(view_a.internal_edges, w)
-        )
-        received = decode_edge_list(transcript.messages[0].bits, w)
-        full = Graph(n, view_b.internal_edges | view_b.cut_edges | received)
-        b_list = tuple(sorted(list_induced_diamonds(full, budget=budget)))
-        return ListingResult(
-            a_list=(),
-            b_list=b_list,
-            transcript=transcript,
-            bound_bits=bound,
-            dense_cut_fallback=True,
-        )
-
     heavy = _heavy_vertices(view_a)
-    if cut:
+    if view_a.cut_edges:
         transcript.add("a->b", "heavy-ids", encode_vertex_list(heavy, w))
         heavy_edges = frozenset(
             e for e in view_a.internal_edges if e[0] in heavy or e[1] in heavy
@@ -351,25 +334,24 @@ def diamond_listing_protocol(
         recv_heavy = decode_vertex_list(transcript.messages[0].bits, w)
         # Side B derives the light windows from shared knowledge alone:
         # far-side cut endpoints minus the received heavy ids.
-        windows: set[tuple[int, int]] = set()
         far = view_b.cut_adjacency.keys() - view_b.own_vertices
-        for v in sorted(far - recv_heavy):
-            for e in combinations(sorted(view_b.cut_neighbors(v)), 2):
-                if e in view_b.internal_edges:
-                    windows.add(e)
+        windows = {
+            e
+            for v in far - recv_heavy
+            for e in combinations(sorted(view_b.cut_neighbors(v)), 2)
+            if e in view_b.internal_edges
+        }
         transcript.add("b->a", "light-windows", encode_edge_list(windows, w))
         recv_heavy_edges = decode_edge_list(transcript.messages[1].bits, w)
         recv_windows = decode_edge_list(transcript.messages[2].bits, w)
     else:
-        recv_heavy = frozenset()
-        recv_heavy_edges = frozenset()
-        recv_windows = frozenset()
+        recv_heavy = recv_heavy_edges = recv_windows = frozenset()
 
     return ListingResult(
         a_list=_list_diamonds_side(view_a, recv_windows, heavy, budget),
         b_list=_list_diamonds_side(view_b, recv_heavy_edges, recv_heavy, budget),
         transcript=transcript,
-        bound_bits=bound,
+        bound_bits=12 * w * ceil_sqrt(g.n) * len(view_a.cut_edges),
     )
 
 

@@ -6,6 +6,7 @@ import csv
 import dataclasses
 import json
 import random
+import time
 
 import pytest
 
@@ -317,6 +318,23 @@ class TestRunCongest:
         assert stats["rounds_used"] == 8
         assert stats["cut_bound"]["ok"] is True
         assert stats["total_cut_bits"] > 0
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "empty graph text"),
+            ("3\n", "bad header line: ['3']"),
+            ("3 2\n0 1\n", "header claims 2 edges, found 1"),
+            ("3 1\n0 1 2\n", "bad edge line: ['0', '1', '2']"),
+            ("3 2\n0 1\n1 0\n", "duplicate edges: header claims 2, got 1"),
+        ],
+    )
+    def test_malformed_graph_text_is_a_usage_error(self, tmp_path, capsys, text, message):
+        g = tmp_path / "g.txt"
+        g.write_text(text)
+        rc = main(["run-congest", "--graph", str(g), "--program", "flood"])
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_unknown_program_is_a_usage_error(self, tmp_path, capsys):
         g = tmp_path / "g.txt"
@@ -668,6 +686,30 @@ class TestRunDiamondListing:
             assert f"argument {named}:" in capsys.readouterr().err, flags
 
 
+    def test_fraction_exponents_reach_the_stats(self, tmp_path):
+        g = tmp_path / "g.txt"
+        _write_random_graph(g, n=20, density=0.3, seed=4)
+        stats_path = tmp_path / "stats.json"
+        exponents = ["--delta", "2/3", "--epsilon", "1/3"]
+        argv = ["run-diamond-listing", "--graph", str(g), "--stats-out", str(stats_path)]
+        assert main(argv + exponents) == EXIT_OK
+        stats = json.loads(stats_path.read_text())
+        assert stats["parameters"]["delta"] == stats["delta"] == "2/3"
+        assert stats["parameters"]["epsilon"] == stats["epsilon"] == "1/3"
+
+    @pytest.mark.parametrize("flag", ["--delta", "--epsilon"])
+    def test_an_exponent_above_two_is_refused_at_once(self, tmp_path, capsys, flag):
+        # Exact powers with an exponent of 100000 would run for minutes.
+        g = tmp_path / "g.txt"
+        _write_random_graph(g, n=40, density=0.2, seed=1)
+        t0 = time.perf_counter()
+        rc = main(["run-diamond-listing", "--graph", str(g), flag, "100000"])
+        assert time.perf_counter() - t0 < 1.0
+        assert rc == EXIT_USAGE
+        name = flag.removeprefix("--")
+        assert capsys.readouterr().err == f"error: {name} must be in [0, 2], got 100000\n"
+
+
 class TestBenchAndReport:
     def test_bench_emits_the_frozen_csv_schema(self, tmp_path):
         out = tmp_path / "bench.csv"
@@ -723,6 +765,18 @@ class TestBenchAndReport:
         merged = json.loads(out1.read_text())
         assert merged["reports"] == {"r1.json": {"a": 1}, "r2.json": {"b": 2}}
 
+    def test_two_inputs_with_one_file_name_are_a_usage_error(self, tmp_path, capsys):
+        paths = [tmp_path / run / "stats.json" for run in ("r1", "r2")]
+        for i, path in enumerate(paths):
+            path.parent.mkdir()
+            path.write_text(f'{{"run": {i}}}')
+        out = tmp_path / "merged.json"
+        rc = main(["report", "--inputs", *map(str, paths), "--out", str(out)])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and all(str(p) in err for p in paths)
+        assert not out.exists()
+
     def test_report_embeds_csv_inputs_as_rows(self, tmp_path):
         sweep = tmp_path / "sweep.csv"
         sweep.write_text("schema_version,n,found\n1,10,3\n1,20,0\n")
@@ -763,3 +817,16 @@ def test_a_path_the_cli_cannot_use_is_a_usage_error(tmp_path, capsys, argv, prob
     assert rc == EXIT_USAGE, problem
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err, problem
+
+
+def test_an_internal_key_error_is_not_a_usage_error(tmp_path, monkeypatch):
+    # No input path raises KeyError, so one can only be a fault in the
+    # program: it surfaces with its traceback, not as exit 2.
+    def broken(*args, **kwargs):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(cli, "list_induced_diamonds_congest", broken)
+    g = tmp_path / "g.txt"
+    _write_random_graph(g, n=10)
+    with pytest.raises(KeyError, match="internal"):
+        main(["run-diamond-listing", "--graph", str(g)])

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import re
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -126,6 +128,19 @@ class TestDecomposition:
         dec = decompose_by_peeling(g)
         assert dec.validate(g) == []
 
+    @pytest.mark.parametrize(
+        "exponents, named",
+        [
+            ({"delta": Fraction(100000)}, "delta"),
+            ({"delta": Fraction(-1)}, "delta"),
+            ({"epsilon": Fraction(9, 4)}, "epsilon"),
+            ({"epsilon": Fraction(100000)}, "epsilon"),
+        ],
+    )
+    def test_an_exponent_outside_zero_to_two_is_refused(self, exponents, named):
+        with pytest.raises(ValueError, match=f"^{named} must be in \\[0, 2\\]"):
+            decompose_by_peeling(Graph(4, [(0, 1)]), **exponents)
+
     def test_membership_maps_match_the_clusters(self):
         g = Graph(14, _clique_edges(range(12)) + [(11, 12), (12, 13)])
         dec = decompose_by_peeling(g)
@@ -137,6 +152,82 @@ class TestDecomposition:
         assert dec.cluster_index[13] is None
         assert leaders[13] is None
         assert set(dec.cluster_index) == set(range(g.n))
+
+
+def _one_cluster_with_a_fringe():
+    """K10 on 0..9 (the cluster at delta 5/6, constant 1, so d_min 9),
+    vertex 10 peeled with its 7 edges into the clique, and the edge
+    11-12 assigned to 11."""
+    g = Graph(13, _clique_edges(range(10)) + [(v, 10) for v in range(7)] + [(11, 12)])
+    return g, decompose_by_peeling(g, FIVE_SIXTHS, 1)
+
+
+# Each planted fault, as the fields it replaces in the valid peel above,
+# and a violation message it must produce.
+PLANTED_FAULTS = {
+    "sparse-and-member": (
+        lambda dec: {"es_assigned": {**dec.es_assigned, 11: ((11, 12), (0, 1))}},
+        "1 edges are both sparse and member",
+    ),
+    "uncovered-edge": (
+        lambda dec: {"es_assigned": {**dec.es_assigned, 11: ()}},
+        "sparse+member edges do not cover the graph",
+    ),
+    "edge-assigned-twice": (
+        lambda dec: {"es_assigned": {**dec.es_assigned, 12: ((11, 12),)}},
+        "an edge is assigned to more than one vertex",
+    ),
+    "assigned-at-d-min": (
+        lambda dec: {"d_min": 1},
+        "vertex 10 was assigned 7 >= d_min edges",
+    ),
+    "over-the-cap": (
+        lambda dec: {"delta": Fraction(0)},
+        "vertex 10 exceeds the assigned-edge cap",
+    ),
+    "overlapping-clusters": (
+        lambda dec: {"clusters": (*dec.clusters, replace(dec.clusters[0], index=1))},
+        "cluster 1 overlaps another cluster",
+    ),
+    "leader-not-minimum": (
+        lambda dec: {"clusters": (replace(dec.clusters[0], leader=5),)},
+        "cluster 0 leader is not the minimum member",
+    ),
+    "member-below-d-min": (
+        lambda dec: {"d_min": 10},
+        "member 0 has in-cluster degree 9 < 10",
+    ),
+    "edge-between-clusters": (
+        lambda dec: {"cluster_index": {**dec.cluster_index, 9: 1}},
+        "edge (0,9) joins two different clusters",
+    ),
+    "peel-order-short": (
+        lambda dec: {"peel_order": dec.peel_order[:-1]},
+        "peel order disagrees with cluster membership",
+    ),
+}
+
+
+class TestPlantedDecompositionFaults:
+    def test_the_unplanted_peel_is_valid(self):
+        g, dec = _one_cluster_with_a_fringe()
+        assert (dec.d_min, dec.peel_order) == (9, (10, 11, 12))
+        assert dec.validate(g) == []
+
+    @pytest.mark.parametrize("fault", sorted(PLANTED_FAULTS))
+    def test_each_fault_is_named(self, fault):
+        fields, message = PLANTED_FAULTS[fault]
+        g, dec = _one_cluster_with_a_fringe()
+        assert message in replace(dec, **fields(dec)).validate(g)
+
+    @pytest.mark.parametrize("fault", sorted(PLANTED_FAULTS))
+    def test_the_full_listing_refuses_a_faulty_peel(self, fault, monkeypatch):
+        fields, message = PLANTED_FAULTS[fault]
+        g, dec = _one_cluster_with_a_fringe()
+        bad = replace(dec, **fields(dec))
+        monkeypatch.setattr(diamond_congest, "decompose_by_peeling", lambda *a: bad)
+        with pytest.raises(AssertionError, match=re.escape(message)):
+            list_induced_diamonds_congest(g)
 
 
 def _leader_map(dec) -> dict[int, int | None]:

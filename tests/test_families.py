@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import json
 import random
 from itertools import combinations, product
 
@@ -493,6 +494,19 @@ class TestInstanceSplit:
         assert read_bundle(tmp_path).cut_edges == inst.cut_edges
         assert len(calls) == 1
 
+    @pytest.mark.parametrize(
+        "file_name, key", [("meta.json", "labels"), ("inputs.json", "x_hex")]
+    )
+    def test_a_missing_bundle_key_is_named_with_its_file(self, tmp_path, file_name, key):
+        inst = build_cycle_family(2, 5, _pair("1001", "0101"))
+        path = write_bundle(inst, tmp_path) / file_name
+        stored = json.loads(path.read_text())
+        del stored[key]
+        path.write_text(json.dumps(stored))
+        with pytest.raises(ValueError) as info:
+            read_bundle(tmp_path)
+        assert str(info.value) == f"missing key {key} in {path}"
+
 
 class TestBlockCountAudit:
     def test_canonical_cycle_passes_all_clauses(self):
@@ -544,6 +558,19 @@ class TestBlockCountAudit:
         assert self._audit(self.CANONICAL, y="0000") == [
             "sub-block pairing (1,1) does not point at a shared 1"
         ]
+
+    def test_code_symbols_that_match_no_code_are_a_code_violation(self):
+        # The slot-(2,2) cycle of the paired-code family at n = 2 uses the
+        # upper_a symbols {0, 2}; swapping ua_0 for ua_1 leaves {1, 2},
+        # which is no sub-block's code (the codes are {0, 1} and {0, 2}).
+        inst = build_long_cycle_family(2, 2, 0, _pair("0001", "0001"), include_centers=False)
+        (cycle,) = list_induced_cycles(inst.graph, 16)
+        ua_0, ua_1 = _id_by_label(inst, "ua_0"), _id_by_label(inst, "ua_1")
+        rep = check_block_counts(inst, tuple(ua_1 if v == ua_0 else v for v in cycle))
+        assert rep["eight_blocks_exact"] and rep["input_blocks_within"]
+        assert rep["code_violations"] == ["upper_a: symbols [1, 2] match no sub-block code"]
+        assert rep["pairing_violations"] == []
+        assert not rep["passed"]
 
     def test_audit_rejects_padded_instances(self):
         inst = build_long_cycle_family(2, 1, 2, _pair("0001", "0001"), include_centers=False)

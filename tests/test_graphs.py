@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from itertools import combinations, product
 
@@ -248,6 +249,28 @@ class TestWorkBudget:
             list_induced_cycles(g, 6, budget=10)
         assert info.value.budget == 10
         assert info.value.estimate > 10
+
+    @pytest.mark.parametrize(
+        "naive, k",
+        [
+            (lambda g, budget: list_induced_cycles_naive(g, 5, budget=budget), 5),
+            (lambda g, budget: list_induced_diamonds_naive(g, budget=budget), 4),
+        ],
+        ids=["cycles", "diamonds"],
+    )
+    def test_naive_routes_refuse_a_scan_over_budget_up_front(self, naive, k):
+        # The scan costs one unit per k-subset, charged before it starts,
+        # so an edgeless graph is refused one unit short of C(n, k).
+        g = Graph(30, [])
+        count = math.comb(30, k)
+        assert naive(g, count) == []
+        with pytest.raises(WorkBudgetExceeded) as info:
+            naive(g, count - 1)
+        assert (info.value.estimate, info.value.budget) == (count, count - 1)
+        assert str(info.value) == (
+            f"naive scan over {k}-subsets of 30 vertices "
+            f"(estimate {count} > budget {count - 1})"
+        )
 
     def test_work_count_is_the_smallest_passing_budget(self):
         # W is the search's total work count, one unit per neighbor it

@@ -18,6 +18,7 @@ from congestlab.diamond_family import build_diamond_family, build_diamond_fixtur
 from congestlab.families import InputPair, build_four_cycle_family
 from congestlab.graphs import (
     Graph,
+    crossing_edges,
     list_induced_cycles,
     list_induced_cycles_naive,
     list_induced_diamonds,
@@ -230,9 +231,28 @@ def _diamond_shares(g: Graph, side_a: frozenset[int]):
     return tuple(a_list), tuple(b_list)
 
 
+def _clique(n: int) -> Graph:
+    return Graph(n, combinations(range(n), 2))
+
+
+def _dense_half_splits() -> list[tuple[Graph, frozenset[int]]]:
+    """K16 and seeded G(n, p >= 0.7) split in half: cuts with
+    |cut|^2 >= n^3, where each A vertex has about as many cut edges as
+    internal ones."""
+    cases = [(_clique(16), _halves(16))]
+    for n, p in ((20, 0.9), (24, 0.9), (24, 1.0), (36, 0.7), (40, 0.7)):
+        cases.append((random_graph(n, p, random.Random(f"{n}:{p}")), _halves(n)))
+    return cases
+
+
 class TestDiamondProtocol:
     def test_each_party_lists_exactly_its_share(self):
-        cases = []
+        # The proved payload, 4 * w * ceil(sqrt(n)) * |cut|, holds on
+        # every cut, the dense half splits included.
+        dense = _dense_half_splits()
+        for g, side in dense:
+            assert len(crossing_edges(g, side)) ** 2 >= g.n**3
+        cases = list(dense)
         rng = random.Random(29)
         for _ in range(10):
             n = rng.randint(8, 24)
@@ -246,8 +266,10 @@ class TestDiamondProtocol:
         balanced = {"a": 0, "b": 0}
         for g, side in cases:
             res = diamond_listing_protocol(g, side)
-            assert not res.dense_cut_fallback
             assert (res.a_list, res.b_list) == _diamond_shares(g, side)
+            cut = len(crossing_edges(g, side))
+            proved = 4 * word_bits(g.n) * ceil_sqrt(g.n) * cut
+            assert res.transcript.payload_bits() <= proved
             for name, share in (("a", res.a_list), ("b", res.b_list)):
                 balanced[name] += sum(len(side.intersection(d)) == 2 for d in share)
         assert balanced["a"] > 0 and balanced["b"] > 0
@@ -282,14 +304,18 @@ class TestDiamondProtocol:
         assert windows_sent > 0
         assert balanced > 0
 
-    def test_dense_cut_falls_back_to_full_shipping(self):
+    def test_a_clique_cut_stays_within_bound(self):
         # A clique split in half: the cut has (n/2)^2 = 64 edges and
-        # 64^2 = 16^3, so the fallback branch fires.
+        # 64^2 = 16^3.  Every A vertex is heavy, so side A ships its ids
+        # and all 28 internal edges, and no window is sent.
         n = 16
-        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+        g = _clique(n)
         res = diamond_listing_protocol(g, _halves(n))
-        assert res.dense_cut_fallback
-        assert res.a_list == ()
+        w = word_bits(n)
+        assert res.transcript.payload_bits(kind="heavy-ids") == 8 * w
+        assert res.transcript.payload_bits(kind="internal-near-heavy") == 28 * 2 * w
+        assert res.transcript.payload_bits(kind="light-windows") == 0
+        assert res.within_bound
         _assert_sides_merge_to(res, sorted(list_induced_diamonds_naive(g)))
 
     def test_family_instance_with_a_shared_slot(self):
