@@ -206,6 +206,11 @@ def _work_count(g: Graph, k: int, search=list_induced_cycles, **kwargs) -> int:
     return hi
 
 
+def _diamonds(g: Graph, _k, **kwargs) -> list[tuple[int, ...]]:
+    """``list_induced_diamonds`` in the (g, k, ...) form ``_work_count`` calls."""
+    return list_induced_diamonds(g, **kwargs)
+
+
 def _with_quota(g: Graph, k: int, vertices, need: int) -> list[tuple[int, ...]]:
     return [c for c in list_induced_cycles(g, k) if len(set(c) & vertices) >= need]
 
@@ -283,6 +288,23 @@ class TestWorkBudget:
             list_induced_cycles(g, k, budget=w)
             with pytest.raises(WorkBudgetExceeded):
                 list_induced_cycles(g, k, budget=w - 1)
+
+    def test_diamond_work_count_is_the_smallest_passing_budget(self):
+        # W is one unit per wing pair the spine search inspects: the sum
+        # of C(|common neighbors|, 2) over the edges.  K8 has 28 spines
+        # of 6 common neighbors each and no diamond.
+        cases = [
+            (random_graph(20, 0.3, random.Random(3)), 10),
+            (random_graph(40, 0.3, random.Random(3)), 1377),
+            (_complete_graph(8), 420),
+        ]
+        for g, w in cases:
+            assert _work_count(g, None, search=_diamonds) == w
+        g = random_graph(40, 0.3, random.Random(3))
+        with pytest.raises(WorkBudgetExceeded) as info:
+            list_induced_diamonds(g, budget=500)
+        assert (info.value.estimate, info.value.budget) == (501, 500)
+        assert str(info.value) == "pruned diamond search (estimate 501 > budget 500)"
 
     def test_quota_work_count_is_the_smallest_passing_budget(self):
         # Paths with no outside room left inspect only own neighbors, at
