@@ -125,14 +125,12 @@ def _read_graph(path: str) -> Graph:
     return Graph.from_text(Path(path).read_text(encoding="utf-8"))
 
 
-def _nonnegative_fraction(text: str) -> Fraction:
+def _fraction(text: str) -> Fraction:
+    """Parse only; ``decompose_by_peeling`` checks the exponent range."""
     try:
-        value = Fraction(text)
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a fraction: {text!r}") from exc
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be at least 0, got {text}")
-    return value
 
 
 def _positive_int(text: str) -> int:
@@ -525,8 +523,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run-diamond-listing", help="distributed diamond listing")
     p.add_argument("--graph", required=True)
-    p.add_argument("--delta", type=_nonnegative_fraction, default=DEFAULT_DELTA)
-    p.add_argument("--epsilon", type=_nonnegative_fraction, default=DEFAULT_EPSILON)
+    p.add_argument("--delta", type=_fraction, default=DEFAULT_DELTA)
+    p.add_argument("--epsilon", type=_fraction, default=DEFAULT_EPSILON)
     p.add_argument(
         "--min-degree-constant", type=_positive_int, default=DEFAULT_MIN_DEGREE_CONSTANT
     )

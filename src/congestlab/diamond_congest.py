@@ -280,8 +280,11 @@ def decompose_by_peeling(
     )
 
 
-def _member_incident_edges(g: Graph, members: frozenset[int]) -> set[tuple[int, int]]:
-    return {norm_edge(v, u) for v in members for u in g.adj[v]}
+def _member_incident_edges(
+    g: Graph, members: frozenset[int], avoid=frozenset()
+) -> set[tuple[int, int]]:
+    """Edges with an endpoint in *members* and none in *avoid*."""
+    return {norm_edge(v, u) for v in members for u in g.adj[v] if u not in avoid}
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +436,11 @@ def run_heavy_phase(
     gathering and the listing itself are charged at
     ceil(n^(2 - delta - epsilon)) + ceil(sqrt(n)) * ceil(n^(2 - 2 delta))
     rounds per engaged cluster and computed centrally from exactly the
-    delivered data plus member-incident edges.
+    delivered data plus member-incident edges.  The central listing
+    builds only the diamonds with a vertex heavy for the cluster (a
+    quota of one on the cluster's heavy set) and keeps those with a
+    member edge: a diamond of heavy vertices alone meets the quota, so
+    the member-edge test still decides.
 
     Returns (diamonds, run stats or None when no vertex is heavy,
     accounting dict).
@@ -524,9 +531,7 @@ def run_heavy_phase(
         knowledge |= {norm_edge(h, x) for h, ids in assembled.items() for x in ids}
         kg = Graph(n, knowledge)
         cluster_heavy = dec.heavy[c.index].keys()
-        for d in list_induced_diamonds(kg, budget=budget):
-            if cluster_heavy.isdisjoint(d):
-                continue
+        for d in list_induced_diamonds(kg, budget=budget, quota=(cluster_heavy, 1)):
             if not any(e in c.edges for e in combinations(d, 2)):
                 continue
             # Every pair of such a candidate touches a member or a heavy
@@ -558,8 +563,10 @@ def run_light_phase(
     ``warm`` is required: the per-node listings of a sparse-phase run on
     the same graph and decomposition, whose sparse knowledge certifies
     the member rule's absences.  Reconciliation of diamonds with >= 3
-    vertices in one cluster happens centrally from member-incident
-    knowledge and is charged zero messages.
+    vertices in one cluster and no vertex heavy for it happens centrally
+    and is charged zero messages.  It lists the member-incident edges
+    that avoid the cluster's heavy vertices, with a quota of three
+    members, so it builds exactly the diamonds it keeps.
 
     The schedule is central, from the decomposition's exact maxima.  A
     node v broadcasts its entry count (round 0), then entries[v], its
@@ -684,17 +691,15 @@ def run_light_phase(
 
     # Reconciliation: diamonds with >= 3 vertices in one cluster have all
     # six pairs member-incident, so member knowledge already inside the
-    # cluster decides them; zero messages charged.
+    # cluster decides them; zero messages charged.  Those with a heavy
+    # vertex belong to the heavy phase; without its edges a heavy vertex
+    # is isolated here, so no listed diamond holds one.
     reconcile: set[tuple[int, ...]] = set()
     for c in dec.clusters:
-        cluster_heavy = dec.heavy[c.index].keys()
-        kg = Graph(n, _member_incident_edges(g, c.members))
-        for d in list_induced_diamonds(kg, budget=budget):
-            if len(c.members.intersection(d)) < 3:
-                continue
-            if not cluster_heavy.isdisjoint(d):
-                continue
-            reconcile.add(d)
+        kg = Graph(n, _member_incident_edges(g, c.members, avoid=dec.heavy[c.index]))
+        reconcile.update(
+            list_induced_diamonds(kg, budget=budget, quota=(c.members, 3))
+        )
     found |= reconcile
 
     accounting = {

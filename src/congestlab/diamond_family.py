@@ -222,8 +222,8 @@ def list_two_two_diamonds(
     side_a = set(inst.side_a)
     return [
         d
-        for d in list_induced_diamonds(inst.graph, budget=budget)
-        if sum(1 for v in d if v in side_a) == 2
+        for d in list_induced_diamonds(inst.graph, budget=budget, quota=(side_a, 2))
+        if len(side_a.intersection(d)) == 2
     ]
 
 

@@ -458,28 +458,92 @@ def list_induced_diamonds_naive(
 
 
 def list_induced_diamonds(
-    g: Graph, budget: int = DEFAULT_WORK_BUDGET
+    g: Graph,
+    budget: int = DEFAULT_WORK_BUDGET,
+    *,
+    quota: tuple[Iterable[int], int] | None = None,
 ) -> list[tuple[int, ...]]:
     """Pruned route, keyed on the spine.
 
     A diamond has a unique edge joining its two degree-3 vertices (the
-    spine); the other two vertices are common neighbors of the spine
-    that are mutually non-adjacent.  Scanning spines therefore reports
-    each diamond exactly once.
+    spine); the other two vertices, its wings, are common neighbors of
+    the spine that are mutually non-adjacent.  Scanning spines therefore
+    reports each diamond exactly once.  Returned tuples are the sorted
+    vertex sets, in sorted order.
+
+    The search runs on int bitmasks, as the cycle search does: for a
+    spine a < b the wings are ``common = masks[a] & masks[b]``, and each
+    wing c pairs with the far wings ``common & ~masks[c]`` above it.
+
+    ``quota=(vertices, need)`` lists only the diamonds with at least
+    *need* of their vertices in *vertices*.  A spine still needs *need*
+    minus its own count of those vertices from its wings: at 2 its
+    wings are drawn from *vertices* alone, at 1 a wing outside them
+    pairs only with far wings inside, and above 2 the spine is skipped.
+    ``quota=None`` lists every diamond.
+
+    The work count is one unit per wing pair inspected, added once per
+    spine: C(t, 2) for t wings, or, when a spine needs one more vertex,
+    the pairs with at least one wing in *vertices*.  So a quota call
+    never counts more than the full listing, and one whose quota no
+    spine can meet counts nothing.  When the count passes *budget* the
+    search raises with estimate ``budget + 1``, the count at the first
+    unit past it.
     """
+    masks = [sum(1 << w for w in nb) for nb in g.adj]
+    # Without a quota no vertex counts as own and need is 0, so no
+    # spine needs a wing and no wing is masked.
+    vertices, need = ((), 0) if quota is None else quota
+    own_set = frozenset(vertices)
+    own = sum(1 << v for v in own_set)
     out: list[tuple[int, ...]] = []
     work = 0
-    for a, b in sorted(g.edges):
-        common = sorted(g.adj[a] & g.adj[b])
-        for i in range(len(common)):
-            for j in range(i + 1, len(common)):
-                work += 1
-                if work > budget:
-                    raise WorkBudgetExceeded("pruned diamond search", work, budget)
-                c, d = common[i], common[j]
-                if not g.has_edge(c, d):
-                    out.append(tuple(sorted((a, b, c, d))))
-    return sorted(out)
+    # Spine order moves neither the listing, sorted at the end, nor the
+    # budget test, which compares the count with the budget at each
+    # spine and reports the first unit past it.
+    for a, b in g.edges:
+        left = need - (a in own_set) - (b in own_set)
+        if left > 2:
+            continue
+        common = masks[a] & masks[b]
+        if left == 2:
+            common &= own
+        t = common.bit_count()
+        if t < 2:
+            continue
+        pairs = t * (t - 1) // 2
+        if left == 1:
+            off = t - (common & own).bit_count()
+            pairs -= off * (off - 1) // 2
+        work += pairs
+        if work > budget:
+            raise WorkBudgetExceeded("pruned diamond search", budget + 1, budget)
+        wings = common
+        while wings:
+            low_c = wings & -wings
+            wings ^= low_c
+            c = low_c.bit_length() - 1
+            far = wings & ~masks[c]
+            if left == 1 and not low_c & own:
+                far &= own
+            while far:
+                low_d = far & -far
+                far ^= low_d
+                d = low_d.bit_length() - 1
+                # Merge the sorted pairs a < b and c < d.
+                if c < a:
+                    if d < a:
+                        out.append((c, d, a, b))
+                    elif d < b:
+                        out.append((c, a, d, b))
+                    else:
+                        out.append((c, a, b, d))
+                elif c < b:
+                    out.append((a, c, d, b) if d < b else (a, c, b, d))
+                else:
+                    out.append((a, b, c, d))
+    out.sort()
+    return out
 
 
 def crossing_edges(g: Graph, side: Iterable[int]) -> frozenset[tuple[int, int]]:

@@ -274,9 +274,11 @@ def _list_diamonds_side(
     vertices is in *heavy* (side A's heavy vertices, which side B
     decodes), to side B otherwise, so every diamond is listed exactly
     once.  The knowledge graph holds the own side, the cut and the
-    received batch.  It has only true edges, so an owned diamond is one
-    of the graph, and none is missed, when the knowledge graph pins
-    every pair status among its vertices, absence included:
+    received batch, and its listing takes a quota of two own vertices,
+    so a diamond with at most one is never built.  The graph has only
+    true edges, so an owned diamond is one of the graph, and none is
+    missed, when the knowledge graph pins every pair status among its
+    vertices, absence included:
 
     - with three or more own vertices, every pair touches this side;
     - in a balanced diamond of side A at most one of the six pairs is
@@ -289,9 +291,11 @@ def _list_diamonds_side(
     known = Graph(view.n, view.internal_edges | view.cut_edges | received)
     return tuple(
         d
-        for d in list_induced_diamonds(known, budget=budget)
-        if (own := len(view.own_vertices.intersection(d))) >= 3
-        or (own == 2 and heavy.isdisjoint(d) == (view.side == "a"))
+        for d in list_induced_diamonds(
+            known, budget=budget, quota=(view.own_vertices, 2)
+        )
+        if len(view.own_vertices.intersection(d)) > 2
+        or heavy.isdisjoint(d) == (view.side == "a")
     )
 
 

@@ -672,18 +672,22 @@ class TestRunDiamondListing:
     def test_negative_exponents_and_a_zero_constant_are_usage_errors(
         self, tmp_path, capsys
     ):
+        # The exponent range has one check, in the decomposition; the
+        # parser only reads the fraction.
         g = tmp_path / "g.txt"
         _write_random_graph(g, n=10)
+        argv = ["run-diamond-listing", "--graph", str(g)]
         cases = [
-            (["--delta", "-1"], "--delta"),
-            (["--epsilon=-1/2"], "--epsilon"),
-            (["--min-degree-constant", "0"], "--min-degree-constant"),
+            (["--delta", "-1"], "error: delta must be in [0, 2], got -1\n"),
+            (["--epsilon=-1/2"], "error: epsilon must be in [0, 2], got -1/2\n"),
         ]
-        for flags, named in cases:
-            with pytest.raises(SystemExit) as info:
-                main(["run-diamond-listing", "--graph", str(g)] + flags)
-            assert info.value.code == EXIT_USAGE, flags
-            assert f"argument {named}:" in capsys.readouterr().err, flags
+        for flags, line in cases:
+            assert main(argv + flags) == EXIT_USAGE, flags
+            assert capsys.readouterr().err == line, flags
+        with pytest.raises(SystemExit) as info:
+            main(argv + ["--min-degree-constant", "0"])
+        assert info.value.code == EXIT_USAGE
+        assert "argument --min-degree-constant:" in capsys.readouterr().err
 
 
     def test_fraction_exponents_reach_the_stats(self, tmp_path):

@@ -247,6 +247,58 @@ class TestQuota:
         assert list_induced_cycles(g, 3, budget=0, quota=(range(6), 4)) == []
 
 
+def _diamonds_with_quota(g: Graph, vertices, need: int) -> list[tuple[int, ...]]:
+    return [
+        d for d in list_induced_diamonds_naive(g) if len(vertices.intersection(d)) >= need
+    ]
+
+
+class TestDiamondQuota:
+    @PROPERTY_SETTINGS
+    @given(data=st.data(), g=_small_graphs(max_n=10))
+    def test_quota_keeps_exactly_the_diamonds_meeting_it(self, data, g: Graph):
+        vertices = data.draw(st.frozensets(st.integers(0, g.n - 1)))
+        need = data.draw(st.integers(0, 5))
+        assert list_induced_diamonds(
+            g, quota=(vertices, need)
+        ) == _diamonds_with_quota(g, vertices, need)
+
+    def test_quota_on_seeded_random_graphs(self):
+        rng = random.Random(31)
+        for _ in range(12):
+            n = rng.randint(6, 16)
+            g = random_graph(n, rng.choice([0.3, 0.5, 0.7]), rng)
+            full_work = _work_count(g, None, search=_diamonds)
+            choices = [frozenset(), frozenset(range(n))]
+            choices += [frozenset(rng.sample(range(n), n // 2)) for _ in range(3)]
+            for vertices in choices:
+                for need in range(6):
+                    quota = (vertices, need)
+                    assert list_induced_diamonds(
+                        g, quota=quota
+                    ) == _diamonds_with_quota(g, vertices, need)
+                    work = _work_count(g, None, search=_diamonds, quota=quota)
+                    assert work <= full_work
+
+    def test_an_unmeetable_quota_does_no_work(self):
+        # K6 minus one edge holds diamonds; none has five vertices, and
+        # none has four in a three-vertex set.
+        g = Graph(6, [(u, v) for u, v in combinations(range(6), 2) if (u, v) != (0, 1)])
+        assert list_induced_diamonds(g) != []
+        assert list_induced_diamonds(g, budget=0, quota=(range(6), 5)) == []
+        assert list_induced_diamonds(g, budget=0, quota=(range(3), 4)) == []
+
+    def test_quota_work_count_is_the_smallest_passing_budget(self):
+        # A spine short of two own vertices takes only own wings; short
+        # of one, only the wing pairs with an own wing; short of more,
+        # nothing.  (need, W) rows on the graph the unrestricted pin uses.
+        g = random_graph(40, 0.3, random.Random(3))
+        recorded = [(0, 1377), (1, 1177), (2, 595), (3, 141), (4, 16), (5, 0)]
+        for need, w in recorded:
+            quota = (range(20), need)
+            assert _work_count(g, None, search=_diamonds, quota=quota) == w
+
+
 class TestWorkBudget:
     def test_tiny_budget_raises_with_estimate(self):
         g = _complete_graph(12)
