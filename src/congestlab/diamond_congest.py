@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Container
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
@@ -281,7 +282,7 @@ def decompose_by_peeling(
 
 
 def _member_incident_edges(
-    g: Graph, members: frozenset[int], avoid=frozenset()
+    g: Graph, members: frozenset[int], avoid: Container[int] = frozenset()
 ) -> set[tuple[int, int]]:
     """Edges with an endpoint in *members* and none in *avoid*."""
     return {norm_edge(v, u) for v in members for u in g.adj[v] if u not in avoid}
