@@ -10,17 +10,18 @@ Yes when at least one node outputs 1 and No when all output 0.
 Programs are triples of pure callables over explicit state, so the
 engine can enforce the model from outside: destinations must be
 neighbors, one message per edge per direction per round, message
-length capped, outputs immutable.  Violations raise instead of being
-silently clipped.  When a cut (an edge set) is supplied, the engine
-counts every bit sent across it round by round; that account is what
-links simulated runs to two-party communication lower bounds.
+length capped, outputs immutable.  A node sends one payload on all its
+edges as one bit string, a broadcast.  Violations raise instead of
+being silently clipped.  When a cut (an edge set) is supplied, the
+engine counts every bit sent across it round by round; that account is
+what links simulated runs to two-party communication lower bounds.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, repeat
 from typing import Any, Callable
 
 from .graphs import Graph
@@ -99,9 +100,10 @@ class NodeProgram:
     stream in ``init``, from a seed its factory was given.
     ``step(state, round_index, inbox)`` returns (state, outbox, output)
     where inbox maps sender id to bit string, outbox lists
-    (destination, bits), and output is None while undecided, else the
-    final 0/1.  ``collect(state)``, when set, extracts a per-node
-    result (e.g. a listing) after the run.
+    (destination, bits) or is one bit string sent to every neighbor
+    (``""`` is an empty message each, ``[]`` no message), and output is
+    None while undecided, else the final 0/1.  ``collect(state)``, when
+    set, extracts a per-node result (e.g. a listing) after the run.
 
     ``reactive=True`` declares that after round 0 a node with an empty
     inbox would do nothing if stepped: same state, no messages, and the
@@ -112,7 +114,7 @@ class NodeProgram:
 
     name: str
     init: Callable[[int, tuple[int, ...], int], Any]
-    step: Callable[[Any, int, dict[int, str]], tuple[Any, list[tuple[int, str]], Any]]
+    step: Callable[[Any, int, dict[int, str]], tuple[Any, str | list[tuple[int, str]], Any]]
     collect: Callable[[Any], Any] | None = None
     reactive: bool = False
 
@@ -156,14 +158,17 @@ def run(
     neighbors as a sorted tuple.  The engine draws nothing, so a run is
     a function of the graph, the program, the config and the cut.
 
-    An outbox is checked once, not message by message.  Its destination
-    set must be as large as the outbox (else an edge is used twice) and
-    lie within the node's neighbors.  A payload is checked for bits and
-    length only when it is not the object the previous message carried,
-    so a broadcast of one string is checked once.  When a check fails,
-    the outbox is walked in send order and the first faulty message is
-    reported, with its first fault in the order non-neighbor, repeated
-    edge, non-bitstring, oversize; which check caught it does not matter.
+    A broadcast (a string outbox) is checked once, for bits and length,
+    and delivered to the neighbors in ascending order; a node without
+    neighbors sends and checks nothing.  A list outbox is checked once,
+    not message by message.  Its destination set must be as large as
+    the outbox (else an edge is used twice) and lie within the node's
+    neighbors.  A payload is checked for bits and length only when it is
+    not the object the previous message carried.  When a check fails,
+    the outbox (a broadcast as its list of pairs) is walked in send
+    order and the first faulty message is reported, with its first fault
+    in the order non-neighbor, repeated edge, non-bitstring, oversize;
+    which check caught it does not matter.
     """
     n = g.n
     adj = g.adj
@@ -173,7 +178,8 @@ def run(
     )
     cut_set = frozenset(cut) if cut is not None else frozenset()
 
-    states = [program.init(v, tuple(sorted(adj[v])), n) for v in range(n)]
+    neighbors = [tuple(sorted(adj[v])) for v in range(n)]
+    states = [program.init(v, neighbors[v], n) for v in range(n)]
     outputs: list = [None] * n
     undecided = n
     inbox_next: defaultdict[int, dict[int, str]] = defaultdict(dict)
@@ -230,21 +236,36 @@ def run(
                 elif outputs[v] != out:
                     raise violation(v, r, f"changed output {outputs[v]} -> {out}")
                 outputs[v] = out
-            if not outbox:
+            if outbox.__class__ is str:
+                dsts = neighbors[v]
+                if not dsts:
+                    continue
+                if outbox.strip("01") or len(outbox) > bandwidth:
+                    raise first_fault(v, r, [(u, outbox) for u in dsts])
+                if len(outbox) > max_message_bits:
+                    max_message_bits = len(outbox)
+                for dst in dsts:
+                    inbox_next[dst][v] = outbox
+                message_count += len(dsts)
+                if cut_set:
+                    outbox = zip(dsts, repeat(outbox))
+            elif not outbox:
                 continue
-            dsts = {dst for dst, _ in outbox}
-            if len(dsts) != len(outbox) or not dsts <= adj[v]:
-                raise first_fault(v, r, outbox)
-            checked = _NOT_A_PAYLOAD
-            for dst, bits in outbox:
-                if bits is not checked:
-                    if not isinstance(bits, str) or bits.strip("01") or len(bits) > bandwidth:
-                        raise first_fault(v, r, outbox)
-                    checked = bits
-                    if len(bits) > max_message_bits:
-                        max_message_bits = len(bits)
-                inbox_next[dst][v] = bits
-            message_count += len(outbox)
+            else:
+                dsts = {dst for dst, _ in outbox}
+                if len(dsts) != len(outbox) or not dsts <= adj[v]:
+                    raise first_fault(v, r, outbox)
+                checked = _NOT_A_PAYLOAD
+                for dst, bits in outbox:
+                    if bits is not checked:
+                        bad = not isinstance(bits, str) or bits.strip("01")
+                        if bad or len(bits) > bandwidth:
+                            raise first_fault(v, r, outbox)
+                        checked = bits
+                        if len(bits) > max_message_bits:
+                            max_message_bits = len(bits)
+                    inbox_next[dst][v] = bits
+                message_count += len(outbox)
             if cut_set:
                 for dst, bits in outbox:
                     if ((v, dst) if v < dst else (dst, v)) in cut_set:
@@ -311,8 +332,7 @@ def naive_four_cycle_program() -> NodeProgram:
                 known[src].add(int(bits[1:], 2))
         outbox = []
         if r < len(state["nbrs"]):
-            payload = "1" + encode_uint(state["nbrs"][r], state["w"])
-            outbox = [(u, payload) for u in state["nbrs"]]
+            outbox = "1" + encode_uint(state["nbrs"][r], state["w"])
         output = None
         if r >= state["n"] - 1:
             # known is keyed by the neighbours, so it doubles as N(v).
@@ -339,14 +359,14 @@ def flood_program(source: int = 0) -> NodeProgram:
     """
 
     def init(v, neighbors, n):
-        return {"nbrs": neighbors, "informed": v == source, "sent": False}
+        return {"informed": v == source, "sent": False}
 
     def step(state, r, inbox):
         if inbox:
             state["informed"] = True
         outbox = []
         if state["informed"] and not state["sent"]:
-            outbox = [(u, "1") for u in state["nbrs"]]
+            outbox = "1"
             state["sent"] = True
         return state, outbox, 1 if state["informed"] else None
 

@@ -1,6 +1,8 @@
 """A naive twin of the simulator, written from the ``congest`` module
 docstring: rounds in lockstep, mail sent in round r read in round r + 1,
 each message checked on its own in send order, outputs final once set.
+A string outbox is expanded to one (neighbor, string) pair per neighbor
+in ascending order and then checked like any other.
 
 It steps every node in every round, reactive program or not, so that a
 run of ``congest`` can be compared with it field by field.  It shares
@@ -36,6 +38,8 @@ def reference_run(g, program, config=SimConfig(), cut=None, record_cut_messages=
                 if outputs[v] is not None and outputs[v] != out:
                     raise fault(v, r, f"changed output {outputs[v]} -> {out}")
                 outputs[v] = out
+            if isinstance(outbox, str):
+                outbox = [(dst, outbox) for dst in sorted(g.adj[v])]
             used = set()
             for dst, bits in outbox or ():
                 if dst not in g.adj[v]:

@@ -703,15 +703,20 @@ class TestRunDiamondListing:
 
     @pytest.mark.parametrize("flag", ["--delta", "--epsilon"])
     def test_an_exponent_above_two_is_refused_at_once(self, tmp_path, capsys, flag):
-        # Exact powers with an exponent of 100000 would run for minutes.
+        # Exact powers with an exponent of 100000, or with a denominator
+        # of 10^7, would run for minutes.
         g = tmp_path / "g.txt"
         _write_random_graph(g, n=40, density=0.2, seed=1)
-        t0 = time.perf_counter()
-        rc = main(["run-diamond-listing", "--graph", str(g), flag, "100000"])
-        assert time.perf_counter() - t0 < 1.0
-        assert rc == EXIT_USAGE
         name = flag.removeprefix("--")
-        assert capsys.readouterr().err == f"error: {name} must be in [0, 2], got 100000\n"
+        for value, rule in (
+            ("100000", "must be in [0, 2]"),
+            ("1/10000000", "must have a denominator of at most 1000"),
+        ):
+            t0 = time.perf_counter()
+            rc = main(["run-diamond-listing", "--graph", str(g), flag, value])
+            assert time.perf_counter() - t0 < 1.0
+            assert rc == EXIT_USAGE
+            assert capsys.readouterr().err == f"error: {name} {rule}, got {value}\n"
 
 
 class TestBenchAndReport:

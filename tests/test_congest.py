@@ -26,7 +26,7 @@ from congestlab.congest import (
     word_bits,
 )
 from congestlab.families import InputPair, build_four_cycle_family
-from congestlab.graphs import Graph, list_induced_cycles_naive, random_graph
+from congestlab.graphs import Graph, crossing_edges, list_induced_cycles_naive, random_graph
 
 PROPERTY_SETTINGS = settings(
     max_examples=50,
@@ -305,11 +305,58 @@ class TestViolations:
         with pytest.raises(ProtocolViolation, match=where):
             run(_complete_graph(4), prog, SimConfig(bandwidth_bits=8))
 
-    @pytest.mark.parametrize("bad", ["012", "0" * 9, b"01"])
-    def test_a_bad_payload_sent_to_two_neighbors_is_rejected(self, bad):
-        prog = self._one_outbox_program([(1, bad), (2, bad)])
-        with _raises_violation("one-outbox", 0, 0):
-            run(_complete_graph(4), prog, SimConfig(bandwidth_bits=8))
+    @pytest.mark.parametrize(
+        "outbox",
+        [
+            pytest.param([(1, "012"), (2, "012")], id="012"),
+            pytest.param([(1, "0" * 9), (2, "0" * 9)], id="000000000"),
+            pytest.param([(1, b"01"), (2, b"01")], id="01"),
+            # Broadcasts, to all three neighbors of node 0.
+            pytest.param("012", id="broadcast-012"),
+            pytest.param("0" * 9, id="broadcast-000000000"),
+        ],
+    )
+    def test_a_bad_payload_sent_to_two_neighbors_is_rejected(self, outbox):
+        config = SimConfig(bandwidth_bits=8)
+        prog = self._one_outbox_program(outbox)
+        with _raises_violation("one-outbox", 0, 0) as raised:
+            run(_complete_graph(4), prog, config)
+        if isinstance(outbox, str):
+            # The text is the one of the list with a pair per neighbor.
+            listed = self._one_outbox_program([(u, outbox) for u in (1, 2, 3)])
+            with pytest.raises(ProtocolViolation) as expected:
+                run(_complete_graph(4), listed, config)
+            assert str(raised.value) == str(expected.value)
+
+    def test_an_empty_broadcast_sends_one_empty_message_per_neighbor(self):
+        def init(v, neighbors, n):
+            return {}
+
+        def step(state, r, inbox):
+            state.update(inbox)
+            return state, ("" if r == 0 else []), (0 if r else None)
+
+        prog = NodeProgram(name="hush", init=init, step=step, collect=dict)
+        stats = run(_path_graph(3), prog)
+        assert stats.message_count == 4
+        assert stats.max_message_bits == 0
+        assert stats.listings == {0: {1: ""}, 1: {0: "", 2: ""}, 2: {1: ""}}
+
+    @pytest.mark.parametrize("payload", ["0101", "", "2", "1" * 9])
+    def test_a_broadcast_from_an_isolated_node_sends_and_checks_nothing(self, payload):
+        # Node 2 has no neighbors, so its broadcast is no message at all,
+        # as an empty list would be; even a faulty payload is not looked at.
+        def init(v, neighbors, n):
+            return v
+
+        def step(state, r, inbox):
+            return state, (payload if state == 2 else []), 0
+
+        prog = NodeProgram(name="alone", init=init, step=step)
+        stats = run(Graph(3, [(0, 1)]), prog, SimConfig(bandwidth_bits=8))
+        assert stats.message_count == 0
+        assert stats.max_message_bits == 0
+        assert stats.decision == 0
 
     def test_an_oversized_payload_after_a_shared_valid_one_is_rejected(self):
         shared = "0101"
@@ -397,6 +444,31 @@ class TestCutAccounting:
         # Node 0 floods once over (0, 1); node 1 echoes back once.
         assert stats.total_cut_bits == 2
         assert {(u, v) for _, u, v, _ in stats.cut_messages} == {(0, 1), (1, 0)}
+
+    def test_a_broadcast_is_accounted_as_the_list_of_its_pairs(self):
+        # Each node sends two rounds of payloads to all its neighbors,
+        # once as one string and once as a list in ascending order; the
+        # graph has an isolated node and the cut crosses a half split.
+        def program(as_string: bool) -> NodeProgram:
+            def init(v, neighbors, n):
+                return v, neighbors
+
+            def step(state, r, inbox):
+                v, nbrs = state
+                if r == 2:
+                    return state, [], 0
+                bits = format(v + r, "b")
+                return state, (bits if as_string else [(u, bits) for u in nbrs]), None
+
+            return NodeProgram(name="shout", init=init, step=step)
+
+        g = Graph(13, random_graph(12, 0.3, random.Random(3)).edges)
+        cut = crossing_edges(g, range(6))
+        broadcast, listed = (
+            run(g, program(form), cut=cut, record_cut_messages=True) for form in (True, False)
+        )
+        assert broadcast == listed
+        assert broadcast.total_cut_bits > 0
 
     def test_bound_check_reports_slack(self):
         g = _cycle_graph(8)

@@ -16,6 +16,7 @@ from reference_sim import reference_run
 from test_golden_outputs import planted_graph
 
 from congestlab import diamond_congest
+from congestlab.congest import PROGRAMS, NodeProgram, SimConfig, run
 from congestlab.diamond_congest import (
     coverage_tags,
     decompose_by_peeling,
@@ -135,11 +136,25 @@ class TestDecomposition:
             ({"delta": Fraction(-1)}, "delta"),
             ({"epsilon": Fraction(9, 4)}, "epsilon"),
             ({"epsilon": Fraction(100000)}, "epsilon"),
+            # Inside the range, but the exact powers would take minutes.
+            ({"delta": Fraction(1, 1001)}, "delta"),
+            ({"epsilon": Fraction(1, 10**7)}, "epsilon"),
         ],
     )
     def test_an_exponent_outside_zero_to_two_is_refused(self, exponents, named):
-        with pytest.raises(ValueError, match=f"^{named} must be in \\[0, 2\\]"):
+        value = exponents[named]
+        if 0 <= value <= 2:
+            rule = "must have a denominator of at most 1000"
+        else:
+            rule = r"must be in \[0, 2\]"
+        with pytest.raises(ValueError, match=f"^{named} {rule}, got {value}$"):
             decompose_by_peeling(Graph(4, [(0, 1)]), **exponents)
+
+    def test_an_exponent_with_a_denominator_of_1000_is_accepted(self):
+        dec = decompose_by_peeling(
+            Graph(4, [(0, 1)]), delta=Fraction(999, 1000), epsilon=Fraction(1, 1000)
+        )
+        assert (dec.delta, dec.epsilon) == (Fraction(999, 1000), Fraction(1, 1000))
 
     def test_membership_maps_match_the_clusters(self):
         g = Graph(14, _clique_edges(range(12)) + [(11, 12), (12, 13)])
@@ -605,6 +620,73 @@ class TestPhasesAgainstTheNaiveTwin:
             engaged += engine[1][1] is not None
         assert set(twin_runs) >= {"diamond-sparse", "diamond-light"}
         assert ("diamond-heavy" in twin_runs) == (engaged > 0)
+
+
+class TestBroadcastsUseTheStringForm:
+    """A step that sends one payload object to every neighbor returns it
+    as one string, which the engine delivers without building or
+    checking a pair per edge.  The guard wraps each program's step and
+    records every list outbox that is such a broadcast."""
+
+    @staticmethod
+    def _guarded(program: NodeProgram, listed: list) -> NodeProgram:
+        def init(v, neighbors, n):
+            return v, neighbors, program.init(v, neighbors, n)
+
+        def step(wrapped, r, inbox):
+            v, neighbors, state = wrapped
+            state, outbox, out = program.step(state, r, inbox)
+            if (
+                outbox
+                and not isinstance(outbox, str)
+                and sorted(dst for dst, _ in outbox) == list(neighbors)
+                and all(bits is outbox[0][1] for _, bits in outbox)
+            ):
+                listed.append((program.name, v, r))
+            return (v, neighbors, state), outbox, out
+
+        collect = program.collect
+        return replace(
+            program,
+            init=init,
+            step=step,
+            collect=None if collect is None else (lambda wrapped: collect(wrapped[2])),
+        )
+
+    def test_the_guard_catches_a_listed_broadcast(self):
+        listed: list = []
+        shout = NodeProgram(
+            name="shout",
+            init=lambda v, neighbors, n: neighbors,
+            step=lambda nbrs, r, inbox: (nbrs, [(u, "1") for u in nbrs], 0),
+        )
+        run(Graph(3, [(0, 1), (1, 2)]), self._guarded(shout, listed))
+        assert listed == [("shout", 0, 0), ("shout", 1, 0), ("shout", 2, 0)]
+
+    @pytest.mark.parametrize("name", sorted(PROGRAMS))
+    def test_stock_programs_broadcast_strings(self, name):
+        listed: list = []
+        for seed in range(4):
+            g = random_graph(10 + seed, 0.15 + 0.05 * seed, random.Random(seed))
+            program = PROGRAMS[name](str(seed) if name == "flood" else None)
+            run(g, self._guarded(program, listed), SimConfig(max_rounds=30))
+        assert listed == []
+
+    def test_phase_programs_broadcast_strings(self, monkeypatch):
+        listed: list = []
+        names = set()
+
+        def guarded_run(g, program, *args, **kwargs):
+            names.add(program.name)
+            return run(g, self._guarded(program, listed), *args, **kwargs)
+
+        monkeypatch.setattr(diamond_congest, "run", guarded_run)
+        for graphs in GRAPH_SETS.values():
+            for g in graphs():
+                list_induced_diamonds_congest(g)
+        assert listed == []
+        # The golden planted graph is the one that engages the heavy phase.
+        assert names == {"diamond-sparse", "diamond-heavy", "diamond-light"}
 
 
 class TestFullListing:

@@ -40,12 +40,14 @@ def _random_program(
 ) -> NodeProgram:
     """Each node draws its moves from its own stream, seeded from *seed*
     and its id.  It logs its mail, decides, flips or stays silent, and
-    sends nothing, a shared broadcast, or distinct payloads to
-    neighbours in random order.  With probability *fault_rate* a step
-    flips its output or emits 2, and with that probability again one or
-    two messages each break a rule.  The reactive form draws and acts
-    only in round 0 or with mail, and otherwise repeats its last
-    output."""
+    sends nothing, a shared payload listed once per neighbour, the same
+    payload as a string broadcast (possibly empty, and from isolated
+    nodes too), or distinct payloads to neighbours in random order.
+    With probability *fault_rate* a step flips its output or emits 2,
+    and with that probability again one or two listed messages each
+    break a rule, or the broadcast string is oversize or not bits.  The
+    reactive form draws and acts only in round 0 or with mail, and
+    otherwise repeats its last output."""
 
     def payload(rng):
         return "".join(rng.choice("01") for _ in range(rng.randint(0, bandwidth)))
@@ -80,17 +82,22 @@ def _random_program(
         state["said"] = said if out is None else out
         mode = rng.random()
         shared = payload(rng)
-        if mode < 0.3:
+        if mode < 0.25:
             outbox = []
-        elif mode < 0.55:
+        elif mode < 0.45:
             outbox = [(u, shared) for u in nbrs]
+        elif mode < 0.65:
+            outbox = shared
         else:
             dsts = rng.sample(nbrs, rng.randint(0, len(nbrs)))
             outbox = [(u, shared if rng.random() < 0.3 else payload(rng)) for u in dsts]
         if rng.random() < fault_rate:
-            for _ in range(rng.randint(1, 2)):
-                bad = faulty(rng, outbox, nbrs, state["n"])
-                outbox.insert(rng.randint(0, len(outbox)), bad)
+            if isinstance(outbox, str):
+                outbox = rng.choice(("2", "0 1", "1" * (bandwidth + 1 + rng.randrange(3))))
+            else:
+                for _ in range(rng.randint(1, 2)):
+                    bad = faulty(rng, outbox, nbrs, state["n"])
+                    outbox.insert(rng.randint(0, len(outbox)), bad)
         return state, outbox, out
 
     def collect(state):
