@@ -8,19 +8,18 @@ bytes; bench additionally reports oracle wall time, which is the one
 intentionally non-reproducible column.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (such as
-a count below 1, an --input-density or --densities value outside
-[0, 1], a --delta or --epsilon outside [0, 2], two report --inputs
-with the same file name, --input-seed, --input-density or
---intersecting yes|no together with --x/--y, an argument to a program
-that takes none, a flood source that is not an integer or not
-a vertex of the graph, a cycles:<k> protocol whose k is not an
-integer, c4 with a --k other than 4, a family flag (--k, --ell, --m,
---seed) on a family that does not take it, an option a subcommand
-does not have, such as --seed on run-congest, a --cut or
---partition bundle that does not belong to --graph, or a path it
-cannot use: a missing file, a directory where a file is read, or an
-existing file as --out) or a simulator model violation, 3 work budget
-exceeded.
+a count below 1, a --max-rounds above 1000000, an --input-density or
+--densities value outside [0, 1], a --delta or --epsilon outside
+[0, 2], two report --inputs with the same file name, --input-seed,
+--input-density or --intersecting yes|no together with --x/--y, an
+argument to a program that takes none, a flood source that is not an
+integer or not a vertex of the graph, a cycles:<k> protocol whose k is
+not an integer, c4 with a --k other than 4, a family flag (--k, --ell,
+--m, --seed) on a family that does not take it, an option a subcommand
+does not have, such as --seed on run-congest, a --cut or --partition
+bundle that does not belong to --graph, or a path it cannot use: a
+missing file, a directory where a file is read, or an existing file as
+--out) or a simulator model violation, 3 work budget exceeded.
 CONGESTLAB_WORK_BUDGET overrides the default enumeration budget; a
 value that is not an integer of at least 1 is a usage error.
 """
@@ -137,6 +136,15 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _round_cap(text: str) -> int:
+    """A --max-rounds value of at most 10^6: a run whose mail dies out
+    reports one cut-bit entry per round up to the cap."""
+    value = _positive_int(text)
+    if value > 1_000_000:
+        raise argparse.ArgumentTypeError(f"must be at most 1000000, got {value}")
     return value
 
 
@@ -509,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--program", required=True, help="name or name:arg")
     p.add_argument("--bandwidth", type=_positive_int, default=None)
-    p.add_argument("--max-rounds", type=_positive_int, default=SimConfig.max_rounds)
+    p.add_argument("--max-rounds", type=_round_cap, default=SimConfig.max_rounds)
     p.add_argument("--cut", help="bundle dir or meta.json supplying cut edges")
     p.add_argument("--stats-out")
     p.set_defaults(func=cmd_run_congest)

@@ -11,10 +11,12 @@ Programs are triples of pure callables over explicit state, so the
 engine can enforce the model from outside: destinations must be
 neighbors, one message per edge per direction per round, message
 length capped, outputs immutable.  A node sends one payload on all its
-edges as one bit string, a broadcast.  Violations raise instead of
-being silently clipped.  When a cut (an edge set) is supplied, the
-engine counts every bit sent across it round by round; that account is
-what links simulated runs to two-party communication lower bounds.
+edges as one bit string, a broadcast.  Each listed message is checked
+in send order, and the first violation raises instead of being
+silently clipped.  When a cut (an edge set) is supplied, the engine
+counts and records every message sent across it round by round; that
+account is what links simulated runs to two-party communication lower
+bounds.
 """
 
 from __future__ import annotations
@@ -64,11 +66,6 @@ def encode_uint(value: int, width: int) -> str:
 
 def decode_uint(bits: str) -> int:
     return int(bits, 2) if bits else 0
-
-
-# The payload last checked before an outbox's first message: no program
-# can send this object, so the first payload is always checked.
-_NOT_A_PAYLOAD = object()
 
 
 class ProtocolViolation(RuntimeError):
@@ -144,7 +141,6 @@ def run(
     program: NodeProgram,
     config: SimConfig = SimConfig(),
     cut: frozenset[tuple[int, int]] | None = None,
-    record_cut_messages: bool = False,
 ) -> RunStats:
     """Execute *program* on every node of *g* until all decide or the
     round cap is hit (reported via timed_out, not an exception).
@@ -158,24 +154,20 @@ def run(
     neighbors as a sorted tuple.  The engine draws nothing, so a run is
     a function of the graph, the program, the config and the cut.
 
-    A broadcast (a string outbox) is checked once, for bits and length,
-    and delivered to the neighbors in ascending order; a node without
-    neighbors sends and checks nothing.  A list outbox is checked once,
-    not message by message.  Its destination set must be as large as
-    the outbox (else an edge is used twice) and lie within the node's
-    neighbors.  A payload is checked for bits and length only when it is
-    not the object the previous message carried.  When a check fails,
-    the outbox (a broadcast as its list of pairs) is walked in send
-    order and the first faulty message is reported, with its first fault
-    in the order non-neighbor, repeated edge, non-bitstring, oversize;
-    which check caught it does not matter.
+    A list outbox is walked once, in send order: each message is checked
+    for a non-neighbor, a repeated edge, a non-bitstring and an oversize
+    payload, in that order, and the first fault raises.  A broadcast (a
+    string outbox) is checked once and raises what its first message
+    would; it goes to the neighbors in ascending order, and a node
+    without neighbors sends and checks nothing.  Given a cut,
+    ``cut_messages`` lists each message across it as (round, sender,
+    destination, bits) in send order, ``()`` for an empty cut, and is
+    None without a cut.
     """
     n = g.n
     adj = g.adj
     step = program.step
-    bandwidth = (
-        config.bandwidth_bits if config.bandwidth_bits is not None else default_bandwidth(n)
-    )
+    bandwidth = config.bandwidth_bits or default_bandwidth(n)
     cut_set = frozenset(cut) if cut is not None else frozenset()
 
     neighbors = [tuple(sorted(adj[v])) for v in range(n)]
@@ -191,24 +183,7 @@ def run(
     timed_out = True
 
     def violation(v: int, r: int, what: str) -> ProtocolViolation:
-        where = f"program {program.name}: node {v}"
-        return ProtocolViolation(f"{where} {what} in round {r}")
-
-    def first_fault(v: int, r: int, outbox) -> ProtocolViolation:
-        """The fault of the first bad message in *outbox*, in send order."""
-        nbrs = adj[v]
-        sent_to: set[int] = set()
-        for dst, bits in outbox:
-            if dst not in nbrs:
-                return violation(v, r, f"sent to non-neighbor {dst}")
-            if dst in sent_to:
-                return violation(v, r, f"sent twice over edge to {dst}")
-            if not isinstance(bits, str) or bits.strip("01"):
-                return violation(v, r, f"sent non-bitstring {bits!r}")
-            if len(bits) > bandwidth:
-                return violation(v, r, f"sent {len(bits)} bits > bandwidth {bandwidth}")
-            sent_to.add(dst)
-        raise RuntimeError(f"outbox of node {v} in round {r} has no faulty message")
+        return ProtocolViolation(f"program {program.name}: node {v} {what} in round {r}")
 
     for r in range(config.max_rounds):
         # A plain dict for the per-node lookups: get() on a defaultdict
@@ -240,8 +215,10 @@ def run(
                 dsts = neighbors[v]
                 if not dsts:
                     continue
-                if outbox.strip("01") or len(outbox) > bandwidth:
-                    raise first_fault(v, r, [(u, outbox) for u in dsts])
+                if outbox.strip("01"):
+                    raise violation(v, r, f"sent non-bitstring {outbox!r}")
+                if len(outbox) > bandwidth:
+                    raise violation(v, r, f"sent {len(outbox)} bits > bandwidth {bandwidth}")
                 if len(outbox) > max_message_bits:
                     max_message_bits = len(outbox)
                 for dst in dsts:
@@ -252,26 +229,27 @@ def run(
             elif not outbox:
                 continue
             else:
-                dsts = {dst for dst, _ in outbox}
-                if len(dsts) != len(outbox) or not dsts <= adj[v]:
-                    raise first_fault(v, r, outbox)
-                checked = _NOT_A_PAYLOAD
+                nbrs = adj[v]
                 for dst, bits in outbox:
-                    if bits is not checked:
-                        bad = not isinstance(bits, str) or bits.strip("01")
-                        if bad or len(bits) > bandwidth:
-                            raise first_fault(v, r, outbox)
-                        checked = bits
-                        if len(bits) > max_message_bits:
-                            max_message_bits = len(bits)
-                    inbox_next[dst][v] = bits
+                    if dst not in nbrs:
+                        raise violation(v, r, f"sent to non-neighbor {dst}")
+                    # v steps once a round: mail from v here reuses the edge.
+                    box = inbox_next[dst]
+                    if v in box:
+                        raise violation(v, r, f"sent twice over edge to {dst}")
+                    if not isinstance(bits, str) or bits.strip("01"):
+                        raise violation(v, r, f"sent non-bitstring {bits!r}")
+                    if len(bits) > bandwidth:
+                        raise violation(v, r, f"sent {len(bits)} bits > bandwidth {bandwidth}")
+                    if len(bits) > max_message_bits:
+                        max_message_bits = len(bits)
+                    box[v] = bits
                 message_count += len(outbox)
             if cut_set:
                 for dst, bits in outbox:
                     if ((v, dst) if v < dst else (dst, v)) in cut_set:
                         round_cut_bits += len(bits)
-                        if record_cut_messages:
-                            cut_messages.append((r, v, dst, bits))
+                        cut_messages.append((r, v, dst, bits))
         per_round_cut_bits.append(round_cut_bits)
         if not undecided:
             rounds_used = r + 1
@@ -286,7 +264,7 @@ def run(
         total_cut_bits=sum(per_round_cut_bits),
         message_count=message_count,
         max_message_bits=max_message_bits,
-        cut_messages=tuple(cut_messages) if record_cut_messages else None,
+        cut_messages=tuple(cut_messages) if cut is not None else None,
         listings=(
             {
                 v: res

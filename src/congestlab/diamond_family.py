@@ -80,10 +80,6 @@ class DiamondFixture:
     def bit_count(self) -> int:
         return len(self.quadruples)
 
-    def partner_of(self, a: int) -> int:
-        """The partner-block vertex matched to A vertex *a*."""
-        return self.partner_vertices[a]
-
 
 def diamond_cut_size(n: int) -> int:
     """Block bijections plus the matching: n^{3/2} + n edges."""

@@ -138,9 +138,6 @@ class Graph:
             return False
         return (u, v) in self.edges if u < v else (v, u) in self.edges
 
-    def neighbors(self, v: int) -> frozenset[int]:
-        return self.adj[v]
-
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 

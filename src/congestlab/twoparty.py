@@ -369,13 +369,8 @@ class ReductionResult:
     disjointness_answer: int
     oracle_answer: int
     consistent: bool
-    program_decision: int
     stats: RunStats
     transcript: Transcript
-
-    @property
-    def answer_overhead_bits(self) -> int:
-        return self.transcript.payload_bits(kind="answer")
 
 
 def congest_reduction(
@@ -393,13 +388,7 @@ def congest_reduction(
     the family makes that equivalent to "inputs intersect", so the
     transcript decides disjointness: answer 1 means disjoint.
     """
-    stats = run(
-        inst.graph,
-        program,
-        config=config,
-        cut=inst.cut_edges,
-        record_cut_messages=True,
-    )
+    stats = run(inst.graph, program, config=config, cut=inst.cut_edges)
     if stats.decision is None:
         raise RuntimeError(f"program {program.name} did not decide within the cap")
     side_a = set(inst.side_a)
@@ -414,7 +403,6 @@ def congest_reduction(
         disjointness_answer=disj,
         oracle_answer=oracle,
         consistent=disj == oracle,
-        program_decision=stats.decision,
         stats=stats,
         transcript=transcript,
     )

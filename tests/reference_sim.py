@@ -2,7 +2,8 @@
 docstring: rounds in lockstep, mail sent in round r read in round r + 1,
 each message checked on its own in send order, outputs final once set.
 A string outbox is expanded to one (neighbor, string) pair per neighbor
-in ascending order and then checked like any other.
+in ascending order and then checked like any other.  Given a cut, every
+message across it is recorded; without one, none is.
 
 It steps every node in every round, reactive program or not, so that a
 run of ``congest`` can be compared with it field by field.  It shares
@@ -14,10 +15,10 @@ from __future__ import annotations
 from congestlab.congest import ProtocolViolation, RunStats, SimConfig, default_bandwidth
 
 
-def reference_run(g, program, config=SimConfig(), cut=None, record_cut_messages=False):
+def reference_run(g, program, config=SimConfig(), cut=None):
     n = g.n
     bandwidth = config.bandwidth_bits or default_bandwidth(n)
-    cut = frozenset(cut or ())
+    cut_set = frozenset(cut or ())
     states = [program.init(v, tuple(sorted(g.adj[v])), n) for v in range(n)]
     outputs = [None] * n
     mail: dict[int, dict[int, str]] = {}
@@ -54,7 +55,7 @@ def reference_run(g, program, config=SimConfig(), cut=None, record_cut_messages=
                 mail.setdefault(dst, {})[v] = bits
                 messages += 1
                 longest = max(longest, len(bits))
-                if (min(v, dst), max(v, dst)) in cut:
+                if (min(v, dst), max(v, dst)) in cut_set:
                     bits_on_cut += len(bits)
                     cut_messages.append((r, v, dst, bits))
         per_round.append(bits_on_cut)
@@ -74,6 +75,6 @@ def reference_run(g, program, config=SimConfig(), cut=None, record_cut_messages=
         total_cut_bits=sum(per_round),
         message_count=messages,
         max_message_bits=longest,
-        cut_messages=tuple(cut_messages) if record_cut_messages else None,
+        cut_messages=None if cut is None else tuple(cut_messages),
         listings=listings,
     )

@@ -429,7 +429,7 @@ class TestRunCongest:
         gen_family = ["gen-family", "c4", "--input-seed", "2", "--intersecting", "yes",
                       "--out", str(tmp_path / "bundle")]
         cases = [
-            (run_congest, "--max-rounds", ("-1", "0")),
+            (run_congest, "--max-rounds", ("-1", "0", "1000001")),
             (run_congest, "--bandwidth", ("-1", "0")),
             (["verify-family", "c4", "--n", "2"], "--samples", ("-1", "0")),
             (["bench", "--suite", "cycle-protocol"], "--sizes", ("0", "16,-1")),
@@ -442,7 +442,15 @@ class TestRunCongest:
                     main(args + [flag, value])
                 assert info.value.code == EXIT_USAGE
                 err = capsys.readouterr().err
-                assert f"{flag}: must be at least 1" in err and "Traceback" not in err
+                rule = "at most 1000000" if value == "1000001" else "at least 1"
+                assert f"{flag}: must be {rule}" in err and "Traceback" not in err
+
+    def test_a_round_cap_of_one_million_is_accepted(self):
+        # Parsing alone: a run to this cap is not made here.
+        args = cli.build_parser().parse_args(
+            ["run-congest", "--graph", "g.txt", "--program", "silent", "--max-rounds", "1000000"]
+        )
+        assert args.max_rounds == 1_000_000
 
 
 class TestRunProtocol:

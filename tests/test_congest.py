@@ -425,7 +425,7 @@ class TestDeterminism:
 
     def test_per_node_streams_differ_across_nodes(self):
         g = _cycle_graph(6)
-        stats = run(g, self._noisy_program(0), record_cut_messages=True, cut=g.edges)
+        stats = run(g, self._noisy_program(0), cut=g.edges)
         payloads = {bits for _, _, _, bits in stats.cut_messages}
         assert payloads == {"0", "1"}
         assert stats.message_count == 6 * 2 * 3
@@ -433,17 +433,20 @@ class TestDeterminism:
 
 class TestCutAccounting:
     def test_without_a_cut_no_traffic_is_charged(self):
-        stats = run(_cycle_graph(8), flood_program(0))
-        assert stats.total_cut_bits == 0
-        assert stats.message_count > 0
+        # No cut records nothing; an empty cut records no message.
+        for cut, recorded in ((None, None), (frozenset(), ())):
+            stats = run(_cycle_graph(8), flood_program(0), cut=cut)
+            assert stats.total_cut_bits == 0
+            assert stats.message_count > 0
+            assert stats.cut_messages == recorded
 
     def test_cut_traffic_counts_only_marked_edges(self):
         g = _cycle_graph(8)
         cut = frozenset({(0, 1)})
-        stats = run(g, flood_program(0), cut=cut, record_cut_messages=True)
+        stats = run(g, flood_program(0), cut=cut)
         # Node 0 floods once over (0, 1); node 1 echoes back once.
         assert stats.total_cut_bits == 2
-        assert {(u, v) for _, u, v, _ in stats.cut_messages} == {(0, 1), (1, 0)}
+        assert stats.cut_messages == ((0, 0, 1, "1"), (1, 1, 0, "1"))
 
     def test_a_broadcast_is_accounted_as_the_list_of_its_pairs(self):
         # Each node sends two rounds of payloads to all its neighbors,
@@ -464,9 +467,7 @@ class TestCutAccounting:
 
         g = Graph(13, random_graph(12, 0.3, random.Random(3)).edges)
         cut = crossing_edges(g, range(6))
-        broadcast, listed = (
-            run(g, program(form), cut=cut, record_cut_messages=True) for form in (True, False)
-        )
+        broadcast, listed = (run(g, program(form), cut=cut) for form in (True, False))
         assert broadcast == listed
         assert broadcast.total_cut_bits > 0
 

@@ -73,7 +73,7 @@ class TestGraphBasics:
         g = Graph(4, [(0, 1), (1, 2)])
         assert g.has_edge(0, 1) and g.has_edge(1, 0)
         assert not g.has_edge(0, 2)
-        assert g.neighbors(1) == frozenset({0, 2})
+        assert g.adj[1] == frozenset({0, 2})
         assert g.degree(1) == 2
         assert g.degree(3) == 0
 

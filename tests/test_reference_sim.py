@@ -30,7 +30,7 @@ NON_BIT_PAYLOADS = (None, "2", "0 1", b"01", 1)
 
 def _outcome(runner, g, program, config, cut):
     try:
-        return runner(g, program, config, cut=cut, record_cut_messages=True)
+        return runner(g, program, config, cut=cut)
     except ProtocolViolation as exc:
         return f"ProtocolViolation: {exc}"
 

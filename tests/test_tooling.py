@@ -4,8 +4,9 @@ exists, the package namespace is the star import of each module with an
 ``__all__``, no module exports a name it imports, no module imports
 a name it never uses, no module-level private name goes unreferenced,
 every exported function and constant is used outside its module, the
-simulator's naive twin borrows nothing from the engine, the
-engine imports no random module, and the benchmark's tracer still
+simulator's naive twin borrows nothing from the engine and imports from
+the package only the names its docstring allows, the engine imports
+no random module, and the benchmark's tracer still
 finds, and reads the results of, every function it traces."""
 
 from __future__ import annotations
@@ -183,6 +184,22 @@ def test_the_simulator_twin_uses_no_engine_internals():
             used.add(node.name.rsplit(".", 1)[-1])
             used.add(node.asname)
     assert used & forbidden == set()
+
+
+def test_the_simulator_twin_imports_only_what_its_docstring_allows():
+    """The allow-list counterpart of the check above: from the package,
+    the twin may import only the types it returns, raises and reads,
+    and ``default_bandwidth``.  A codec, ``word_bits`` or a stock program
+    would let it lean on the engine's own helpers."""
+    allowed = {"ProtocolViolation", "RunStats", "SimConfig", "default_bandwidth"}
+    tree = ast.parse((Path(__file__).parent / "reference_sim.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("congestlab"):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {a.name for a in node.names if a.name.startswith("congestlab")}
+    assert imported and imported <= allowed, sorted(imported - allowed)
 
 
 def test_the_engine_imports_no_random_module():

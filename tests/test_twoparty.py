@@ -341,7 +341,7 @@ class TestReduction:
             res = congest_reduction(inst, naive_four_cycle_program())
             assert res.consistent, (x, y)
             assert res.transcript.payload_bits(kind="sim") == res.stats.total_cut_bits
-            assert res.answer_overhead_bits == 1
+            assert res.transcript.payload_bits(kind="answer") == 1
 
     def test_transcript_measures_real_cut_traffic(self):
         inst = build_four_cycle_family(2, InputPair("1000", "0001"))
