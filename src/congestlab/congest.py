@@ -21,10 +21,11 @@ bounds.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import combinations, repeat
-from typing import Any, Callable
+from itertools import filterfalse, repeat
+from typing import Any, Callable, Iterable
 
 from .graphs import Graph
 
@@ -102,18 +103,22 @@ class NodeProgram:
     None while undecided, else the final 0/1.  ``collect(state)``, when
     set, extracts a per-node result (e.g. a listing) after the run.
 
-    ``reactive=True`` declares that after round 0 a node with an empty
+    ``wakes(v, neighbors, n)``, when set, is called once per node and
+    returns the rounds in which the node acts without mail: its wake
+    schedule.  It declares that in any other round a node with an empty
     inbox would do nothing if stepped: same state, no messages, and the
-    same output (None while undecided).  ``run`` then skips such steps.
-    A program that acts on a round schedule, with or without mail, must
-    leave it False.
+    same output (None while undecided).  ``run`` then steps a node only
+    in its wake rounds and in rounds that bring it mail.  The engine
+    cannot check this contract; the naive twin in the tests can.  A
+    program that reacts only to mail after round 0 declares ``(0,)``;
+    ``None`` steps every node in every round.
     """
 
     name: str
     init: Callable[[int, tuple[int, ...], int], Any]
     step: Callable[[Any, int, dict[int, str]], tuple[Any, str | list[tuple[int, str]], Any]]
     collect: Callable[[Any], Any] | None = None
-    reactive: bool = False
+    wakes: Callable[[int, tuple[int, ...], int], Iterable[int]] | None = None
 
 
 @dataclass(frozen=True)
@@ -145,14 +150,17 @@ def run(
     """Execute *program* on every node of *g* until all decide or the
     round cap is hit (reported via timed_out, not an exception).
 
-    Round 0 steps every node.  Later rounds step every node of a program
-    that is not reactive, and only the nodes with mail of a reactive one;
-    either way in id order, whether or not a node has decided.  When a
-    reactive round starts with no mail and some node is undecided, no
-    node can act again: the run jumps to the cap, as if it had stepped
-    every idle round.  Each node's ``init(v, neighbors, n)`` receives its
-    neighbors as a sorted tuple.  The engine draws nothing, so a run is
-    a function of the graph, the program, the config and the cut.
+    A program without a wake schedule has every node stepped in every
+    round.  One with a schedule has a node stepped in its wake rounds
+    and in every round that brings it mail, and no node in a round with
+    neither; such a round records 0 cut bits.  Either way nodes step in
+    id order, whether or not they have decided.  When a round starts
+    with no mail and no wake round is left while some node is
+    undecided, no node can act again: the run jumps to the cap, as if
+    it had stepped every idle round.  Each node's ``init`` and
+    ``wakes`` receive its neighbors as a sorted tuple.  The engine
+    draws nothing, so a run is a function of the graph, the program,
+    the config and the cut.
 
     A list outbox is walked once, in send order: each message is checked
     for a non-neighbor, a repeated edge, a non-bitstring and an oversize
@@ -167,11 +175,25 @@ def run(
     n = g.n
     adj = g.adj
     step = program.step
+    max_rounds = config.max_rounds
     bandwidth = config.bandwidth_bits or default_bandwidth(n)
     cut_set = frozenset(cut) if cut is not None else frozenset()
 
     neighbors = [tuple(sorted(adj[v])) for v in range(n)]
     states = [program.init(v, neighbors[v], n) for v in range(n)]
+    # A broadcast crosses the cut to these neighbors, in ascending order.
+    cut_neighbors = [
+        tuple(u for u in nbrs if ((v, u) if v < u else (u, v)) in cut_set)
+        for v, nbrs in enumerate(neighbors if cut_set else ())
+    ]
+    schedule = None
+    if program.wakes is not None:
+        schedule = defaultdict(list)
+        for v in range(n):
+            for r in set(program.wakes(v, neighbors[v], n)):
+                if r < max_rounds:
+                    schedule[r].append(v)
+        wake_rounds = sorted(schedule) + [max_rounds]
     outputs: list = [None] * n
     undecided = n
     inbox_next: defaultdict[int, dict[int, str]] = defaultdict(dict)
@@ -179,26 +201,36 @@ def run(
     cut_messages: list[tuple[int, int, int, str]] = []
     message_count = 0
     max_message_bits = 0
-    rounds_used = config.max_rounds
+    rounds_used = max_rounds
     timed_out = True
 
     def violation(v: int, r: int, what: str) -> ProtocolViolation:
         return ProtocolViolation(f"program {program.name}: node {v} {what} in round {r}")
 
-    for r in range(config.max_rounds):
+    r = 0
+    while r < max_rounds:
         # A plain dict for the per-node lookups: get() on a defaultdict
         # is markedly slower, and most rounds step many idle nodes.
         inboxes = dict(inbox_next)
         inbox_next = defaultdict(dict)
-        if not (r and program.reactive):
+        if schedule is None:
             stepped = range(n)
-        elif inboxes:
-            # Id order, not mail order: it fixes each inbox's sender
-            # order and the order of cut_messages.
-            stepped = sorted(inboxes)
         else:
-            per_round_cut_bits += [0] * (config.max_rounds - r)
-            break
+            due = schedule.get(r)
+            if inboxes:
+                # Id order, not mail order: it fixes each inbox's sender
+                # order and the order of cut_messages.
+                stepped = sorted(inboxes.keys() | due) if due else sorted(inboxes)
+            elif due:
+                stepped = due
+            elif undecided:
+                # Nobody acts before the next wake round, or the cap.
+                later = wake_rounds[bisect_right(wake_rounds, r)]
+                per_round_cut_bits += [0] * (later - r)
+                r = later
+                continue
+            else:
+                stepped = ()
         round_cut_bits = 0
         for v in stepped:
             state, outbox, out = step(states[v], r, inboxes.get(v, {}))
@@ -225,10 +257,10 @@ def run(
                     inbox_next[dst][v] = outbox
                 message_count += len(dsts)
                 if cut_set:
-                    outbox = zip(dsts, repeat(outbox))
-            elif not outbox:
-                continue
-            else:
+                    for dst in cut_neighbors[v]:
+                        round_cut_bits += len(outbox)
+                        cut_messages.append((r, v, dst, outbox))
+            elif outbox:
                 nbrs = adj[v]
                 for dst, bits in outbox:
                     if dst not in nbrs:
@@ -245,16 +277,17 @@ def run(
                         max_message_bits = len(bits)
                     box[v] = bits
                 message_count += len(outbox)
-            if cut_set:
-                for dst, bits in outbox:
-                    if ((v, dst) if v < dst else (dst, v)) in cut_set:
-                        round_cut_bits += len(bits)
-                        cut_messages.append((r, v, dst, bits))
+                if cut_set:
+                    for dst, bits in outbox:
+                        if ((v, dst) if v < dst else (dst, v)) in cut_set:
+                            round_cut_bits += len(bits)
+                            cut_messages.append((r, v, dst, bits))
         per_round_cut_bits.append(round_cut_bits)
         if not undecided:
             rounds_used = r + 1
             timed_out = False
             break
+        r += 1
 
     return RunStats(
         rounds_used=rounds_used,
@@ -286,54 +319,85 @@ def naive_four_cycle_program() -> NodeProgram:
     """Linear-round induced-4-cycle detection by neighborhood exchange.
 
     Each node streams its sorted neighbor list, one address per round
-    (a presence flag plus one word, within bandwidth).  After n rounds
-    every node knows the full neighborhood of each neighbor and checks
-    locally for u, u2 in N(v) non-adjacent with a common neighbor t
-    outside N(v) and distinct from v; {v, u, t, u2} is then an induced
-    4-cycle, and every induced 4-cycle is seen this way by each of its
-    vertices.  Decides in round n - 1, so n rounds in total.
+    (a presence flag plus one word, within bandwidth), in rounds 0 to
+    deg - 1.  By round n - 1 every node has heard the full neighborhood
+    of each neighbor and checks locally for u, u2 in N(v) non-adjacent
+    with a common neighbor t outside N(v) and distinct from v; {v, u,
+    t, u2} is then an induced 4-cycle, and every induced 4-cycle is
+    seen this way by each of its vertices.  Decides in round n - 1, so
+    n rounds in total.
+
+    A node acts without mail only while it streams and when it decides,
+    so it wakes in rounds 0 to deg - 1 and in round n - 1.  It keeps
+    each neighbor's stream as received and reads it once, when it
+    decides, so that no message costs more than a list append.  The
+    address codes are one read-only table per n, shared by the nodes;
+    everything else a node holds comes from its own (v, neighbors, n)
+    and its mail.
     """
+    tables: dict[int, tuple[str, ...]] = {}
 
     def init(v, neighbors, n):
-        return {
-            "v": v,
-            "nbrs": neighbors,
-            "n": n,
-            "w": word_bits(n),
-            "known": {u: set() for u in neighbors},
-        }
+        if n not in tables:
+            w = word_bits(n)
+            tables[n] = tuple("1" + encode_uint(u, w) for u in range(n))
+        codes = tables[n]
+        stream = [codes[u] for u in neighbors]
+        return v, codes, stream, {u: [] for u in neighbors}
 
     def step(state, r, inbox):
-        known = state["known"]
+        v, codes, stream, heard = state
         for src, bits in inbox.items():
-            if bits[0] == "1":
-                known[src].add(int(bits[1:], 2))
-        outbox = []
-        if r < len(state["nbrs"]):
-            outbox = "1" + encode_uint(state["nbrs"][r], state["w"])
-        output = None
-        if r >= state["n"] - 1:
-            # known is keyed by the neighbours, so it doubles as N(v).
-            v = state["v"]
-            output = int(
-                any(
-                    u2 not in known[u]
-                    and any(t != v and t not in known for t in known[u] & known[u2])
-                    for u, u2 in combinations(state["nbrs"], 2)
-                )
-            )
+            heard[src].append(bits)
+        outbox = stream[r] if r < len(stream) else []
+        output = _closes_four_cycle(codes[v], stream, heard) if r >= len(codes) - 1 else None
         return state, outbox, output
 
-    return NodeProgram(name="detect-four-cycle", init=init, step=step)
+    return NodeProgram(
+        name="detect-four-cycle",
+        init=init,
+        step=step,
+        wakes=lambda v, neighbors, n: (*range(len(neighbors)), n - 1),
+    )
+
+
+def _closes_four_cycle(own: str, stream: list[str], heard: dict[int, list[str]]) -> int:
+    """1 iff two non-adjacent neighbors share a neighbor outside N(v)
+    and other than v, where *stream* holds N(v)'s codes in neighbor
+    order, *own* is v's code and *heard* each neighbor's codes, in the
+    same order.  Sets of neighbors are int bitmasks over their
+    positions in *stream*.  Each outside vertex t gathers the neighbors
+    adjacent to it, and a 4-cycle closes at t iff they are not a
+    clique: some member misses another.
+    """
+    if len(stream) < 2:
+        return 0
+    position = {bits: 1 << i for i, bits in enumerate(stream)}
+    near = {**position, own: 0}.__contains__
+    zeros = repeat(0)
+    misses = {}
+    sharers: dict[str, list[int]] = {}
+    for bit, got in zip(position.values(), heard.values()):
+        misses[bit] = ~(sum(map(position.get, got, zeros)) | bit)
+        for t in filterfalse(near, got):
+            if t in sharers:
+                sharers[t].append(bit)
+            else:
+                sharers[t] = [bit]
+    for group in sharers.values():
+        if len(group) > 1 and any(map(sum(group).__and__, map(misses.__getitem__, group))):
+            return 1
+    return 0
 
 
 def flood_program(source: int = 0) -> NodeProgram:
     """Token flood from one source; nodes decide 1 on first contact.
 
     On a connected graph the run takes eccentricity(source) + 1 rounds,
-    which makes this a timing probe for the delivery rule.  A node acts
-    only on its first mail, so the program is reactive, and a flood that
-    cannot reach every node jumps to the round cap once it dies out.
+    which makes this a timing probe for the delivery rule.  After round
+    0 a node acts only on mail, so it wakes in round 0 alone, and a
+    flood that cannot reach every node jumps to the round cap once it
+    dies out.
     """
 
     def init(v, neighbors, n):
@@ -348,7 +412,7 @@ def flood_program(source: int = 0) -> NodeProgram:
             state["sent"] = True
         return state, outbox, 1 if state["informed"] else None
 
-    return NodeProgram(name="flood", init=init, step=step, reactive=True)
+    return NodeProgram(name="flood", init=init, step=step, wakes=lambda v, neighbors, n: (0,))
 
 
 def constant_program(bit: int) -> NodeProgram:
@@ -364,8 +428,8 @@ def constant_program(bit: int) -> NodeProgram:
 
 
 def silent_program() -> NodeProgram:
-    """Never decides; exists to exercise the round cap.  It is reactive,
-    so its runs jump to the cap after round 0."""
+    """Never decides; exists to exercise the round cap.  It wakes in
+    round 0 alone, so its runs jump to the cap after round 0."""
 
     def init(v, neighbors, n):
         return None
@@ -373,7 +437,7 @@ def silent_program() -> NodeProgram:
     def step(state, r, inbox):
         return state, [], None
 
-    return NodeProgram(name="silent", init=init, step=step, reactive=True)
+    return NodeProgram(name="silent", init=init, step=step, wakes=lambda v, neighbors, n: (0,))
 
 
 PROGRAMS: dict[str, Callable[[str | None], NodeProgram]] = {

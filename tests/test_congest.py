@@ -146,7 +146,7 @@ class TestStockPrograms:
         assert capped.timed_out and capped.rounds_used == 4
         assert capped.node_outputs == (0, 1, 0, 1, None, None, 0)
 
-    def test_a_reactive_program_steps_only_the_nodes_with_mail_after_round_0(self):
+    def test_a_program_woken_in_round_0_steps_only_the_nodes_with_mail_after_it(self):
         # The same path and isolated node.  In round 0 node 3 decides and
         # sends to 4, then to 2, and node 6 decides; a node that hears
         # from u decides v % 2 and relays away from u.  Mail reaches 4
@@ -166,7 +166,9 @@ class TestStockPrograms:
             return state, [(u, "1") for u in nbrs if u not in inbox], v % 2
 
         g = Graph(7, [(i, i + 1) for i in range(5)])
-        prog = NodeProgram(name="staggered", init=init, step=step, reactive=True)
+        prog = NodeProgram(
+            name="staggered", init=init, step=step, wakes=lambda v, neighbors, n: (0,)
+        )
         stats = run(g, prog)
         assert stats.rounds_used == 4
         assert not stats.timed_out
@@ -487,8 +489,11 @@ class TestFourCycleDetection:
             g = random_graph(rng.randint(5, 12), rng.choice([0.2, 0.4]), rng)
             stats = run(g, naive_four_cycle_program())
             assert not stats.timed_out
-            expected = 1 if list_induced_cycles_naive(g, 4) else 0
-            assert stats.decision == expected
+            cycles = list_induced_cycles_naive(g, 4)
+            assert stats.decision == (1 if cycles else 0)
+            # Each node decides whether it lies on an induced 4-cycle.
+            on_cycle = {v for c in cycles for v in c}
+            assert stats.node_outputs == tuple(int(v in on_cycle) for v in range(g.n))
 
     def test_decides_within_n_rounds(self):
         g = random_graph(10, 0.3, random.Random(1))

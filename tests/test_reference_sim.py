@@ -1,13 +1,15 @@
 """The simulator against its naive twin (``reference_sim``).
 
-Random programs on random graphs, each run as a plain program and as a
-reactive one, must give equal ``RunStats`` on every field, listings
-included, or fail with the same ``ProtocolViolation`` text.  The stock
-programs are compared on seeded graphs.
+Random programs on random graphs, each run as a plain program, as one
+woken in round 0 alone and as one with a seeded wake schedule, must give
+equal ``RunStats`` on every field, listings included, or fail with the
+same ``ProtocolViolation`` text.  The stock programs are compared on
+seeded graphs and on four-cycle family instances with their cuts.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -21,8 +23,10 @@ from congestlab.congest import (
     ProtocolViolation,
     SimConfig,
     default_bandwidth,
+    naive_four_cycle_program,
     run,
 )
+from congestlab.families import InputPair, build_four_cycle_family
 from congestlab.graphs import Graph, crossing_edges, random_graph
 
 NON_BIT_PAYLOADS = (None, "2", "0 1", b"01", 1)
@@ -35,9 +39,22 @@ def _outcome(runner, g, program, config, cut):
         return f"ProtocolViolation: {exc}"
 
 
-def _random_program(
-    fault_rate: float, bandwidth: int, reactive: bool, seed: int
-) -> NodeProgram:
+def _round_zero(v, neighbors, n):
+    return (0,)
+
+
+def _seeded_wakes(seed: int):
+    """Up to four wake rounds per node, drawn from its own stream; some
+    repeat, and some fall outside the round range a run can reach."""
+
+    def wakes(v, neighbors, n):
+        rng = random.Random(f"{seed}:wakes:{v}")
+        return [rng.randrange(-1, 14) for _ in range(rng.randint(0, 4))]
+
+    return wakes
+
+
+def _random_program(fault_rate: float, bandwidth: int, seed: int, wakes=None) -> NodeProgram:
     """Each node draws its moves from its own stream, seeded from *seed*
     and its id.  It logs its mail, decides, flips or stays silent, and
     sends nothing, a shared payload listed once per neighbour, the same
@@ -45,9 +62,9 @@ def _random_program(
     nodes too), or distinct payloads to neighbours in random order.
     With probability *fault_rate* a step flips its output or emits 2,
     and with that probability again one or two listed messages each
-    break a rule, or the broadcast string is oversize or not bits.  The
-    reactive form draws and acts only in round 0 or with mail, and
-    otherwise repeats its last output."""
+    break a rule, or the broadcast string is oversize or not bits.  Given
+    a wake schedule, a node draws and acts only in its wake rounds or
+    with mail, and otherwise repeats its last output."""
 
     def payload(rng):
         return "".join(rng.choice("01") for _ in range(rng.randint(0, bandwidth)))
@@ -65,10 +82,19 @@ def _random_program(
 
     def init(v, neighbors, n):
         rng = random.Random(f"{seed}:{v}")
-        return {"n": n, "nbrs": neighbors, "rng": rng, "out": None, "said": None, "heard": []}
+        awake = None if wakes is None else set(wakes(v, neighbors, n))
+        return {
+            "n": n,
+            "nbrs": neighbors,
+            "rng": rng,
+            "awake": awake,
+            "out": None,
+            "said": None,
+            "heard": [],
+        }
 
     def step(state, r, inbox):
-        if reactive and r and not inbox:
+        if state["awake"] is not None and r not in state["awake"] and not inbox:
             return state, [], state["said"]
         rng, nbrs = state["rng"], state["nbrs"]
         state["heard"] += [(r, src, bits) for src, bits in inbox.items()]
@@ -103,7 +129,15 @@ def _random_program(
     def collect(state):
         return tuple(state["heard"]) or None
 
-    return NodeProgram("random", init, step, collect, reactive=reactive)
+    return NodeProgram("random", init, step, collect, wakes=wakes)
+
+
+def _four_cycle_instances(n: int, seed: int):
+    """A seeded disjoint pair and a seeded intersecting pair at size n."""
+    rng = random.Random(seed)
+    x = "".join(rng.choice("01") for _ in range(n * n))
+    disjoint = "".join(rng.choice("01") if b == "0" else "0" for b in x)
+    return [build_four_cycle_family(n, InputPair(x, y)) for y in (disjoint, x)]
 
 
 @st.composite
@@ -132,19 +166,77 @@ class TestAgainstTheTwin:
     def test_random_programs_match_the_twin(self, instance, fault_rate):
         g, cut, config, seed = instance
         bandwidth = config.bandwidth_bits or default_bandwidth(g.n)
-        for reactive in (False, True):
-            program = _random_program(fault_rate, bandwidth, reactive, seed)
+        for wakes in (None, _round_zero, _seeded_wakes(seed)):
+            program = _random_program(fault_rate, bandwidth, seed, wakes)
             assert _outcome(run, g, program, config, cut) == _outcome(
                 reference_run, g, program, config, cut
             )
 
     @pytest.mark.parametrize("name", sorted(PROGRAMS))
     def test_stock_programs_match_the_twin(self, name):
+        cases = []
         for seed in range(4):
             g = random_graph(10 + seed, 0.15 + 0.05 * seed, random.Random(seed))
-            cut = crossing_edges(g, range(g.n // 2))
+            cases.append((seed, g, crossing_edges(g, range(g.n // 2))))
+        for n in (2, 3):
+            for seed, inst in enumerate(_four_cycle_instances(n, n)):
+                cases.append((seed, inst.graph, inst.cut_edges))
+        # No node, so no mail and no wake: the run still ends in round 0.
+        cases.append((0, Graph(0, []), frozenset()))
+        config = SimConfig(max_rounds=30)
+        for seed, g, cut in cases:
             program = PROGRAMS[name](str(seed) if name == "flood" else None)
-            config = SimConfig(max_rounds=30)
             assert _outcome(run, g, program, config, cut) == _outcome(
                 reference_run, g, program, config, cut
             )
+
+    def test_a_program_acting_outside_its_schedule_is_caught_by_the_twin(self):
+        # Each node wakes in round 0 alone, yet decides 1 in round 3
+        # without mail.  The engine never steps it there, so it cannot
+        # see the broken promise; the twin steps every round and does.
+        def init(v, neighbors, n):
+            return None
+
+        def step(state, r, inbox):
+            return state, [], (1 if r >= 3 else None)
+
+        program = NodeProgram("sleepwalker", init, step, wakes=_round_zero)
+        g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+        config = SimConfig(max_rounds=10)
+        ours = run(g, program, config)
+        twin = reference_run(g, program, config)
+        assert ours.timed_out and ours.decision is None
+        assert not twin.timed_out and twin.rounds_used == 4 and twin.decision == 1
+        assert _outcome(run, g, program, config, None) != _outcome(
+            reference_run, g, program, config, None
+        )
+
+
+def test_four_cycle_program_steps_only_in_its_wake_rounds_and_on_mail():
+    # A node streams in rounds 0..deg - 1 and decides in round V - 1; its
+    # neighbor u's stream brings it mail in rounds 1..deg(u).  It must be
+    # stepped in exactly those rounds, once each, not in all V.
+    inst = _four_cycle_instances(5, 26)[0]
+    g = inst.graph
+    four_cycle = naive_four_cycle_program()
+    stepped = []
+
+    def init(v, neighbors, n):
+        return v, four_cycle.init(v, neighbors, n)
+
+    def step(state, r, inbox):
+        v, inner = state
+        stepped.append((v, r))
+        inner, outbox, out = four_cycle.step(inner, r, inbox)
+        return (v, inner), outbox, out
+
+    counted = dataclasses.replace(four_cycle, init=init, step=step)
+    stats = run(g, counted, cut=inst.cut_edges)
+    assert stats == run(g, naive_four_cycle_program(), cut=inst.cut_edges)
+    assert stats.rounds_used == g.n and stats.decision == 0
+    expected = []
+    for v in range(g.n):
+        mail = {r + 1 for u in g.adj[v] for r in range(g.degree(u))}
+        rounds = mail | set(range(g.degree(v))) | {g.n - 1}
+        expected += [(v, r) for r in rounds]
+    assert sorted(stepped) == sorted(expected)

@@ -5,20 +5,27 @@ from __future__ import annotations
 import json
 import math
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from congestlab.bitstrings import singleton, zeros
+from congestlab.bitstrings import bits_intersect, singleton, zeros
 from congestlab.bundles import canonical_json_bytes
 from congestlab.congest import SimConfig, constant_program, naive_four_cycle_program, word_bits
 from congestlab.diamond_family import build_diamond_family, build_diamond_fixture
-from congestlab.families import InputPair, build_four_cycle_family
+from congestlab.families import (
+    InputPair,
+    build_cycle_family,
+    build_four_cycle_family,
+    build_long_cycle_family,
+)
 from congestlab.graphs import (
     Graph,
     crossing_edges,
+    has_induced_cycle,
+    is_induced_cycle,
     list_induced_cycles,
     list_induced_cycles_naive,
     list_induced_diamonds,
@@ -188,6 +195,33 @@ class TestCycleProtocol:
                         if len(view.own_vertices & set(c)) >= need
                     )
                     assert _list_cycles_side(view, received, k, 10**9) == expected
+
+    def test_the_near_cut_rule_is_exact_to_k_7_and_blind_from_k_8(self):
+        # The public protocol refuses k >= 8, so the rule runs here on the
+        # private helpers: each side lists on the other's near-cut batch.
+        # Up to k = 7 a majority-side cycle has at most one far vertex off
+        # the cut, which the batch pins.  From k = 8 the family's target
+        # cycles hold far vertices the batch never mentions: every one is
+        # missed, on each of the 175 intersecting pairs, and nothing that
+        # is not a cycle is ever listed.
+        strings = ["".join(bits) for bits in product("01", repeat=4)]
+        pairs = [InputPair(x, y) for x in strings for y in strings]
+        builders = [(k, lambda p, k=k: build_cycle_family(2, k, p)) for k in range(4, 10)]
+        builders.append((8, lambda p: build_long_cycle_family(2, 1, 0, p, include_centers=False)))
+        for k, build in builders:
+            for pair in pairs:
+                g = (inst := build(pair)).graph
+                view_a, view_b = make_views(g, inst.side_a)
+                listed = sorted(
+                    _list_cycles_side(view_a, _edges_near_cut(view_b), k, 10**9)
+                    + _list_cycles_side(view_b, _edges_near_cut(view_a), k, 10**9)
+                )
+                if k <= 7:
+                    assert listed == list(list_induced_cycles(g, k))
+                else:
+                    assert all(is_induced_cycle(g, c) and len(c) == k for c in listed)
+                    if bits_intersect(pair.x, pair.y):
+                        assert not listed and has_induced_cycle(g, k)
 
     def test_empty_cut_means_an_empty_transcript(self):
         # Two disjoint 5-cycles, split along the component boundary.
