@@ -34,6 +34,7 @@ EXPECTED = {
     "bench.cycle-protocol.csv": "62a12610c521b0c8bd2b9cf787b812768e5565b910b599734d2f673fd2111753",
     "bench.diamond-listing.csv": "7708d24b815f07a303eab281c4e2d051b5a1d649a75eb7c5ad66b0d332eae4b2",
     "bench.diamond-protocol.csv": "526122c8174c228f51de69fa90eb1376e573f80f77824603812f8287b53a9a2b",
+    "ck.capped.json": "f3296fac391cdb35426771e93291d68ddbb4d9a80946dae948af16ed81035ff0",
     "ck.congest.json": "17901058b4ded852c48adc029692ef32d92d6e9b035062831ba4854d2cbec7db",
     "ck.cycles4.json": "4d38e35a6bfcd888bf84f9ab1a21a2b8b3d4e2f536743f28dffd9f95d283b70d",
     "ck.cycles5.json": "1725f18a6a15415b657d1663e627f6789537265cba80067754c73ef49c15b84a",
@@ -180,6 +181,25 @@ def _produce_outputs() -> dict[str, bytes]:
             ]
         )
         outputs.append(out)
+
+    # Streams cut traffic, then jumps to a cap it cannot decide before:
+    # the one pinned report whose per-round list runs past the last send.
+    _run(
+        [
+            "run-congest",
+            "--graph",
+            "ck/graph.txt",
+            "--program",
+            "detect-four-cycle",
+            "--cut",
+            "ck",
+            "--max-rounds",
+            "12",
+            "--stats-out",
+            "ck.capped.json",
+        ]
+    )
+    outputs.append("ck.capped.json")
 
     _run(["verify-family", "ck", "--n", "2", "--k", "5", "--json-out", "verify.ck.json"])
     _run(
