@@ -123,10 +123,10 @@ class NodeProgram:
 
 @dataclass(frozen=True)
 class RunStats:
+    """What a run observed; its cut traffic is logged once, in ``cut_messages``."""
+
     rounds_used: int
-    timed_out: bool
     node_outputs: tuple
-    per_round_cut_bits: tuple[int, ...]
     total_cut_bits: int
     message_count: int
     max_message_bits: int
@@ -134,11 +134,22 @@ class RunStats:
     listings: dict = field(default_factory=dict, repr=False)
 
     @property
+    def timed_out(self) -> bool:
+        """True iff the run hit the round cap with some node undecided."""
+        return None in self.node_outputs
+
+    @property
+    def per_round_cut_bits(self) -> tuple[int, ...]:
+        """Cut bits sent in each round, summed from ``cut_messages``."""
+        bits = [0] * self.rounds_used
+        for r, _src, _dst, payload in self.cut_messages or ():
+            bits[r] += len(payload)
+        return tuple(bits)
+
+    @property
     def decision(self):
         """1 if some node output 1, 0 if all output 0, None if undecided."""
-        if any(o is None for o in self.node_outputs):
-            return None
-        return 1 if any(o == 1 for o in self.node_outputs) else 0
+        return None if self.timed_out else int(1 in self.node_outputs)
 
 
 def run(
@@ -167,25 +178,29 @@ def run(
     payload, in that order, and the first fault raises.  A broadcast (a
     string outbox) is checked once and raises what its first message
     would; it goes to the neighbors in ascending order, and a node
-    without neighbors sends and checks nothing.  Given a cut,
-    ``cut_messages`` lists each message across it as (round, sender,
-    destination, bits) in send order, ``()`` for an empty cut, and is
-    None without a cut.
+    without neighbors sends and checks nothing.  A cut is a set of
+    edges of *g*, each in either orientation; a pair that is not an
+    edge raises ValueError.  Given a cut, ``cut_messages`` lists each
+    message across it as (round, sender, destination, bits) in send
+    order, ``()`` for an empty cut, and is None without a cut.
     """
     n = g.n
     adj = g.adj
     step = program.step
     max_rounds = config.max_rounds
     bandwidth = config.bandwidth_bits or default_bandwidth(n)
-    cut_set = frozenset(cut) if cut is not None else frozenset()
+    # Messages from v cross the cut to these neighbors, in ascending order.
+    cut_neighbors: list[list[int]] = [[] for _ in range(n)]
+    if cut is not None:
+        cut_set = {(u, v) if u < v else (v, u) for u, v in cut}
+        if not cut_set <= g.edges:
+            raise ValueError(f"cut pairs that are not edges: {sorted(cut_set - g.edges)}")
+        for u, v in sorted(cut_set):
+            cut_neighbors[u].append(v)
+            cut_neighbors[v].append(u)
 
     neighbors = [tuple(sorted(adj[v])) for v in range(n)]
     states = [program.init(v, neighbors[v], n) for v in range(n)]
-    # A broadcast crosses the cut to these neighbors, in ascending order.
-    cut_neighbors = [
-        tuple(u for u in nbrs if ((v, u) if v < u else (u, v)) in cut_set)
-        for v, nbrs in enumerate(neighbors if cut_set else ())
-    ]
     schedule = None
     if program.wakes is not None:
         schedule = defaultdict(list)
@@ -197,12 +212,10 @@ def run(
     outputs: list = [None] * n
     undecided = n
     inbox_next: defaultdict[int, dict[int, str]] = defaultdict(dict)
-    per_round_cut_bits: list[int] = []
     cut_messages: list[tuple[int, int, int, str]] = []
     message_count = 0
     max_message_bits = 0
     rounds_used = max_rounds
-    timed_out = True
 
     def violation(v: int, r: int, what: str) -> ProtocolViolation:
         return ProtocolViolation(f"program {program.name}: node {v} {what} in round {r}")
@@ -225,13 +238,10 @@ def run(
                 stepped = due
             elif undecided:
                 # Nobody acts before the next wake round, or the cap.
-                later = wake_rounds[bisect_right(wake_rounds, r)]
-                per_round_cut_bits += [0] * (later - r)
-                r = later
+                r = wake_rounds[bisect_right(wake_rounds, r)]
                 continue
             else:
                 stepped = ()
-        round_cut_bits = 0
         for v in stepped:
             state, outbox, out = step(states[v], r, inboxes.get(v, {}))
             states[v] = state
@@ -256,10 +266,8 @@ def run(
                 for dst in dsts:
                     inbox_next[dst][v] = outbox
                 message_count += len(dsts)
-                if cut_set:
-                    for dst in cut_neighbors[v]:
-                        round_cut_bits += len(outbox)
-                        cut_messages.append((r, v, dst, outbox))
+                for dst in cut_neighbors[v]:
+                    cut_messages.append((r, v, dst, outbox))
             elif outbox:
                 nbrs = adj[v]
                 for dst, bits in outbox:
@@ -277,24 +285,20 @@ def run(
                         max_message_bits = len(bits)
                     box[v] = bits
                 message_count += len(outbox)
-                if cut_set:
+                crossing = cut_neighbors[v]
+                if crossing:
                     for dst, bits in outbox:
-                        if ((v, dst) if v < dst else (dst, v)) in cut_set:
-                            round_cut_bits += len(bits)
+                        if dst in crossing:
                             cut_messages.append((r, v, dst, bits))
-        per_round_cut_bits.append(round_cut_bits)
         if not undecided:
             rounds_used = r + 1
-            timed_out = False
             break
         r += 1
 
     return RunStats(
         rounds_used=rounds_used,
-        timed_out=timed_out,
         node_outputs=tuple(outputs),
-        per_round_cut_bits=tuple(per_round_cut_bits),
-        total_cut_bits=sum(per_round_cut_bits),
+        total_cut_bits=sum(len(m[3]) for m in cut_messages),
         message_count=message_count,
         max_message_bits=max_message_bits,
         cut_messages=tuple(cut_messages) if cut is not None else None,

@@ -2,10 +2,13 @@
 docstring: rounds in lockstep, mail sent in round r read in round r + 1,
 each message checked on its own in send order, outputs final once set.
 A string outbox is expanded to one (neighbor, string) pair per neighbor
-in ascending order and then checked like any other.  Given a cut, every
-message across it is recorded; without one, none is.
+in ascending order and then checked like any other.  A cut pair may
+come in either orientation, and one that is not an edge is refused.
+Given a cut, every message across it is recorded; without one, none is.
+The twin keeps its own per-round cut tally and timed-out flag and
+asserts that the ``RunStats`` views of its log equal them.
 
-It steps every node in every round, reactive program or not, so that a
+It steps every node in every round, wake schedule or not, so that a
 run of ``congest`` can be compared with it field by field.  It shares
 no code with the engine beyond its public types and ``default_bandwidth``.
 """
@@ -18,7 +21,9 @@ from congestlab.congest import ProtocolViolation, RunStats, SimConfig, default_b
 def reference_run(g, program, config=SimConfig(), cut=None):
     n = g.n
     bandwidth = config.bandwidth_bits or default_bandwidth(n)
-    cut_set = frozenset(cut or ())
+    cut_set = {(min(u, v), max(u, v)) for u, v in cut or ()}
+    if cut_set - g.edges:
+        raise ValueError(f"cut pairs that are not edges: {sorted(cut_set - g.edges)}")
     states = [program.init(v, tuple(sorted(g.adj[v])), n) for v in range(n)]
     outputs = [None] * n
     mail: dict[int, dict[int, str]] = {}
@@ -67,14 +72,15 @@ def reference_run(g, program, config=SimConfig(), cut=None):
     if program.collect is not None:
         results = {v: program.collect(state) for v, state in enumerate(states)}
         listings = {v: res for v, res in results.items() if res is not None}
-    return RunStats(
+    stats = RunStats(
         rounds_used=rounds_used,
-        timed_out=timed_out,
         node_outputs=tuple(outputs),
-        per_round_cut_bits=tuple(per_round),
         total_cut_bits=sum(per_round),
         message_count=messages,
         max_message_bits=longest,
         cut_messages=None if cut is None else tuple(cut_messages),
         listings=listings,
     )
+    assert stats.per_round_cut_bits == tuple(per_round)
+    assert stats.timed_out == timed_out
+    return stats

@@ -13,6 +13,7 @@ from congestlab.bitstrings import bits_intersect
 from congestlab.congest import (
     NodeProgram,
     ProtocolViolation,
+    RunStats,
     SimConfig,
     constant_program,
     cut_traffic_bound_check,
@@ -472,6 +473,34 @@ class TestCutAccounting:
         broadcast, listed = (run(g, program(form), cut=cut) for form in (True, False))
         assert broadcast == listed
         assert broadcast.total_cut_bits > 0
+
+    def test_a_cut_pair_counts_in_either_orientation_and_a_non_edge_is_refused(self):
+        g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+        forward, backward = (run(g, flood_program(0), cut=frozenset({e})) for e in ((1, 2), (2, 1)))
+        assert forward == backward
+        assert forward.cut_messages == ((1, 1, 2, "1"), (2, 2, 1, "1"))
+        assert forward.total_cut_bits == 2
+        with pytest.raises(ValueError, match=r"not edges: \[\(0, 2\), \(0, 3\)\]$"):
+            run(g, flood_program(0), cut=frozenset({(2, 1), (3, 0), (0, 2)}))
+
+    def test_per_round_cut_bits_and_timed_out_are_views_of_the_log(self):
+        # The cut log is stored once; the per-round list and the timeout
+        # flag are derived from it and from the outputs.
+        stored = [f.name for f in dataclasses.fields(RunStats)]
+        assert stored == [
+            "rounds_used",
+            "node_outputs",
+            "total_cut_bits",
+            "message_count",
+            "max_message_bits",
+            "cut_messages",
+            "listings",
+        ]
+        stats = run(_cycle_graph(6), flood_program(0), cut=frozenset({(0, 1), (2, 3)}))
+        assert stats.per_round_cut_bits == (1, 1, 1, 1)
+        assert not stats.timed_out
+        capped = dataclasses.replace(stats, node_outputs=(1, None) + (1,) * 4)
+        assert capped.timed_out and capped.decision is None
 
     def test_bound_check_reports_slack(self):
         g = _cycle_graph(8)

@@ -4,10 +4,10 @@ exists, the package namespace is the star import of each module with an
 ``__all__``, no module exports a name it imports, no module imports
 a name it never uses, no module-level private name goes unreferenced,
 every exported function and constant is used outside its module, the
-simulator's naive twin borrows nothing from the engine and imports from
-the package only the names its docstring allows, the engine imports
-no random module, and the benchmark's tracer still
-finds, and reads the results of, every function it traces."""
+simulator's naive twin and the split replay borrow nothing private from
+the engine and import from the package only the names their docstrings
+allow, the engine imports no random module, and the benchmark's tracer
+still finds, and reads the results of, every function it traces."""
 
 from __future__ import annotations
 
@@ -167,13 +167,11 @@ def test_no_module_exports_a_name_it_imports():
     assert leaked == {}
 
 
-def test_the_simulator_twin_uses_no_engine_internals():
-    """``tests/reference_sim.py`` must stay an independent route, as the
-    naive and pruned oracles are: it may not call ``run``, the engine's
-    ``first_fault``, or any private name of ``congest``."""
+def _engine_names_used(filename: str) -> set[str]:
+    """The names a test helper beside this file reads, of those that
+    could reach into ``congest``: the private ones and ``first_fault``."""
     private = {name for name in vars(congest) if name.startswith("_") and not name.endswith("__")}
-    forbidden = {"run", "first_fault"} | private
-    tree = ast.parse((Path(__file__).parent / "reference_sim.py").read_text(encoding="utf-8"))
+    tree = ast.parse((Path(__file__).parent / filename).read_text(encoding="utf-8"))
     used = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
@@ -183,7 +181,25 @@ def test_the_simulator_twin_uses_no_engine_internals():
         elif isinstance(node, ast.alias):
             used.add(node.name.rsplit(".", 1)[-1])
             used.add(node.asname)
-    assert used & forbidden == set()
+    return used & (private | {"run", "first_fault"})
+
+
+def _package_imports(filename: str) -> set[str]:
+    tree = ast.parse((Path(__file__).parent / filename).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("congestlab"):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {a.name for a in node.names if a.name.startswith("congestlab")}
+    return imported
+
+
+def test_the_simulator_twin_uses_no_engine_internals():
+    """``tests/reference_sim.py`` must stay an independent route, as the
+    naive and pruned oracles are: it may not call ``run``, the engine's
+    ``first_fault``, or any private name of ``congest``."""
+    assert _engine_names_used("reference_sim.py") == set()
 
 
 def test_the_simulator_twin_imports_only_what_its_docstring_allows():
@@ -192,13 +208,23 @@ def test_the_simulator_twin_imports_only_what_its_docstring_allows():
     and ``default_bandwidth``.  A codec, ``word_bits`` or a stock program
     would let it lean on the engine's own helpers."""
     allowed = {"ProtocolViolation", "RunStats", "SimConfig", "default_bandwidth"}
-    tree = ast.parse((Path(__file__).parent / "reference_sim.py").read_text(encoding="utf-8"))
-    imported = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("congestlab"):
-            imported |= {alias.name for alias in node.names}
-        elif isinstance(node, ast.Import):
-            imported |= {a.name for a in node.names if a.name.startswith("congestlab")}
+    imported = _package_imports("reference_sim.py")
+    assert imported and imported <= allowed, sorted(imported - allowed)
+
+
+def test_the_split_replay_uses_no_engine_internals():
+    """``tests/split_replay.py`` reruns each party through ``run`` itself,
+    so it may call it, but nothing private to ``congest``: a party must
+    see the engine only as a caller does."""
+    assert _engine_names_used("split_replay.py") <= {"run"}
+
+
+def test_the_split_replay_imports_only_what_its_docstring_allows():
+    """From the package, the replay may import ``run``, the types it
+    builds and ``Graph``; a stock program, ``twoparty`` or a family
+    builder would let it share code with what it checks."""
+    allowed = {"Graph", "NodeProgram", "SimConfig", "run"}
+    imported = _package_imports("split_replay.py")
     assert imported and imported <= allowed, sorted(imported - allowed)
 
 

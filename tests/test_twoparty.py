@@ -10,6 +10,7 @@ from itertools import combinations, product
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from split_replay import split_replay
 
 from congestlab.bitstrings import bits_intersect, singleton, zeros
 from congestlab.bundles import canonical_json_bytes
@@ -376,6 +377,7 @@ class TestReduction:
             assert res.consistent, (x, y)
             assert res.transcript.payload_bits(kind="sim") == res.stats.total_cut_bits
             assert res.transcript.payload_bits(kind="answer") == 1
+            split_replay(inst, naive_four_cycle_program, res.stats)
 
     def test_transcript_measures_real_cut_traffic(self):
         inst = build_four_cycle_family(2, InputPair("1000", "0001"))
@@ -383,6 +385,7 @@ class TestReduction:
         assert res.stats.total_cut_bits > 0
         directions = {m.direction for m in res.transcript.messages}
         assert directions == {"a->b", "b->a"}
+        split_replay(inst, naive_four_cycle_program, res.stats)
 
     def test_an_oblivious_program_fails_the_consistency_check(self):
         inst = build_four_cycle_family(2, InputPair("1000", "1000"))
@@ -390,6 +393,8 @@ class TestReduction:
         assert not res.consistent
         assert res.disjointness_answer == 1
         assert res.oracle_answer == 0
+        # Wrong, but local: each party alone reproduces the run.
+        split_replay(inst, lambda: constant_program(0), res.stats)
 
     def test_undecided_runs_are_reported_as_errors(self):
         from congestlab.congest import silent_program
