@@ -9,8 +9,9 @@ program can pass that check while no party could have run its side
 alone.  This replay executes the split.
 
 Each party builds a fresh program from the factory and reruns ``run``
-on its own side's internal edges plus the cut, with the same n, vertex
-ids and bandwidth, for the joint run's ``rounds_used`` rounds.  Its own
+on its own side's internal edges plus the cut, with the same n and
+vertex ids and the default bandwidth, for the joint run's
+``rounds_used`` rounds.  Its own
 nodes run the program.  Every far-side vertex is a ghost: in each round
 it sends exactly the joint run's ``cut_messages`` from it, in their
 joint order, and in the last round it outputs its joint output.  A
@@ -43,14 +44,14 @@ class SplitReplayMismatch(AssertionError):
     """An own node of a party did not reproduce the joint run."""
 
 
-def split_replay(inst, make_program, joint, config=SimConfig()) -> None:
+def split_replay(inst, make_program, joint) -> None:
     """Replay *joint*, the run of ``make_program()`` on *inst* with its
     cut, once per side; raise ``SplitReplayMismatch`` on a difference."""
     for side in (inst.side_a, inst.side_b):
-        _replay_party(inst, frozenset(side), make_program(), joint, config)
+        _replay_party(inst, frozenset(side), make_program(), joint)
 
 
-def _replay_party(inst, own, program, joint, config) -> None:
+def _replay_party(inst, own, program, joint) -> None:
     last = joint.rounds_used - 1
     ghost_sends = defaultdict(list)
     ghost_rounds = defaultdict(lambda: {0, last})
@@ -93,7 +94,7 @@ def _replay_party(inst, own, program, joint, config) -> None:
     stats = run(
         Graph(g.n, [(u, v) for u, v in g.edges if u in own or v in own]),
         party,
-        SimConfig(bandwidth_bits=config.bandwidth_bits, max_rounds=joint.rounds_used),
+        SimConfig(max_rounds=joint.rounds_used),
         cut=inst.cut_edges,
     )
     sent = defaultdict(list)

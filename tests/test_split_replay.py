@@ -75,7 +75,7 @@ def test_stock_programs_replay_on_four_cycle_instances(name):
             return PROGRAMS[name](str(seed) if name == "flood" else None)
 
         joint = run(inst.graph, make(), config, cut=inst.cut_edges)
-        split_replay(inst, make, joint, config)
+        split_replay(inst, make, joint)
 
 
 def test_the_leaky_program_beats_the_reduction_but_fails_the_replay():
