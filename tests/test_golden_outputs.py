@@ -67,6 +67,7 @@ EXPECTED = {
     "planted.diamonds.json": "0a22b6711880b887b94735df3a3efa1fc2725202d4a7b748564a0695b546919a",
     "planted.listing.json": "39819ffdeee911231e5084ab723fb438ecfd73bda79340ef59f90fc06d77f33c",
     "verify.ck.json": "84b1b0e67333821fdc8547a7a2a1f9c0a5db195fe2391cbe50de184ff3c52be9",
+    "verify.diamond.json": "c86173a929e8766ddc4e8c4b8f7cb80d7370c21d290d97f9740c9248b41f74d4",
     "verify.longcycle.json": "535a7d86c9f8a4a02e840cc863b3becc0937b31b6beeff47ae9a80309fa360e9",
 }
 
@@ -214,7 +215,19 @@ def _produce_outputs() -> dict[str, bytes]:
             "verify.longcycle.json",
         ]
     )
-    outputs += ["verify.ck.json", "verify.longcycle.json"]
+    _run(
+        [
+            "verify-family",
+            "diamond",
+            "--n",
+            "16",
+            "--seed",
+            "0",
+            "--json-out",
+            "verify.diamond.json",
+        ]
+    )
+    outputs += ["verify.ck.json", "verify.longcycle.json", "verify.diamond.json"]
 
     for suite in ("cycle-protocol", "diamond-protocol", "diamond-listing"):
         _run(["bench", "--suite", suite, "--seed", "0", "--out", f"bench.{suite}.csv"])
