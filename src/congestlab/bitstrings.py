@@ -101,21 +101,11 @@ def random_bits(k: int, rng: random.Random, density: float = 0.5) -> str:
     return "".join("1" if rng.random() < density else "0" for _ in range(k))
 
 
-def random_nonintersecting_pair(
-    k: int, rng: random.Random, density: float = 0.3
-) -> tuple[str, str]:
-    """Sample (x, y) with no shared 1 by giving each index to at most one side."""
-    x = []
-    y = []
-    for _ in range(k):
-        r = rng.random()
-        if r < density:
-            x.append("1")
-            y.append("0")
-        elif r < 2 * density:
-            x.append("0")
-            y.append("1")
-        else:
-            x.append("0")
-            y.append("0")
-    return "".join(x), "".join(y)
+def random_nonintersecting_pair(k: int, rng: random.Random) -> tuple[str, str]:
+    """Sample (x, y) with no shared 1 by giving each index to at most one
+    side: to x with probability 0.3, to y with probability 0.3."""
+    draws = [rng.random() for _ in range(k)]
+    return (
+        "".join("1" if r < 0.3 else "0" for r in draws),
+        "".join("1" if 0.3 <= r < 0.6 else "0" for r in draws),
+    )

@@ -397,11 +397,11 @@ def _closes_four_cycle(own: str, stream: list[str], heard: dict[int, list[str]])
 def flood_program(source: int = 0) -> NodeProgram:
     """Token flood from one source; nodes decide 1 on first contact.
 
-    On a connected graph the run takes eccentricity(source) + 1 rounds,
-    which makes this a timing probe for the delivery rule.  After round
-    0 a node acts only on mail, so it wakes in round 0 alone, and a
-    flood that cannot reach every node jumps to the round cap once it
-    dies out.
+    On a connected graph the run takes one round more than the source's
+    eccentricity, which makes this a timing probe for the delivery rule.
+    After round 0 a node acts only on mail, so it wakes in round 0
+    alone, and a flood that cannot reach every node jumps to the round
+    cap once it dies out.
     """
 
     def init(v, neighbors, n):

@@ -135,7 +135,6 @@ class Decomposition:
     n: int
     delta: Fraction
     epsilon: Fraction
-    min_degree_constant: int
     d_min: int
     light_max: int
     peel_order: tuple[int, ...]
@@ -236,8 +235,7 @@ def decompose_by_peeling(
     adj = [set(nbrs) for nbrs in g.adj]
     # Built in increasing id order, so it is already a valid heap.
     peelable = [v for v in range(g.n) if len(adj[v]) < d_min]
-    active = set(range(g.n))
-    peel_order: list[int] = []
+    # Filled in peel order; its keys are the peeled vertices.
     es_assigned: dict[int, tuple[tuple[int, int], ...]] = {}
     while peelable:
         v = heappop(peelable)
@@ -248,11 +246,10 @@ def decompose_by_peeling(
             adj_u.discard(v)
             if len(adj_u) == d_min - 1:
                 heappush(peelable, u)
-        active.discard(v)
-        peel_order.append(v)
+    survivors = (v for v in range(g.n) if v not in es_assigned)
     clusters = [
         Cluster(index=idx, leader=min(comp), members=comp, edges=induced_edges(g, comp))
-        for idx, comp in enumerate(connected_components(g, within=active))
+        for idx, comp in enumerate(connected_components(g, within=survivors))
     ]
     cluster_index: dict[int, int | None] = {v: None for v in range(g.n)}
     for c in clusters:
@@ -274,10 +271,9 @@ def decompose_by_peeling(
         n=g.n,
         delta=delta,
         epsilon=epsilon,
-        min_degree_constant=min_degree_constant,
         d_min=d_min,
         light_max=light_max,
-        peel_order=tuple(peel_order),
+        peel_order=tuple(es_assigned),
         es_assigned=es_assigned,
         clusters=tuple(clusters),
         cluster_index=cluster_index,
@@ -291,6 +287,19 @@ def _member_incident_edges(
 ) -> set[tuple[int, int]]:
     """Edges with an endpoint in *members* and none in *avoid*."""
     return {norm_edge(v, u) for v in members for u in g.adj[v] if u not in avoid}
+
+
+def _run_phase(g: Graph, program: NodeProgram, rounds: int) -> RunStats:
+    """Run one phase program within its round schedule, or raise."""
+    stats = run(g, program, SimConfig(max_rounds=rounds))
+    if stats.timed_out:
+        raise RuntimeError(f"{program.name} exceeded its round schedule")
+    return stats
+
+
+def _found(stats: RunStats) -> set[tuple[int, ...]]:
+    """The union of the diamonds each node of a phase run found."""
+    return {d for res in stats.listings.values() for d in res["found"]}
 
 
 # ---------------------------------------------------------------------------
@@ -414,13 +423,8 @@ def run_sparse_phase(
         return {"found": tuple(sorted(state["found"])), "es_adj": state["es_adj"]}
 
     program = NodeProgram(name="diamond-sparse", init=init, step=step, collect=collect)
-    stats = run(g, program, SimConfig(max_rounds=max(dec.d_min + 3, 4)))
-    if stats.timed_out:
-        raise RuntimeError("sparse phase exceeded its round schedule")
-    found: set[tuple[int, ...]] = set()
-    for res in stats.listings.values():
-        found.update(res["found"])
-    return found, stats
+    stats = _run_phase(g, program, max(dec.d_min + 3, 4))
+    return _found(stats), stats
 
 
 # ---------------------------------------------------------------------------
@@ -502,9 +506,7 @@ def run_heavy_phase(
         return {"fragments": {u: tuple(ids) for u, ids in state["fragments"].items()}}
 
     program = NodeProgram(name="diamond-heavy", init=init, step=step, collect=collect)
-    stats = run(g, program, SimConfig(max_rounds=schedule_end + 2))
-    if stats.timed_out:
-        raise RuntimeError("heavy phase exceeded its round schedule")
+    stats = _run_phase(g, program, schedule_end + 2)
 
     exp_gather = max(Fraction(0), 2 - dec.delta - dec.epsilon)
     exp_route = max(Fraction(0), 2 - 2 * dec.delta)
@@ -678,13 +680,8 @@ def run_light_phase(
         return {"found": tuple(sorted(state["found"]))}
 
     program = NodeProgram(name="diamond-light", init=init, step=step, collect=collect)
-    stats = run(g, program, SimConfig(max_rounds=decide_round + 2))
-    if stats.timed_out:
-        raise RuntimeError("light phase exceeded its round schedule")
-
-    found: set[tuple[int, ...]] = set()
-    for res in stats.listings.values():
-        found.update(res["found"])
+    stats = _run_phase(g, program, decide_round + 2)
+    found = _found(stats)
     l1_l2_count = len(found)
 
     # Reconciliation: diamonds with >= 3 vertices in one cluster have all

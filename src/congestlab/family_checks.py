@@ -14,7 +14,7 @@ counterexamples on failure.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 from .bitstrings import (
@@ -57,22 +57,26 @@ COUNTEREXAMPLE_CAP = 5
 
 @dataclass(frozen=True)
 class FamilyHarness:
-    """A family builder plus the predicate its inputs are meant to control."""
+    """A family builder plus the predicate its inputs are meant to control;
+    the family, its parameters and any target length live on the instances."""
 
-    family: str
-    params: dict
     bit_count: int
     build: Callable[[InputPair], FamilyInstance]
     predicate: Callable[[FamilyInstance], bool]
 
 
+def _target_cycle_predicate(budget: int) -> Callable[[FamilyInstance], bool]:
+    """Whether an instance holds an induced cycle of its ``target_length``."""
+    return lambda inst: has_induced_cycle(
+        inst.graph, inst.meta["target_length"], budget=budget
+    )
+
+
 def cycle_harness(n: int, k: int, budget: int = DEFAULT_WORK_BUDGET) -> FamilyHarness:
     return FamilyHarness(
-        family="cycle",
-        params={"n": n, "k": k},
         bit_count=n * n,
         build=lambda pair: build_cycle_family(n, k, pair),
-        predicate=lambda inst: has_induced_cycle(inst.graph, k, budget=budget),
+        predicate=_target_cycle_predicate(budget),
     )
 
 
@@ -85,15 +89,12 @@ def long_cycle_harness(
 ) -> FamilyHarness:
     # Predicate checks default to center-less instances: at ell = 1 the
     # diameter centers admit stray induced 8-cycles on disjoint pairs.
-    target = ell * (8 + m)
     return FamilyHarness(
-        family="longcycle",
-        params={"n": n, "ell": ell, "m": m, "centers": include_centers},
         bit_count=n * n,
         build=lambda pair: build_long_cycle_family(
             n, ell, m, pair, include_centers=include_centers
         ),
-        predicate=lambda inst: has_induced_cycle(inst.graph, target, budget=budget),
+        predicate=_target_cycle_predicate(budget),
     )
 
 
@@ -101,8 +102,6 @@ def diamond_harness(
     fixture: DiamondFixture, budget: int = DEFAULT_WORK_BUDGET
 ) -> FamilyHarness:
     return FamilyHarness(
-        family="diamond",
-        params={"n": fixture.n, "seed": fixture.seed},
         bit_count=fixture.bit_count,
         build=lambda pair: build_diamond_family(fixture, pair),
         predicate=lambda inst: has_two_two_diamond(inst, budget=budget),
@@ -125,19 +124,7 @@ class FamilyCheckReport:
         return all(c["passed"] for c in self.conditions.values())
 
     def to_json_bytes(self) -> bytes:
-        return canonical_json_bytes(
-            {
-                "family": self.family,
-                "params": self.params,
-                "bit_count": self.bit_count,
-                "pairs_checked": self.pairs_checked,
-                "exhaustive": self.exhaustive,
-                "intersecting_checked": self.intersecting_checked,
-                "disjoint_checked": self.disjoint_checked,
-                "conditions": self.conditions,
-                "passed": self.passed,
-            }
-        )
+        return canonical_json_bytes({**asdict(self), "passed": self.passed})
 
 
 def _designed_pairs(k: int, samples: int, seed: int) -> list[InputPair]:
@@ -192,7 +179,8 @@ def verify_family_conditions(
     With exhaustive=None the full product of inputs is used whenever it
     has at most EXHAUSTIVE_PAIR_LIMIT pairs.  Counterexamples are
     recorded verbatim (capped per condition) so failures are
-    actionable.
+    actionable.  The report's family and parameters are those of the
+    instance built for the first pair.
     """
     k = harness.bit_count
     if exhaustive is None:
@@ -228,16 +216,10 @@ def verify_family_conditions(
             flag("fixed_structure", {"x": pair.x, "y": pair.y})
         a_edges = induced_edges(inst.graph, inst.side_a)
         b_edges = induced_edges(inst.graph, inst.side_b)
-        if pair.x in a_by_x:
-            if a_by_x[pair.x] != a_edges:
-                flag("side_a_edges_from_x", {"x": pair.x, "y": pair.y})
-        else:
-            a_by_x[pair.x] = a_edges
-        if pair.y in b_by_y:
-            if b_by_y[pair.y] != b_edges:
-                flag("side_b_edges_from_y", {"x": pair.x, "y": pair.y})
-        else:
-            b_by_y[pair.y] = b_edges
+        if a_by_x.setdefault(pair.x, a_edges) != a_edges:
+            flag("side_a_edges_from_x", {"x": pair.x, "y": pair.y})
+        if b_by_y.setdefault(pair.y, b_edges) != b_edges:
+            flag("side_b_edges_from_y", {"x": pair.x, "y": pair.y})
 
         expected = bits_intersect(pair.x, pair.y)
         if expected:
@@ -265,8 +247,8 @@ def verify_family_conditions(
                 flag("side_b_edges_from_y", {"x": zeros(k), "y": pair.y})
 
     return FamilyCheckReport(
-        family=harness.family,
-        params=harness.params,
+        family=reference.family,
+        params=reference.params,
         bit_count=k,
         pairs_checked=len(pairs),
         exhaustive=exhaustive,

@@ -34,7 +34,6 @@ __all__ = [
     "connected_components",
     "crossing_edges",
     "diameter",
-    "eccentricity",
     "frac_pow_ceil",
     "frac_pow_floor",
     "has_induced_cycle",
@@ -617,9 +616,3 @@ def diameter(g: Graph) -> float:
             return math.inf
         best = max(best, ecc)
     return best
-
-
-def eccentricity(g: Graph, src: int) -> float:
-    """Max distance from src; math.inf when src does not reach everything."""
-    ecc, reached = _bfs_ecc(g, src)
-    return ecc if reached == g.n else math.inf

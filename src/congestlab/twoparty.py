@@ -31,7 +31,6 @@ from .bitstrings import bits_intersect
 from .congest import (
     NodeProgram,
     RunStats,
-    SimConfig,
     encode_uint,
     run,
     word_bits,
@@ -373,11 +372,7 @@ class ReductionResult:
     transcript: Transcript
 
 
-def congest_reduction(
-    inst: FamilyInstance,
-    program: NodeProgram,
-    config: SimConfig = SimConfig(),
-) -> ReductionResult:
+def congest_reduction(inst: FamilyInstance, program: NodeProgram) -> ReductionResult:
     """Run *program* on a two-sided instance and express the run as a
     two-party protocol for set disjointness.
 
@@ -388,7 +383,7 @@ def congest_reduction(
     the family makes that equivalent to "inputs intersect", so the
     transcript decides disjointness: answer 1 means disjoint.
     """
-    stats = run(inst.graph, program, config=config, cut=inst.cut_edges)
+    stats = run(inst.graph, program, cut=inst.cut_edges)
     if stats.decision is None:
         raise RuntimeError(f"program {program.name} did not decide within the cap")
     side_a = set(inst.side_a)

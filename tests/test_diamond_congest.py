@@ -622,6 +622,33 @@ class TestPhasesAgainstTheNaiveTwin:
         assert ("diamond-heavy" in twin_runs) == (engaged > 0)
 
 
+class TestPhaseOverrun:
+    """A phase run that outlasts its round schedule raises, naming its
+    program.  Each run is cut to one round, well short of any schedule;
+    the light phase warms up on an uncut sparse run."""
+
+    PHASES = {
+        "diamond-sparse": lambda g, dec, warm: run_sparse_phase(g, dec),
+        "diamond-heavy": lambda g, dec, warm: run_heavy_phase(g, dec),
+        "diamond-light": lambda g, dec, warm: run_light_phase(g, dec, warm=warm),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PHASES))
+    def test_the_phase_names_its_program_when_it_overruns(self, name, monkeypatch):
+        # K20 and hub 20 with 11 member neighbors, heavy at n = 100.
+        g = Graph(100, _clique_edges(range(20)) + [(i, 20) for i in range(11)])
+        dec = decompose_by_peeling(g)
+        assert dec.heavy[0]
+        warm = run_sparse_phase(g, dec)[1].listings
+        monkeypatch.setattr(
+            diamond_congest,
+            "run",
+            lambda g, program, config: run(g, program, SimConfig(max_rounds=1)),
+        )
+        with pytest.raises(RuntimeError, match=f"^{name} exceeded its round schedule$"):
+            self.PHASES[name](g, dec, warm)
+
+
 class TestBroadcastsUseTheStringForm:
     """A step that sends one payload object to every neighbor returns it
     as one string, which the engine delivers without building or

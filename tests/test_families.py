@@ -379,7 +379,7 @@ def _broken_harness() -> FamilyHarness:
             labels={}, blocks={}, meta={},
         )
 
-    return FamilyHarness("broken", {}, 4, build, lambda inst: False)
+    return FamilyHarness(4, build, lambda inst: False)
 
 
 class TestSampledVerification:

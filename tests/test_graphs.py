@@ -19,7 +19,6 @@ from congestlab.graphs import (
     connected_components,
     crossing_edges,
     diameter,
-    eccentricity,
     has_induced_cycle,
     induced_edge_count,
     induced_edges,
@@ -450,11 +449,6 @@ class TestHasInducedCycle:
 
 
 class TestDistancesAndCuts:
-    def test_eccentricity_on_a_path(self):
-        g = Graph(4, [(0, 1), (1, 2), (2, 3)])
-        assert eccentricity(g, 0) == 3
-        assert eccentricity(g, 1) == 2
-
     def test_diameter_of_a_cycle(self):
         assert diameter(_cycle_graph(6)) == 3
 

@@ -14,7 +14,7 @@ from split_replay import split_replay
 
 from congestlab.bitstrings import bits_intersect, singleton, zeros
 from congestlab.bundles import canonical_json_bytes
-from congestlab.congest import SimConfig, constant_program, naive_four_cycle_program, word_bits
+from congestlab.congest import constant_program, naive_four_cycle_program, word_bits
 from congestlab.diamond_family import build_diamond_family, build_diamond_fixture
 from congestlab.families import (
     InputPair,
@@ -401,7 +401,7 @@ class TestReduction:
 
         inst = build_four_cycle_family(2, InputPair("1000", "1000"))
         with pytest.raises(RuntimeError):
-            congest_reduction(inst, silent_program(), SimConfig(max_rounds=3))
+            congest_reduction(inst, silent_program())
 
 
 class TestLimitationReport:
