@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import random
+import string
 
 __all__ = [
     "validate_bits",
@@ -75,12 +76,14 @@ def bits_to_hex(bits: str) -> str:
 
 
 def hex_to_bits(hexstr: str, length: int) -> str:
+    """Inverse of bits_to_hex; *hexstr* must be hex digits only, in either case."""
     if length == 0:
         if hexstr:
             raise ValueError("nonempty hex for zero-length bit string")
         return ""
-    value = int(hexstr, 16)
-    bits = format(value, f"0{length}b")
+    if not hexstr or not all(c in string.hexdigits for c in hexstr):
+        raise ValueError(f"not a hex string: {hexstr!r}")
+    bits = format(int(hexstr, 16), f"0{length}b")
     if len(bits) != length:
         raise ValueError(f"hex value needs {len(bits)} bits, expected {length}")
     return bits

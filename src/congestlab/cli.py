@@ -12,7 +12,7 @@ a count below 1, a --max-rounds above 1000000, an --input-density or
 --densities value outside [0, 1], a --delta or --epsilon outside
 [0, 2], two report --inputs with the same file name, --input-seed,
 --input-density or --intersecting yes|no together with --x/--y, an
-argument to a program that takes none, a flood source that is not an
+--x or --y that is not hex digits alone, an argument to a program that takes none, a flood source that is not an
 integer or not a vertex of the graph, a cycles:<k> protocol whose k is
 not an integer, c4 with a --k other than 4, a family flag (--k, --ell,
 --m, --seed) on a family that does not take it, an option a subcommand

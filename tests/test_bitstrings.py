@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -121,6 +122,14 @@ class TestHexRoundTrip:
     def test_nonempty_hex_for_zero_length_is_rejected(self):
         with pytest.raises(ValueError):
             hex_to_bits("0", 0)
+
+    @pytest.mark.parametrize("text", ["-1", "-0", "+1", "0x1", "1_0", " 1 ", "", "g"])
+    def test_text_that_is_not_hex_digits_is_rejected_by_name(self, text):
+        with pytest.raises(ValueError, match=f"not a hex string: {re.escape(repr(text))}"):
+            hex_to_bits(text, 8)
+
+    def test_either_case_is_accepted(self):
+        assert hex_to_bits("aF", 8) == hex_to_bits("Af", 8) == "10101111"
 
 
 class TestBitstringProperties:

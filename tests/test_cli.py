@@ -134,6 +134,14 @@ class TestGenFamily:
         assert "no usable slots" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    def test_x_that_is_not_hex_is_a_usage_error_naming_it(self, tmp_path, capsys):
+        rc = main(
+            ["gen-family", "c4", "--n", "2", "--x", "-1", "--y", "0", "--out", str(tmp_path / "x")]
+        )
+        assert rc == EXIT_USAGE
+        assert "not a hex string: '-1'" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_lone_x_without_y_is_a_usage_error(self, tmp_path, capsys):
         rc = main(
             ["gen-family", "c4", "--n", "2", "--x", "8", "--out", str(tmp_path / "x")]
