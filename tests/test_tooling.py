@@ -6,8 +6,9 @@ a name it never uses, no module-level private name goes unreferenced,
 every exported function and constant is used outside its module, the
 simulator's naive twin and the split replay borrow nothing private from
 the engine and import from the package only the names their docstrings
-allow, the engine imports no random module, and the benchmark's tracer
-still finds, and reads the results of, every function it traces."""
+allow, the engine imports no random module, the benchmark's tracer still
+finds, and reads the results of, every function it traces, and every
+defaulted parameter is set by some call outside the tests."""
 
 from __future__ import annotations
 
@@ -320,3 +321,76 @@ def test_every_exported_function_and_constant_is_used_elsewhere():
         if exported:
             unused[path.name] = exported
     assert unused == {}
+
+
+# Defaulted parameters that no call in the package or the benchmark
+# sets, each kept on purpose, with the reason.
+TEST_SEAMS = {
+    ("cli.py", "main", "argv"): "the test entry point; the console script passes none",
+    ("graphs.py", "list_induced_cycles_naive", "budget"): "a reference oracle only tests call",
+    ("graphs.py", "list_induced_diamonds_naive", "budget"): "a reference oracle only tests call",
+}
+
+
+def _defaulted_parameters(tree: ast.Module):
+    """(function, parameter, positional index or None) for every parameter
+    with a default of every function in *tree*; a method's index leaves
+    out ``self``, as its calls do."""
+    methods = {
+        id(f)
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for f in cls.body
+        if isinstance(f, ast.FunctionDef)
+    }
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        args = func.args
+        positional = args.posonlyargs + args.args
+        offset = 1 if id(func) in methods else 0
+        for i in range(len(positional) - len(args.defaults), len(positional)):
+            yield func.name, positional[i].arg, i - offset
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield func.name, arg.arg, None
+
+
+def _passed_parameters(trees) -> dict[str, tuple[set[str], int, bool]]:
+    """Per called name: the keywords passed, the most positional
+    arguments passed, and whether some call unpacks ``*`` or ``**``."""
+    calls: dict[str, tuple[set[str], int, bool]] = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            keywords, most, unpacks = calls.get(name, (set(), 0, False))
+            keywords |= {kw.arg for kw in node.keywords if kw.arg is not None}
+            unpacks = unpacks or any(kw.arg is None for kw in node.keywords) or any(
+                isinstance(a, ast.Starred) for a in node.args
+            )
+            calls[name] = (keywords, max(most, len(node.args)), unpacks)
+    return calls
+
+
+def test_every_defaulted_parameter_is_set_outside_the_tests():
+    """A default that only tests override is a knob the program never
+    turns: every defaulted parameter of a package function is passed, by
+    keyword or by position, at some call in the package or the benchmark,
+    except the seams in ``TEST_SEAMS``.  Calls match by name alone, and
+    one that unpacks ``*args`` or ``**kwargs`` counts as passing all.
+    A seam the program has come to set is listed no longer."""
+    root = PACKAGE_DIR.parents[1]
+    sources = [*PACKAGE_DIR.glob("*.py"), *(root / "perfbench").glob("*.py")]
+    calls = _passed_parameters(ast.parse(p.read_text(encoding="utf-8")) for p in sources)
+    unset = set()
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func, param, index in _defaulted_parameters(tree):
+            keywords, most, unpacks = calls.get(func, (set(), 0, False))
+            if not (param in keywords or unpacks or (index is not None and most > index)):
+                unset.add((path.name, func, param))
+    assert sorted(unset - TEST_SEAMS.keys()) == []
+    assert sorted(TEST_SEAMS.keys() - unset) == []
