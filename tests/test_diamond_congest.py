@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from reference_sim import reference_run
-from test_golden_outputs import planted_graph
+from test_golden_outputs import planted_graph, sparse_graph
 
 from congestlab import diamond_congest
 from congestlab.congest import PROGRAMS, NodeProgram, SimConfig, run
@@ -374,6 +374,7 @@ GRAPH_SETS = {
     "dense-blocks": _dense_blocks_with_a_sparse_fringe,
     "planted-family": _planted_diamond_family_graphs,
     "golden-planted": lambda: [planted_graph()],
+    "golden-sparse": lambda: [sparse_graph()],
 }
 
 

@@ -9,7 +9,9 @@ The planted graph engages every phase of the distributed diamond
 listing: two dense blocks become clusters, six hubs with more than
 sqrt(n) member neighbours are heavy, and the outsiders with one to four
 member neighbours, together with a sparse background, feed the light
-pair rules and the sparse phase.
+pair rules and the sparse phase.  The sparse graph, G(300, 0.03), has
+no cluster: every vertex peels, so its sparse phase streams long
+assigned-edge lists and lists every diamond there.
 
 A digest changes only when an output byte changes.  If a change is
 meant to alter an output, update the digest and say why in the change
@@ -66,6 +68,8 @@ EXPECTED = {
     "longcycle/meta.json": "23003477575eda6a7ac11dbf3e6478d476e0e10057ccd5c48d5f35ce992bc814",
     "planted.diamonds.json": "0a22b6711880b887b94735df3a3efa1fc2725202d4a7b748564a0695b546919a",
     "planted.listing.json": "39819ffdeee911231e5084ab723fb438ecfd73bda79340ef59f90fc06d77f33c",
+    "sparse.diamonds.json": "8fa42834b7f4ef0e853873f239a444bbb59f91f4e88c2cc2c7cb0a65f53cc8b1",
+    "sparse.listing.json": "65d72574be5625f15239abd497438bb94f7b9e6d1cfcf1fa64ccbb277d7930d3",
     "verify.ck.json": "84b1b0e67333821fdc8547a7a2a1f9c0a5db195fe2391cbe50de184ff3c52be9",
     "verify.diamond.json": "c86173a929e8766ddc4e8c4b8f7cb80d7370c21d290d97f9740c9248b41f74d4",
     "verify.longcycle.json": "535a7d86c9f8a4a02e840cc863b3becc0937b31b6beeff47ae9a80309fa360e9",
@@ -103,6 +107,12 @@ def planted_graph() -> Graph:
     return Graph(120, edges)
 
 
+def sparse_graph() -> Graph:
+    """n = 300 at density 0.03: 1,396 edges, every vertex peeled, 66
+    diamonds, all listed by the sparse phase in 18 rounds."""
+    return random_graph(300, 0.03, random.Random(0))
+
+
 def _run(argv: list[str]) -> None:
     assert main(argv) == EXIT_OK, argv
 
@@ -124,6 +134,8 @@ def _produce_outputs() -> dict[str, bytes]:
         fh.write(planted_graph().to_text())
     with open("gnp.txt", "w", encoding="utf-8") as fh:
         fh.write(random_graph(60, 0.3, random.Random(0)).to_text())
+    with open("sparse.txt", "w", encoding="utf-8") as fh:
+        fh.write(sparse_graph().to_text())
 
     bundles = {
         "ck": ["ck", "--n", "3", "--k", "5", "--input-seed", "1"],
@@ -135,7 +147,7 @@ def _produce_outputs() -> dict[str, bytes]:
         _run(["gen-family", *flags, "--out", name])
         outputs += [f"{name}/graph.txt", f"{name}/meta.json", f"{name}/inputs.json"]
 
-    for graph in ("planted", "gnp"):
+    for graph in ("planted", "gnp", "sparse"):
         _run(
             [
                 "run-diamond-listing",
