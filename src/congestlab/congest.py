@@ -38,7 +38,6 @@ __all__ = [
     "SimConfig",
     "constant_program",
     "cut_traffic_bound_check",
-    "decode_uint",
     "default_bandwidth",
     "encode_uint",
     "flood_program",
@@ -63,10 +62,6 @@ def encode_uint(value: int, width: int) -> str:
     if value < 0 or value >= 2**width:
         raise ValueError(f"value {value} does not fit in {width} bits")
     return format(value, f"0{width}b")
-
-
-def decode_uint(bits: str) -> int:
-    return int(bits, 2) if bits else 0
 
 
 class ProtocolViolation(RuntimeError):

@@ -46,6 +46,11 @@ simulator where communication actually happens:
   messages are charged for that step since the member data already
   sits inside the cluster.
 
+Every payload is formatted once, by its sender, and decoded by lookup:
+each phase run files each string a sender formats in a per-run table
+under exactly the value its bits encode.  A table is a cache of the
+decoder, so no node learns anything its mail did not carry.
+
 The three phase outputs are provably disjoint and their union is the
 full induced-diamond set; coverage_tags computes the expected phase of
 each diamond of a listing so tests can assert the partition exactly.
@@ -58,7 +63,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Container
+from collections.abc import Callable, Container
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
@@ -69,7 +74,6 @@ from .congest import (
     NodeProgram,
     RunStats,
     SimConfig,
-    decode_uint,
     encode_uint,
     run,
     word_bits,
@@ -302,6 +306,20 @@ def _found(stats: RunStats) -> set[tuple[int, ...]]:
     return {d for res in stats.listings.values() for d in res["found"]}
 
 
+def _id_codebook(w: int) -> tuple[dict[str, int], Callable[[int], str]]:
+    """A decoder cache for one run's w-bit ids: ``code(u)`` formats u as
+    a fresh string and files it in ``ids`` under u, so a receiver of any
+    string a sender formatted this way decodes it by lookup."""
+    ids: dict[str, int] = {}
+
+    def code(u: int) -> str:
+        bits = encode_uint(u, w)
+        ids[bits] = u
+        return bits
+
+    return ids, code
+
+
 # ---------------------------------------------------------------------------
 # Sparse phase.
 # ---------------------------------------------------------------------------
@@ -364,63 +382,61 @@ def run_sparse_phase(
     five edges are all sparse) and the run statistics.  Per-node
     collected state doubles as warm-start knowledge for the light
     phase.
+
+    Each node formats its whole stream in ``init``, its flag and then
+    its assigned edges, and sends ``stream[r]`` in round r.
     """
-    n = g.n
-    w = word_bits(n)
-    mask = (1 << w) - 1
+    w = word_bits(g.n)
     edge_format = f"0{2 * w}b"
-    assigned = {v: dec.es_assigned.get(v, ()) for v in range(n)}
+    # The decoder caches: a flag decodes to (leader or None, assigned
+    # edge count), where a member is assigned none, and an edge to (a, b).
+    flags: dict[str, tuple[int | None, int]] = {}
+    edges: dict[str, tuple[int, int]] = {}
 
     def init(v, neighbors, n_):
-        partners = {b if a == v else a for a, b in assigned[v]}
+        own = dec.es_assigned.get(v, ())
+        ci = dec.cluster_index[v]
+        flag = _cluster_flag_payload(dec, v, len(own), w)
+        flags[flag] = (None if ci is None else dec.clusters[ci].leader, len(own))
+        stream = [flag]
+        for e in own:
+            bits = format(e[0] << w | e[1], edge_format)
+            edges[bits] = e
+            stream.append(bits)
+        partners = {b if a == v else a for a, b in own}
         es_adj = {u: {v} if u in partners else set() for u in neighbors}
         es_adj[v] = partners
-        return {
-            "v": v,
-            "own": assigned[v],
-            "nbr_leader": {},
-            "es_adj": es_adj,
-            "decide_round": None,
-            "found": set(),
-        }
+        # v, its stream, neighbor leaders, sparse adjacency, decide round, finds.
+        return [v, stream, {}, es_adj, None, set()]
 
     def step(state, r, inbox):
-        v = state["v"]
+        v, stream, nbr_leader, es_adj, decide_round, _ = state
         if r == 1:
             # A node decides once its neighbors' longest stream is in.
             longest = 0
             for src, bits in inbox.items():
-                if bits[0] == "1":
-                    state["nbr_leader"][src] = decode_uint(bits[1:])
-                else:
-                    state["nbr_leader"][src] = None
-                    longest = max(longest, decode_uint(bits[1:]))
-            state["decide_round"] = 1 + longest
+                nbr_leader[src], length = flags[bits]
+                if length > longest:
+                    longest = length
+            decide_round = state[4] = 1 + longest
         elif inbox:
             # A vertex is assigned only its own edges, so each streamed edge
             # has the sender as an endpoint; the far one x is a key if in N[v].
-            es_adj = state["es_adj"]
             for src, bits in inbox.items():
-                e = int(bits, 2)
-                a, b = e >> w, e & mask
+                a, b = edges[bits]
                 x = b if a == src else a
                 es_adj[src].add(x)
                 if x in es_adj:
                     es_adj[x].add(src)
-        outbox: str | list[tuple[int, str]] = []
-        if r == 0:
-            outbox = _cluster_flag_payload(dec, v, len(state["own"]), w)
-        elif r - 1 < len(state["own"]):
-            a, b = state["own"][r - 1]
-            outbox = format(a << w | b, edge_format)
+        outbox = stream[r] if r < len(stream) else []
         output = None
-        if r == state["decide_round"]:
-            state["found"] = _sparse_finds(v, state["es_adj"], state["nbr_leader"])
-            output = 1 if state["found"] else 0
+        if r == decide_round:
+            found = state[5] = _sparse_finds(v, es_adj, nbr_leader)
+            output = 1 if found else 0
         return state, outbox, output
 
     def collect(state):
-        return {"found": tuple(sorted(state["found"])), "es_adj": state["es_adj"]}
+        return {"found": tuple(sorted(state[5])), "es_adj": state[3]}
 
     program = NodeProgram(name="diamond-sparse", init=init, step=step, collect=collect)
     stats = _run_phase(g, program, max(dec.d_min + 3, 4))
@@ -479,6 +495,7 @@ def run_heavy_phase(
             for t, m in enumerate(members):
                 plan[m] = nbrs[t * chunk : (t + 1) * chunk]
     schedule_end = 2 + max_chunk
+    ids, code = _id_codebook(w)
 
     def init(v, neighbors, n_):
         return {
@@ -490,7 +507,7 @@ def run_heavy_phase(
     def step(state, r, inbox):
         for src, bits in inbox.items():
             if r >= 2:
-                state["fragments"].setdefault(src, []).append(decode_uint(bits))
+                state["fragments"].setdefault(src, []).append(ids[bits])
         outbox: str | list[tuple[int, str]] = []
         if r == 0:
             outbox = _cluster_flag_payload(dec, state["v"], 0, w)
@@ -498,7 +515,7 @@ def run_heavy_phase(
             for m, chunk in state["plans"]:
                 idx = r - 1
                 if idx < len(chunk):
-                    outbox.append((m, encode_uint(chunk[idx], w)))
+                    outbox.append((m, code(chunk[idx])))
         output = 0 if r == schedule_end else None
         return state, outbox, output
 
@@ -603,11 +620,13 @@ def run_light_phase(
     chunk_bits = 2 * w
     ld = math.ceil(max_qlen / chunk_bits)
     decide_round = lb + lc + ld
+    ids, code = _id_codebook(w)
 
     def init(v, neighbors, n_):
+        # The broadcast stream: the entry count, then one string per entry.
         return {
             "v": v,
-            "entries": sorted(entries[v]),
+            "stream": [encode_uint(len(entries[v]), w), *map(code, sorted(entries[v]))],
             "queries": sorted(queries[v].items()),
             "es_adj": warm[v]["es_adj"],
             "recv_entries": {},
@@ -620,24 +639,22 @@ def run_light_phase(
         v = state["v"]
         for src, bits in inbox.items():
             if 2 <= r <= lb:
-                state["recv_entries"].setdefault(src, set()).add(decode_uint(bits))
+                state["recv_entries"].setdefault(src, set()).add(ids[bits])
             elif lb + 2 <= r <= lb + lc:
-                bit = "1" if decode_uint(bits) in g.adj[v] else "0"
+                bit = "1" if ids[bits] in g.adj[v] else "0"
                 state["replies"][src] = state["replies"].get(src, "") + bit
             elif r > lb + lc:
                 state["answer_bits"][src] = state["answer_bits"].get(src, "") + bits
         outbox: str | list[tuple[int, str]] = []
-        if r == 0:
-            outbox = encode_uint(len(state["entries"]), w)
-        elif r - 1 < len(state["entries"]):
-            outbox = encode_uint(state["entries"][r - 1], w)
+        if r < len(state["stream"]):
+            outbox = state["stream"][r]
         elif r == lb:
             outbox = [(c1, encode_uint(len(qs), w)) for c1, qs in state["queries"]]
         elif lb < r <= lb + max_qlen:
             idx = r - lb - 1
             for c1, qs in state["queries"]:
                 if idx < len(qs):
-                    outbox.append((c1, encode_uint(qs[idx], w)))
+                    outbox.append((c1, code(qs[idx])))
         elif r >= lb + lc:
             lo = (r - lb - lc) * chunk_bits
             for src, reply in sorted(state["replies"].items()):

@@ -40,7 +40,13 @@ import random
 from dataclasses import dataclass, field
 
 from .families import FamilyInstance, InputPair
-from .graphs import DEFAULT_WORK_BUDGET, Graph, list_induced_diamonds
+from .graphs import (
+    DEFAULT_WORK_BUDGET,
+    Graph,
+    _induced_diamond_search,
+    _Witness,
+    list_induced_diamonds,
+)
 
 __all__ = [
     "DiamondFixture",
@@ -211,14 +217,12 @@ def build_diamond_family(fixture: DiamondFixture, pair: InputPair) -> FamilyInst
     return inst
 
 
-def list_two_two_diamonds(
-    inst: FamilyInstance, budget: int = DEFAULT_WORK_BUDGET
-) -> list[tuple[int, ...]]:
+def list_two_two_diamonds(inst: FamilyInstance) -> list[tuple[int, ...]]:
     """Induced diamonds with exactly two vertices on each side."""
     side_a = set(inst.side_a)
     return [
         d
-        for d in list_induced_diamonds(inst.graph, budget=budget, quota=(side_a, 2))
+        for d in list_induced_diamonds(inst.graph, quota=(side_a, 2))
         if len(side_a.intersection(d)) == 2
     ]
 
@@ -226,4 +230,24 @@ def list_two_two_diamonds(
 def has_two_two_diamond(
     inst: FamilyInstance, budget: int = DEFAULT_WORK_BUDGET
 ) -> bool:
-    return bool(list_two_two_diamonds(inst, budget=budget))
+    """True when ``list_two_two_diamonds`` would list a diamond; stops at
+    the first one.
+
+    Runs that listing's spine search until a spine yields a diamond with
+    exactly two vertices on each side.  Its work is the listing's prefix
+    up to and including that spine, and it raises ``WorkBudgetExceeded``
+    only if that prefix exceeds *budget*, so it may return True under a
+    budget the whole search exceeds.  Without such a diamond its work,
+    and the estimate of any exception, are the whole search's.
+    """
+    side_a = set(inst.side_a)
+
+    def stop(d: tuple[int, ...]) -> None:
+        if len(side_a.intersection(d)) == 2:
+            raise _Witness
+
+    try:
+        _induced_diamond_search(inst.graph, budget, (side_a, 2), stop)
+    except _Witness:
+        return True
+    return False

@@ -202,17 +202,19 @@ def verify_family_conditions(
         if len(conditions[name]["counterexamples"]) < COUNTEREXAMPLE_CAP:
             conditions[name]["counterexamples"].append(info)
 
-    reference = harness.build(pairs[0])
-    ref_shape = (reference.graph.n, reference.side_a, reference.cut_edges)
     # Side-internal edges keyed by the input that is supposed to pin them.
     a_by_x: dict[str, frozenset] = {}
     b_by_y: dict[str, frozenset] = {}
     n_intersecting = 0
     n_disjoint = 0
 
-    for pair in pairs:
+    for i, pair in enumerate(pairs):
         inst = harness.build(pair)
-        if (inst.graph.n, inst.side_a, inst.cut_edges) != ref_shape:
+        shape = (inst.graph.n, inst.side_a, inst.cut_edges)
+        if i == 0:
+            # The first pair's instance is the reference every other must match.
+            reference, ref_shape = inst, shape
+        elif shape != ref_shape:
             flag("fixed_structure", {"x": pair.x, "y": pair.y})
         a_edges = induced_edges(inst.graph, inst.side_a)
         b_edges = induced_edges(inst.graph, inst.side_b)

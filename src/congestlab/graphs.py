@@ -319,7 +319,7 @@ def list_induced_cycles(
 
 
 class _Witness(Exception):
-    """Stops the shared cycle search at the first cycle it finds."""
+    """Stops a shared search at the first witness it finds."""
 
 
 def _stop(cycle: tuple[int, ...]) -> None:
@@ -486,13 +486,23 @@ def list_induced_diamonds(
     search raises with estimate ``budget + 1``, the count at the first
     unit past it.
     """
+    out: list[tuple[int, ...]] = []
+    _induced_diamond_search(g, budget, quota, out.append)
+    out.sort()
+    return out
+
+
+def _induced_diamond_search(
+    g: Graph, budget: int, quota: tuple[Iterable[int], int] | None, emit
+) -> None:
+    """The search ``list_induced_diamonds`` documents; passes each diamond
+    to emit, spine by spine, after adding the spine's work."""
     masks = [sum(1 << w for w in nb) for nb in g.adj]
     # Without a quota no vertex counts as own and need is 0, so no
     # spine needs a wing and no wing is masked.
     vertices, need = ((), 0) if quota is None else quota
     own_set = frozenset(vertices)
     own = sum(1 << v for v in own_set)
-    out: list[tuple[int, ...]] = []
     work = 0
     # Spine order moves neither the listing, sorted at the end, nor the
     # budget test, which compares the count with the budget at each
@@ -529,17 +539,15 @@ def list_induced_diamonds(
                 # Merge the sorted pairs a < b and c < d.
                 if c < a:
                     if d < a:
-                        out.append((c, d, a, b))
+                        emit((c, d, a, b))
                     elif d < b:
-                        out.append((c, a, d, b))
+                        emit((c, a, d, b))
                     else:
-                        out.append((c, a, b, d))
+                        emit((c, a, b, d))
                 elif c < b:
-                    out.append((a, c, d, b) if d < b else (a, c, b, d))
+                    emit((a, c, d, b) if d < b else (a, c, b, d))
                 else:
-                    out.append((a, b, c, d))
-    out.sort()
-    return out
+                    emit((a, b, c, d))
 
 
 def crossing_edges(g: Graph, side: Iterable[int]) -> frozenset[tuple[int, int]]:

@@ -2,11 +2,20 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from congestlab.bitstrings import bits_intersect, singleton, zeros
+from congestlab.bitstrings import (
+    bits_intersect,
+    ones,
+    random_bits,
+    random_nonintersecting_pair,
+    singleton,
+    zeros,
+)
 from congestlab.diamond_family import (
     build_diamond_family,
     build_diamond_fixture,
@@ -16,7 +25,11 @@ from congestlab.diamond_family import (
     list_two_two_diamonds,
 )
 from congestlab.families import InputPair
-from congestlab.graphs import is_induced_diamond, list_induced_diamonds
+from congestlab.graphs import (
+    WorkBudgetExceeded,
+    is_induced_diamond,
+    list_induced_diamonds,
+)
 
 PROPERTY_SETTINGS = settings(
     max_examples=40,
@@ -118,6 +131,40 @@ class TestBuiltInstances:
         y = format(ybits % 2**k, f"0{k}b") if k else ""
         inst = build_diamond_family(fx, InputPair(x, y))
         assert has_two_two_diamond(inst) == bits_intersect(x, y)
+
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_the_predicate_agrees_with_the_listing(self, n: int):
+        # It stops at the first 2+2 diamond, so it builds less than the
+        # listing but must answer the listing's bool on every pair.
+        rng = random.Random(n)
+        fx = build_diamond_fixture(n, 1)
+        k = fx.bit_count
+        seen = set()
+        for _ in range(6):
+            x, y = random_bits(k, rng), random_bits(k, rng)
+            for pair in (InputPair(x, y), InputPair(*random_nonintersecting_pair(k, rng))):
+                inst = build_diamond_family(fx, pair)
+                expected = bool(list_two_two_diamonds(inst))
+                assert has_two_two_diamond(inst) == expected, pair
+                seen.add(expected)
+        assert seen == {True, False}
+
+    def test_the_predicate_spends_the_search_prefix_up_to_its_witness(self):
+        # Fixture n = 64, seed 1.  With every slot shared the quota search
+        # counts 290 wing pairs and its first spine already holds a 2+2
+        # diamond.  With x all ones and y empty it lists 98 diamonds, none
+        # 2+2, so the predicate runs the whole search.
+        fx = build_diamond_fixture(64, 1)
+        k = fx.bit_count
+        for x, y, full, first in [(ones(k), ones(k), 290, 1), (ones(k), zeros(k), 98, 98)]:
+            inst = build_diamond_family(fx, InputPair(x, y))
+            quota = (set(inst.side_a), 2)
+            list_induced_diamonds(inst.graph, budget=full, quota=quota)
+            with pytest.raises(WorkBudgetExceeded):
+                list_induced_diamonds(inst.graph, budget=full - 1, quota=quota)
+            assert has_two_two_diamond(inst, budget=first) == (first < full)
+            with pytest.raises(WorkBudgetExceeded):
+                has_two_two_diamond(inst, budget=first - 1)
 
     def test_lopsided_diamonds_are_excluded_from_the_predicate(self):
         # Two y-slots sharing b2 can close a diamond living 1+3 across

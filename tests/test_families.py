@@ -403,6 +403,26 @@ class TestSampledVerification:
             assert not condition["passed"], name
             assert len(condition["counterexamples"]) == COUNTEREXAMPLE_CAP, name
 
+    def test_each_pair_is_built_once_plus_the_sampled_rebuilds(self):
+        # The first pair's instance is the reference; nothing is built twice
+        # for it.  A sampled battery rebuilds up to eight pairs against
+        # fixed opposite inputs, two builds each.
+        def counted(harness):
+            builds = []
+
+            def build(pair):
+                builds.append(pair)
+                return harness.build(pair)
+
+            return dataclasses.replace(harness, build=build), builds
+
+        harness, builds = counted(cycle_harness(2, 4))
+        verify_family_conditions(harness)
+        assert len(builds) == 256
+        harness, builds = counted(_broken_harness())
+        report = verify_family_conditions(harness, exhaustive=False)
+        assert len(builds) == report.pairs_checked + 2 * min(8, report.pairs_checked)
+
     @pytest.mark.parametrize(("bits", "pairs"), [(0, 1), (1, 4), (2, 16), (3, 40)])
     def test_the_battery_stops_at_every_distinct_pair_of_a_small_family(self, bits, pairs):
         harness = dataclasses.replace(_broken_harness(), bit_count=bits)
