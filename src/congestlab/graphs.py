@@ -302,16 +302,26 @@ def list_induced_cycles(
     vertices are drawn from *vertices* alone, so paths that cannot meet
     the quota are never grown.  ``quota=None`` lists every cycle.
 
+    A path is dropped once no vertex can still close it: a closing
+    vertex is a neighbor of the anchor above the second path vertex
+    that no path vertex but the anchor and the last one touches, and
+    that set only shrinks as the path grows.  A path one vertex short
+    of closing grows only to the neighbors of that set.  Dropped paths
+    emit nothing, so the listing and its order do not depend on it.
+
     The work count is one unit per neighbor inspected: an anchor's
     degree, the endpoint's degree per path extension, and the
-    endpoint's common neighbors with the anchor per closing step.
-    Under a quota it covers only the anchors and paths the quota lets
-    the search visit (a path with no outside room left inspects only
-    its neighbors in *vertices*), so it never exceeds the count without
-    the quota.  A quota call, such as a ``cycle_listing_protocol`` side
-    lister's, may therefore finish under a budget the full listing
-    exceeds.  Each step adds its units at once; the count only grows,
-    so a call finishes exactly when its total is within *budget*.
+    endpoint's common neighbors with the anchor per closing step.  A
+    dropped path is charged only for its root's inspection, the
+    extension that found no closing vertex left; its subtree is never
+    inspected.  Under a quota it covers only the anchors and paths the
+    quota lets the search visit (a path with no outside room left
+    inspects only its neighbors in *vertices*, and may close only on
+    them), so it never exceeds the count without the quota.  A quota
+    call, such as a ``cycle_listing_protocol`` side lister's, may
+    therefore finish under a budget the full listing exceeds.  Each
+    step adds its units at once; the count only grows, so a call
+    finishes exactly when its total is within *budget*.
     """
     out: list[tuple[int, ...]] = []
     _induced_cycle_search(g, k, budget, quota, out.append)
@@ -389,10 +399,25 @@ def _induced_cycle_search(
         # With no room left every later vertex is own, so banning only
         # the endpoint's own neighbors is enough.
         banned |= last
+        # zone: the vertices that may still close this path (own ones
+        # only, with no room left).  banned only grows, so once zone is
+        # empty no extension can close.
+        zone = anchor & above_second & ~banned
+        if not room:
+            zone &= own
+        if not zone:
+            return
         if len(path) == k - 2:
             # Each candidate is the last path vertex: run its closing
             # step here, as a call to extend would, without the call.
-            closable = above_second & ~banned
+            # A candidate with no neighbor in zone closes nothing.
+            near = 0
+            z = zone
+            while z:
+                x = z & -z
+                near |= masks[x.bit_length() - 1]
+                z ^= x
+            grow &= near
             tight = room < 2  # only then can a candidate use the room up
             while grow:
                 low = grow & -grow
@@ -403,7 +428,7 @@ def _induced_cycle_search(
                 work += closers.bit_count()
                 if work > budget:
                     raise WorkBudgetExceeded("pruned cycle search", work, budget)
-                closers &= closable
+                closers &= zone
                 while closers:
                     x = closers & -closers
                     found = path + [c, x.bit_length() - 1]

@@ -241,6 +241,13 @@ class TestQuota:
                         )
                         assert _work_count(g, k, quota=quota) <= full_work
 
+    @PROPERTY_SETTINGS
+    @given(data=st.data(), g=_small_graphs(max_n=10), k=st.integers(3, 8))
+    def test_quota_work_never_exceeds_the_full_listings(self, data, g: Graph, k: int):
+        vertices = data.draw(st.frozensets(st.integers(0, g.n - 1)))
+        need = data.draw(st.integers(0, k))
+        assert _work_count(g, k, quota=(vertices, need)) <= _work_count(g, k)
+
     def test_an_unmeetable_quota_does_no_work(self):
         g = _complete_graph(6)
         assert list_induced_cycles(g, 3, budget=0, quota=(range(6), 4)) == []
@@ -332,7 +339,7 @@ class TestWorkBudget:
         # W is the search's total work count, one unit per neighbor it
         # inspects; a change to that accounting moves these values.
         sparse = random_graph(20, 0.3, random.Random(3))
-        recorded = zip(range(3, 8), (138, 565, 1168, 2408, 3983))
+        recorded = zip(range(3, 8), (138, 412, 780, 1441, 2243))
         cases = [(sparse, k, w) for k, w in recorded]
         cases += [(_complete_graph(12), 6, 858), (_complete_graph(12), 3, 792)]
         for g, k, w in cases:
@@ -363,10 +370,10 @@ class TestWorkBudget:
         g = random_graph(20, 0.3, random.Random(3))
         recorded = [
             (3, 1, 126), (3, 2, 114), (3, 3, 55),
-            (4, 2, 410), (4, 3, 306), (4, 4, 134),
-            (5, 2, 1071), (5, 3, 762), (5, 5, 189),
-            (6, 3, 1957), (6, 4, 1278), (6, 6, 262),
-            (7, 3, 3698), (7, 4, 2879), (7, 7, 299),
+            (4, 2, 335), (4, 3, 258), (4, 4, 110),
+            (5, 2, 743), (5, 3, 572), (5, 5, 141),
+            (6, 3, 1304), (6, 4, 904), (6, 6, 179),
+            (7, 3, 2170), (7, 4, 1863), (7, 7, 195),
         ]
         for k, need, w in recorded:
             quota = (range(10), need)
@@ -377,15 +384,27 @@ class TestWorkBudget:
     def test_each_closing_step_tests_the_budget(self):
         # The estimate is the count at the first step that crossed the
         # budget.  The first four rows are at half of each W above; the
-        # last four cross inside a run of closing steps, so they move if
-        # those steps share one budget test.
+        # last four cross at a closing step.  At k = 4..6 that step is
+        # inside a run of closing steps, so those rows move if the steps
+        # share one budget test; at k = 7 no closing run on this graph
+        # has two charged steps, so its row crosses at a lone one.
         g = random_graph(20, 0.3, random.Random(3))
-        recorded = [(4, 282, 283), (5, 584, 592), (6, 1204, 1206), (7, 1991, 1992)]
-        recorded += [(4, 283, 285), (5, 568, 571), (6, 1214, 1215), (7, 1973, 1974)]
+        recorded = [(4, 206, 211), (5, 390, 395), (6, 720, 726), (7, 1121, 1124)]
+        recorded += [(4, 194, 195), (5, 395, 396), (6, 625, 626), (7, 1124, 1126)]
         for k, budget, estimate in recorded:
             with pytest.raises(WorkBudgetExceeded) as info:
                 list_induced_cycles(g, k, budget=budget)
             assert info.value.estimate == estimate
+
+    def test_a_path_that_can_no_longer_close_is_not_grown(self):
+        # An induced path holds no cycle.  Each anchor's neighbors lie
+        # next to it, so no vertex above the second can close, and each
+        # branch is charged only for its root: the anchors' degrees (22)
+        # plus the second vertices' degrees (21), whatever k is.
+        path = Graph(12, [(i, i + 1) for i in range(11)])
+        for k in range(4, 10):
+            assert list_induced_cycles(path, k) == []
+            assert _work_count(path, k) == 43
 
     def test_default_budget_handles_small_graphs(self):
         g = random_graph(20, 0.2, random.Random(3))
@@ -436,7 +455,7 @@ class TestHasInducedCycle:
         # (k, W of the listing, W up to the first witness); below the
         # second figure the two calls cross the budget at the same step.
         g = random_graph(20, 0.3, random.Random(3))
-        for k, full, first in [(3, 138, 7), (5, 1168, 17), (7, 3983, 90)]:
+        for k, full, first in [(3, 138, 7), (5, 780, 17), (7, 2243, 82)]:
             assert _work_count(g, k) == full
             assert _work_count(g, k, search=has_induced_cycle) == first
             assert has_induced_cycle(g, k, budget=first)
