@@ -35,11 +35,13 @@ balanced ones.
 
 from __future__ import annotations
 
+import marshal
 import math
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 
-from .families import FamilyInstance, InputPair
+from .families import FamilyInstance, InputPair, _Fixture, _instance
 from .graphs import (
     DEFAULT_WORK_BUDGET,
     Graph,
@@ -85,6 +87,28 @@ class DiamondFixture:
     @property
     def bit_count(self) -> int:
         return len(self.quadruples)
+
+    @cached_property
+    def _family_fixture(self) -> _Fixture:
+        """This fixture in the shape every family's per-pair step takes:
+        a 1 at bit k of x adds (a1, a2) of slot k, of y its (b1, b2)."""
+        quads = self.quadruples
+        meta = {
+            "quadruples": [list(q) for q in quads],
+            "astar": sorted(self.astar),
+            "good_pair_count": len(self.good_pairs),
+            "dropped_count": len(self.dropped),
+        }
+        blocks = {
+            "a": self.a_vertices,
+            "b": self.b_vertices,
+            "partner": self.partner_vertices,
+        }
+        empty = ((),) * len(quads)
+        on_x, on_y = tuple((q[:2],) for q in quads), tuple((q[2:],) for q in quads)
+        slots = ((empty, on_x), (empty, on_y))
+        meta_bytes = marshal.dumps(meta)
+        return _Fixture(self.graph, self.a_vertices, self.labels, blocks, meta_bytes, slots)
 
 
 def diamond_cut_size(n: int) -> int:
@@ -188,33 +212,9 @@ def build_diamond_family(fixture: DiamondFixture, pair: InputPair) -> FamilyInst
         raise ValueError(
             f"pair has {pair.length} bits, fixture has {fixture.bit_count} slots"
         )
-    edges = list(fixture.graph.edges)
-    for k, (a1, a2, b1, b2) in enumerate(fixture.quadruples):
-        if pair.x[k] == "1":
-            edges.append((a1, a2))
-        if pair.y[k] == "1":
-            edges.append((b1, b2))
-    inst = FamilyInstance(
-        family="diamond",
-        params={"n": fixture.n, "seed": fixture.seed},
-        pair=pair,
-        graph=Graph(fixture.graph.n, edges),
-        side_a=fixture.a_vertices,
-        labels=dict(fixture.labels),
-        blocks={
-            "a": fixture.a_vertices,
-            "b": fixture.b_vertices,
-            "partner": fixture.partner_vertices,
-        },
-        meta={
-            "quadruples": [list(q) for q in fixture.quadruples],
-            "astar": sorted(fixture.astar),
-            "good_pair_count": len(fixture.good_pairs),
-            "dropped_count": len(fixture.dropped),
-        },
-    )
-    assert inst.cut_size == diamond_cut_size(fixture.n)
-    return inst
+    params = {"n": fixture.n, "seed": fixture.seed}
+    base, cut_size = fixture._family_fixture, diamond_cut_size(fixture.n)
+    return _instance("diamond", params, base, pair, cut_size)
 
 
 def list_two_two_diamonds(inst: FamilyInstance) -> list[tuple[int, ...]]:

@@ -17,17 +17,23 @@ targets any length k >= 4 by subdividing those matchings.
 small: side-internal block indices are encoded as fixed-size subsets
 of a shared symbol alphabet, and only the alphabet (not the block
 count) crosses the cut.
+
+A family is an input-independent fixture, built once per parameter set
+(each builder memoizes its 8 most recent), plus one slot of input edges
+per bit.  An instance is the fixture's graph plus the edges its bits
+select, with labels, blocks and meta of its own.
 """
 
 from __future__ import annotations
 
+import marshal
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations, product
 
-from .bitstrings import pair_index, validate_bits
+from .bitstrings import validate_bits
 from .graphs import Graph, crossing_edges, frac_pow_ceil
 
 __all__ = [
@@ -103,6 +109,42 @@ class FamilyInstance:
         return len(self.cut_edges)
 
 
+@dataclass(frozen=True)
+class _Fixture:
+    """A family's input-independent part at one parameter set.  ``slots``
+    holds, for x and then y, the edges each bit adds as a 0 and as a 1,
+    in bit order; ``meta`` is marshalled, so each instance loads its own."""
+
+    graph: Graph
+    side_a: tuple[int, ...]
+    labels: dict[int, str]
+    blocks: dict[str, tuple[int, ...]]
+    meta: bytes
+    slots: tuple[tuple[tuple[tuple[tuple[int, int], ...], ...], ...], ...]
+
+
+def _instance(
+    family: str, params: dict, fixture: _Fixture, pair: InputPair, cut_size: int
+) -> FamilyInstance:
+    """The fixture's graph plus the slot edges the bits of *pair* select,
+    once the cut of that graph matches the family's closed form."""
+    extra: list[tuple[int, int]] = []
+    for bits, (on_zero, on_one) in zip((pair.x, pair.y), fixture.slots):
+        for bit, zero, one in zip(bits, on_zero, on_one):
+            extra += one if bit == "1" else zero
+    inst = FamilyInstance(
+        family=family, params=params, pair=pair, graph=fixture.graph.with_edges(extra),
+        side_a=fixture.side_a, labels=dict(fixture.labels), blocks=dict(fixture.blocks),
+        meta=marshal.loads(fixture.meta),
+    )
+    if inst.cut_size != cut_size:
+        raise RuntimeError(
+            f"{family} family {params}: cut has {inst.cut_size} edges, "
+            f"closed form gives {cut_size}"
+        )
+    return inst
+
+
 # ---------------------------------------------------------------------------
 # Cycle family: four blocks of n, matchings across the cut, cliques on the
 # outer blocks (and on a2 at odd k), one candidate connector edge per input
@@ -169,7 +211,12 @@ def build_cycle_family(n: int, k: int, pair: InputPair) -> FamilyInstance:
         raise ValueError("this family needs k >= 4")
     if pair.length != n * n:
         raise ValueError(f"pair has {pair.length} bits, family needs {n * n}")
+    params = {"n": n, "k": k}
+    return _instance("cycle", params, _cycle_fixture(n, k), pair, cycle_cut_size(n))
 
+
+@lru_cache(maxsize=8)
+def _cycle_fixture(n: int, k: int) -> _Fixture:
     blocks = {
         name: tuple(range(q * n, (q + 1) * n))
         for q, name in enumerate(("a1", "a2", "b1", "b2"))
@@ -194,25 +241,19 @@ def build_cycle_family(n: int, k: int, pair: InputPair) -> FamilyInstance:
     # a1 and b2 are cliques, and a2 too at odd k.
     for name in ("a1", "b2", "a2") if k % 2 else ("a1", "b2"):
         edges.extend(combinations(blocks[name], 2))
-    for i, j in product(range(n), repeat=2):
-        idx = pair_index(i + 1, j + 1, n)
-        if pair.x[idx] == "1":
-            edges.append((a1[i], a2[j]))
-        if pair.y[idx] == "1":
-            edges.append((b1[i], b2[j]))
-
-    inst = FamilyInstance(
-        family="cycle",
-        params={"n": n, "k": k},
-        pair=pair,
+    return _Fixture(
         graph=Graph(len(labels), edges),
         side_a=tuple(sorted(side_a)),
         labels=labels,
         blocks=blocks,
-        meta={"target_length": k, "path_internals": path_internals},
+        meta=marshal.dumps({"target_length": k, "path_internals": path_internals}),
+        # Bit (i, j) of x adds the connector (a1_i, a2_j), of y (b1_i, b2_j);
+        # bits run j-major, as pair_index numbers them.
+        slots=tuple(
+            (((),) * n * n, tuple(((u[i], w[j]),) for j in range(n) for i in range(n)))
+            for u, w in ((a1, a2), (b1, b2))
+        ),
     )
-    assert inst.cut_size == cycle_cut_size(n)
-    return inst
 
 
 def _cut_path(
@@ -344,13 +385,24 @@ def build_long_cycle_family(
         raise ValueError("need n >= 1, ell >= 1, m >= 0")
     if pair.length != n * n:
         raise ValueError(f"pair has {pair.length} bits, family needs {n * n}")
+    params = {"n": n, "ell": ell, "m": m, "centers": include_centers}
+    fixture = _long_cycle_fixture(n, ell, m, include_centers)
+    cut_size = long_cycle_cut_size(n, ell, m, include_centers)
+    return _instance("longcycle", params, fixture, pair, cut_size)
 
+
+@lru_cache(maxsize=8)
+def _long_cycle_fixture(n: int, ell: int, m: int, include_centers: bool) -> _Fixture:
     # Sub-block i gets the colex-rank-(i-1) ell-subset of the alphabet.
     # Colex order puts the largest symbol last, so the last code fits in
     # range(r) exactly when comb(r, ell) >= n.
     r = long_cycle_alphabet(n, ell)
     codes = [colex_subset(i, ell) for i in range(n)]
-    assert codes[-1][-1] < r
+    if codes[-1][-1] >= r:
+        raise RuntimeError(
+            f"longcycle family (n={n}, ell={ell}): code {codes[-1]} needs "
+            f"{codes[-1][-1] + 1} symbols, alphabet has {r}"
+        )
 
     # Ids run through the input blocks a1, a2, b1, b2 (n sub-blocks of
     # ell each), then the code blocks (one id per symbol), labelled by
@@ -390,13 +442,14 @@ def build_long_cycle_family(
     # Bit (i, j) glues upper sub-block i to lower sub-block j, rotated by
     # one position on side A and straight on side B; a 0 bit joins them
     # completely when ell >= 2.
-    for bits, upper, lower, rot in ((pair.x, "a1", "a2", 1), (pair.y, "b1", "b2", 0)):
-        for i, j in product(range(n), repeat=2):
+    slots = []
+    for upper, lower, rot in (("a1", "a2", 1), ("b1", "b2", 0)):
+        zero, one = [], []
+        for j, i in product(range(n), repeat=2):  # bit order, as in pair_index
             sub, sub2 = subblocks[upper][i], subblocks[lower][j]
-            if bits[pair_index(i + 1, j + 1, n)] == "1":
-                edges.extend((u, sub2[(p - rot) % ell]) for p, u in enumerate(sub))
-            elif ell >= 2:
-                edges.extend(product(sub, sub2))
+            zero.append(tuple(product(sub, sub2)) if ell >= 2 else ())
+            one.append(tuple((u, sub2[(p - rot) % ell]) for p, u in enumerate(sub)))
+        slots.append((tuple(zero), tuple(one)))
 
     side_a = [*blocks["a1"], *blocks["a2"], *blocks["upper_a"], *blocks["lower_a"]]
     centers: tuple[int, ...] = ()
@@ -416,20 +469,18 @@ def build_long_cycle_family(
         for t, (u, v) in enumerate(ends):
             _cut_path(u, v, count, f"{kind[0]}pad_{t}", labels, side_a, edges)
 
-    inst = FamilyInstance(
-        family="longcycle",
-        params={"n": n, "ell": ell, "m": m, "centers": include_centers},
-        pair=pair,
+    return _Fixture(
         graph=Graph(len(labels), edges),
         side_a=tuple(sorted(side_a)),
         labels=labels,
         blocks=blocks,
-        meta={
-            "target_length": ell * (8 + m),
-            "alphabet": r,
-            "codes": [list(c) for c in codes],
-            "subblocks": subblocks,
-        },
+        meta=marshal.dumps(
+            {
+                "target_length": ell * (8 + m),
+                "alphabet": r,
+                "codes": [list(c) for c in codes],
+                "subblocks": subblocks,
+            }
+        ),
+        slots=tuple(slots),
     )
-    assert inst.cut_size == long_cycle_cut_size(n, ell, m, include_centers)
-    return inst

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import random
-from collections import deque
+from collections import defaultdict, deque
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable
@@ -104,6 +104,19 @@ def ceil_sqrt(n: int) -> int:
     return r if r * r == n else r + 1
 
 
+def _normalized_edges(n: int, edges: Iterable[tuple[int, int]]) -> set[tuple[int, int]]:
+    """*edges* as stored pairs, each checked to join two of n vertices."""
+    normalized = set()
+    for u, v in edges:
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        u, v = norm_edge(u, v)
+        if not (0 <= u and v < n):
+            raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+        normalized.add((u, v))
+    return normalized
+
+
 class Graph:
     """Undirected simple graph with precomputed adjacency sets."""
 
@@ -112,14 +125,7 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        normalized = set()
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            u, v = norm_edge(u, v)
-            if not (0 <= u and v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            normalized.add((u, v))
+        normalized = _normalized_edges(n, edges)
         self.n = n
         self.edges: frozenset[tuple[int, int]] = frozenset(normalized)
         adj: list[set[int]] = [set() for _ in range(n)]
@@ -127,6 +133,22 @@ class Graph:
             adj[u].add(v)
             adj[v].add(u)
         self.adj: tuple[frozenset[int], ...] = tuple(frozenset(s) for s in adj)
+
+    def with_edges(self, edges: Iterable[tuple[int, int]]) -> "Graph":
+        """This graph plus *edges*, checked as the constructor checks them.
+        It stays unchanged, and shares the adjacency set of every vertex
+        no new edge touches."""
+        new = _normalized_edges(self.n, edges) - self.edges
+        grown: dict[int, list[int]] = defaultdict(list)
+        for u, v in new:
+            grown[u].append(v)
+            grown[v].append(u)
+        adj = list(self.adj)
+        for v, nbrs in grown.items():
+            adj[v] = frozenset({*adj[v], *nbrs})  # a set's copy is compact
+        g = object.__new__(Graph)
+        g.n, g.edges, g.adj = self.n, self.edges | new, tuple(adj)
+        return g
 
     @property
     def m(self) -> int:

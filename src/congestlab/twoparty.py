@@ -391,7 +391,11 @@ def congest_reduction(inst: FamilyInstance, program: NodeProgram) -> ReductionRe
     for _, src, _dst, bits in stats.cut_messages:
         transcript.add("a->b" if src in side_a else "b->a", "sim", bits)
     transcript.add("b->a", "answer", str(stats.decision))
-    assert transcript.payload_bits(kind="sim") == stats.total_cut_bits
+    if (sim_bits := transcript.payload_bits(kind="sim")) != stats.total_cut_bits:
+        raise RuntimeError(
+            f"{inst.family} family {inst.params}: transcript carries {sim_bits} "
+            f"bits, the run moved {stats.total_cut_bits} cut bits"
+        )
     disj = 0 if stats.decision == 1 else 1
     oracle = 0 if bits_intersect(inst.pair.x, inst.pair.y) else 1
     return ReductionResult(

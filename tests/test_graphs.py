@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from itertools import combinations, product
 
 import pytest
@@ -85,6 +86,60 @@ class TestGraphBasics:
     def test_text_round_trip(self):
         g = Graph(5, [(0, 4), (1, 2)])
         assert Graph.from_text(g.to_text()) == g
+
+
+def _snapshot(g: Graph) -> tuple:
+    return g.n, g.edges, g.adj
+
+
+class TestWithEdges:
+    """``Graph.with_edges`` is the constructor applied to the union: the
+    same graph, the same errors, and the original left as it was."""
+
+    @PROPERTY_SETTINGS
+    @given(g=_small_graphs(), data=st.data())
+    def test_equals_the_constructor_on_the_union(self, g, data):
+        pool = [(u, v) for u in range(g.n) for v in range(g.n) if u != v]
+        extra = data.draw(st.lists(st.sampled_from(pool)) if pool else st.just([]))
+        before = _snapshot(g)
+        grown = g.with_edges(extra)
+        union = Graph(g.n, g.edges | set(extra))
+        assert _snapshot(grown) == _snapshot(union)
+        assert _snapshot(g) == before
+        touched = {v for e in extra for v in e}
+        for v in set(range(g.n)) - touched:
+            assert grown.adj[v] is g.adj[v]
+
+    def test_seeded_graphs_equal_the_constructor_on_the_union(self):
+        rng = random.Random(5)
+        for n in (1, 7, 30, 80):
+            g = random_graph(n, 0.2, rng)
+            extra = [(rng.randrange(n), rng.randrange(n)) for _ in range(n)]
+            extra = [(u, v) for u, v in extra if u != v]
+            grown, union = g.with_edges(extra), Graph(n, [*g.edges, *extra])
+            assert _snapshot(grown) == _snapshot(union)
+            # Adjacency sets as compact as the constructor's: a set grown
+            # in place keeps spare slots, which cost memory and iteration.
+            assert list(map(sys.getsizeof, grown.adj)) == list(map(sys.getsizeof, union.adj))
+
+    @pytest.mark.parametrize(
+        "bad", [(2, 2), (-1, 2), (2, -1), (0, 5), (5, 0), (7, 9)], ids=str
+    )
+    def test_bad_edges_raise_the_constructor_error(self, bad):
+        g = Graph(5, [(0, 1), (2, 3)])
+        before = _snapshot(g)
+        with pytest.raises(ValueError) as from_ctor:
+            Graph(g.n, [*g.edges, bad])
+        with pytest.raises(ValueError) as from_extension:
+            g.with_edges([(1, 2), bad])
+        assert str(from_extension.value) == str(from_ctor.value)
+        assert _snapshot(g) == before
+
+    def test_an_existing_edge_is_a_no_op(self):
+        g = Graph(4, [(0, 1), (2, 3)])
+        same = g.with_edges([(1, 0), (2, 3)])
+        assert _snapshot(same) == _snapshot(g)
+        assert all(a is b for a, b in zip(same.adj, g.adj))
 
 
 class TestInducedSubgraphPredicates:

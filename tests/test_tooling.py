@@ -7,8 +7,9 @@ every exported function and constant is used outside its module, the
 simulator's naive twin and the split replay borrow nothing private from
 the engine and import from the package only the names their docstrings
 allow, the engine imports no random module, the benchmark's tracer still
-finds, and reads the results of, every function it traces, and every
-defaulted parameter is set by some call outside the tests."""
+finds, and reads the results of, every function it traces, every
+defaulted parameter is set by some call outside the tests, and every
+memo in the package has a written, finite bound."""
 
 from __future__ import annotations
 
@@ -394,3 +395,83 @@ def test_every_defaulted_parameter_is_set_outside_the_tests():
                 unset.add((path.name, func, param))
     assert sorted(unset - TEST_SEAMS.keys()) == []
     assert sorted(TEST_SEAMS.keys() - unset) == []
+
+
+
+MEMOS = ("cache", "lru_cache")
+
+
+def _unbounded_memos(source: str) -> list[str]:
+    """Each ``functools.cache`` or ``lru_cache`` in *source* that does not
+    take an integer literal ``maxsize`` of at least 1.  A bare
+    ``@lru_cache`` counts, as its bound is not written down."""
+    tree = ast.parse(source)
+    imported = {
+        alias.asname or alias.name: alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "functools"
+        for alias in node.names
+        if alias.name in MEMOS
+    }
+    calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in imported:
+            name = imported[node.id]
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr in MEMOS
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "functools"
+        ):
+            name = node.attr
+        else:
+            continue
+        call = calls.get(id(node))
+        sizes = []
+        if call is not None:
+            sizes = call.args[:1] + [kw.value for kw in call.keywords if kw.arg == "maxsize"]
+        if not (
+            name == "lru_cache"
+            and any(
+                isinstance(a, ast.Constant) and type(a.value) is int and a.value >= 1
+                for a in sizes
+            )
+        ):
+            found.append(f"{name} (line {node.lineno})")
+    return found
+
+
+def test_every_memo_in_the_package_is_bounded():
+    """A memo keyed by parameters keeps what it built for every key it
+    has seen, unless it is bounded; a four-cycle fixture at n = 673
+    holds about 450k edges."""
+    unbounded = {}
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        names = _unbounded_memos(path.read_text(encoding="utf-8"))
+        if names:
+            unbounded[path.name] = names
+    assert unbounded == {}
+
+
+def test_the_memo_guard_flags_every_memo_without_a_written_bound():
+    flagged = {
+        "from functools import cache\n@cache\ndef f(x): ...": ["cache (line 2)"],
+        "from functools import lru_cache\n@lru_cache\ndef f(x): ...": [
+            "lru_cache (line 2)"
+        ],
+        "from functools import lru_cache as memo\n@memo(maxsize=None)\ndef f(x): ...": [
+            "lru_cache (line 2)"
+        ],
+        "import functools\nf = functools.lru_cache(None)(len)": ["lru_cache (line 2)"],
+        "import functools\nf = functools.cache(len)": ["cache (line 2)"],
+        "from functools import lru_cache\n@lru_cache(maxsize=0)\ndef f(x): ...": [
+            "lru_cache (line 2)"
+        ],
+        "from functools import lru_cache\n@lru_cache(maxsize=8)\ndef f(x): ...": [],
+        "from functools import lru_cache\n@lru_cache(16)\ndef f(x): ...": [],
+        "import functools\nf = functools.lru_cache(maxsize=4)(len)": [],
+        "cache = {}\nx = cache.get(1)": [],
+    }
+    for source, expected in flagged.items():
+        assert _unbounded_memos(source) == expected, source
