@@ -95,8 +95,11 @@ class NodeProgram:
     where inbox maps sender id to bit string, outbox lists
     (destination, bits) or is one bit string sent to every neighbor
     (``""`` is an empty message each, ``[]`` no message), and output is
-    None while undecided, else the final 0/1.  ``collect(state)``, when
-    set, extracts a per-node result (e.g. a listing) after the run.
+    None while undecided, else the final 0/1.  A program reads its inbox
+    and never writes it: every node without mail gets one shared empty
+    inbox, and the naive twin in the tests hands out read-only views.
+    ``collect(state)``, when set, extracts a per-node result (e.g. a
+    listing) after the run.
 
     ``wakes(v, neighbors, n)``, when set, is called once per node and
     returns the rounds in which the node acts without mail: its wake
@@ -206,6 +209,9 @@ def run(
         wake_rounds = sorted(schedule) + [max_rounds]
     outputs: list = [None] * n
     undecided = n
+    # Programs never write to their inbox, so every node without mail
+    # gets this one.
+    no_mail: dict[int, str] = {}
     inbox_next: defaultdict[int, dict[int, str]] = defaultdict(dict)
     cut_messages: list[tuple[int, int, int, str]] = []
     message_count = 0
@@ -238,7 +244,7 @@ def run(
             else:
                 stepped = ()
         for v in stepped:
-            state, outbox, out = step(states[v], r, inboxes.get(v, {}))
+            state, outbox, out = step(states[v], r, inboxes.get(v, no_mail))
             states[v] = state
             if out is not None:
                 if out not in (0, 1):

@@ -189,10 +189,12 @@ class Decomposition:
                     out.append(
                         f"member {v} has in-cluster degree {deg_in} < {self.d_min}"
                     )
-        for u, v in g.edges:
-            cu, cv = self.cluster_index.get(u), self.cluster_index.get(v)
-            if cu is not None and cv is not None and cu != cv:
-                out.append(f"edge ({u},{v}) joins two different clusters")
+        # The cross-cluster rule needs two different cluster indices.
+        if len(set(self.cluster_index.values()) - {None}) > 1:
+            for u, v in g.edges:
+                cu, cv = self.cluster_index.get(u), self.cluster_index.get(v)
+                if cu is not None and cv is not None and cu != cv:
+                    out.append(f"edge ({u},{v}) joins two different clusters")
         if set(self.peel_order) != {
             v for v in range(self.n) if self.cluster_index.get(v) is None
         }:
@@ -262,14 +264,17 @@ def decompose_by_peeling(
     light_max = frac_pow_floor(g.n, epsilon)
     heavy: dict[int, dict[int, list[int]]] = {c.index: {} for c in clusters}
     light: dict[int, dict[int, list[int]]] = {c.index: {} for c in clusters}
-    for v in range(g.n):
-        # v's neighbors inside clusters other than v's own, by cluster.
+    # Without clusters no vertex is heavy or light.
+    for v in range(g.n) if clusters else ():
+        # v's neighbors inside clusters other than v's own, by cluster;
+        # each list is sorted once, so it holds them in ascending order.
         by_cluster: dict[int, list[int]] = {}
-        for u in sorted(g.adj[v]):
+        for u in g.adj[v]:
             cu = cluster_index[u]
             if cu is not None and cu != cluster_index[v]:
                 by_cluster.setdefault(cu, []).append(u)
         for ci, members in by_cluster.items():
+            members.sort()
             (heavy if len(members) > light_max else light)[ci][v] = members
     return Decomposition(
         n=g.n,
@@ -347,18 +352,21 @@ def _sparse_finds(
     """
     found: set[tuple[int, ...]] = set()
     es_nb = es_adj[v]
+    known = es_adj.keys()
     for a in es_nb:
         a_nb = es_adj[a]
+        if es_nb.isdisjoint(a_nb):
+            continue
         common = es_nb & a_nb
-        # Wing rule: spine (a, b), far wing d.
-        for b in common:
-            if b > a:
-                for d in (a_nb & es_adj[b]) - es_adj.keys():
-                    found.add(tuple(sorted((v, a, b, d))))
-        # Spine rule: spine (v, a), wings c < d not known to be adjacent.
         for c in common:
+            c_nb = es_adj[c]
+            # Wing rule: spine (a, c), far wing d.
+            if c > a:
+                for d in (a_nb & c_nb) - known:
+                    found.add(tuple(sorted((v, a, c, d))))
+            # Spine rule: spine (v, a), wings c < d not known to be adjacent.
             lc = nbr_leader.get(c)
-            for d in common - es_adj[c]:
+            for d in common - c_nb:
                 if d > c and (lc is None or lc != nbr_leader.get(d)):
                     found.add(tuple(sorted((v, a, c, d))))
     return found
@@ -399,41 +407,46 @@ def run_sparse_phase(
         flag = _cluster_flag_payload(dec, v, len(own), w)
         flags[flag] = (None if ci is None else dec.clusters[ci].leader, len(own))
         stream = [flag]
+        es_adj = {u: set() for u in neighbors}
+        partners = set()
         for e in own:
-            bits = format(e[0] << w | e[1], edge_format)
+            a, b = e
+            bits = format(a << w | b, edge_format)
             edges[bits] = e
             stream.append(bits)
-        partners = {b if a == v else a for a, b in own}
-        es_adj = {u: {v} if u in partners else set() for u in neighbors}
+            x = b if a == v else a
+            partners.add(x)
+            es_adj[x].add(v)
         es_adj[v] = partners
         # v, its stream, neighbor leaders, sparse adjacency, decide round, finds.
         return [v, stream, {}, es_adj, None, set()]
 
     def step(state, r, inbox):
-        v, stream, nbr_leader, es_adj, decide_round, _ = state
         if r == 1:
             # A node decides once its neighbors' longest stream is in.
+            nbr_leader = state[2]
             longest = 0
             for src, bits in inbox.items():
                 nbr_leader[src], length = flags[bits]
                 if length > longest:
                     longest = length
-            decide_round = state[4] = 1 + longest
+            state[4] = 1 + longest
         elif inbox:
             # A vertex is assigned only its own edges, so each streamed edge
             # has the sender as an endpoint; the far one x is a key if in N[v].
+            es_adj = state[3]
             for src, bits in inbox.items():
                 a, b = edges[bits]
                 x = b if a == src else a
                 es_adj[src].add(x)
                 if x in es_adj:
                     es_adj[x].add(src)
+        stream = state[1]
         outbox = stream[r] if r < len(stream) else []
-        output = None
-        if r == decide_round:
-            found = state[5] = _sparse_finds(v, es_adj, nbr_leader)
-            output = 1 if found else 0
-        return state, outbox, output
+        if r == state[4]:
+            found = state[5] = _sparse_finds(state[0], state[3], state[2])
+            return state, outbox, 1 if found else 0
+        return state, outbox, None
 
     def collect(state):
         return {"found": tuple(sorted(state[5])), "es_adj": state[3]}
@@ -602,15 +615,16 @@ def run_light_phase(
     """
     n = g.n
     w = word_bits(n)
-    entries: dict[int, list[int]] = {v: [] for v in range(n)}
-    queries: dict[int, dict[int, list[int]]] = {v: {} for v in range(n)}
+    # Only vertices light for some cluster have entries or queries.
+    entries: dict[int, list[int]] = {}
+    queries: dict[int, dict[int, list[int]]] = {}
     for light in dec.light.values():
         for u, members in light.items():
-            entries[u] += members
+            entries.setdefault(u, []).extend(members)
             for c1 in members:
                 qs = [c2 for c2 in members if c2 != c1]
                 if qs:
-                    queries[u][c1] = qs
+                    queries.setdefault(u, {})[c1] = qs
 
     lb = 1 + max((len(e) for e in entries.values()), default=0)
     max_qlen = max(
@@ -624,56 +638,59 @@ def run_light_phase(
 
     def init(v, neighbors, n_):
         # The broadcast stream: the entry count, then one string per entry.
-        return {
-            "v": v,
-            "stream": [encode_uint(len(entries[v]), w), *map(code, sorted(entries[v]))],
-            "queries": sorted(queries[v].items()),
-            "es_adj": warm[v]["es_adj"],
-            "recv_entries": {},
-            "replies": {},
-            "answer_bits": {},
-            "found": set(),
-        }
+        mine = sorted(entries.get(v, ()))
+        stream = [encode_uint(len(mine), w), *map(code, mine)]
+        asks = sorted(queries[v].items()) if v in queries else []
+        # v, stream, queries, sparse adjacency, received entries, replies,
+        # answer bits, finds.
+        return [v, stream, asks, warm[v]["es_adj"], {}, {}, {}, set()]
 
     def step(state, r, inbox):
-        v = state["v"]
-        for src, bits in inbox.items():
-            if 2 <= r <= lb:
-                state["recv_entries"].setdefault(src, set()).add(ids[bits])
+        # Round-1 mail is the entry counts, charged but not stored.
+        if r >= 2 and inbox:
+            if r <= lb:
+                recv_entries = state[4]
+                for src, bits in inbox.items():
+                    recv_entries.setdefault(src, set()).add(ids[bits])
             elif lb + 2 <= r <= lb + lc:
-                bit = "1" if ids[bits] in g.adj[v] else "0"
-                state["replies"][src] = state["replies"].get(src, "") + bit
+                replies = state[5]
+                nbrs = g.adj[state[0]]
+                for src, bits in inbox.items():
+                    bit = "1" if ids[bits] in nbrs else "0"
+                    replies[src] = replies.get(src, "") + bit
             elif r > lb + lc:
-                state["answer_bits"][src] = state["answer_bits"].get(src, "") + bits
+                answer_bits = state[6]
+                for src, bits in inbox.items():
+                    answer_bits[src] = answer_bits.get(src, "") + bits
+        stream = state[1]
         outbox: str | list[tuple[int, str]] = []
-        if r < len(state["stream"]):
-            outbox = state["stream"][r]
-        elif r == lb:
-            outbox = [(c1, encode_uint(len(qs), w)) for c1, qs in state["queries"]]
+        if r < len(stream):
+            outbox = stream[r]
+        elif r == lb and state[2]:
+            outbox = [(c1, encode_uint(len(qs), w)) for c1, qs in state[2]]
         elif lb < r <= lb + max_qlen:
             idx = r - lb - 1
-            for c1, qs in state["queries"]:
+            for c1, qs in state[2]:
                 if idx < len(qs):
                     outbox.append((c1, code(qs[idx])))
-        elif r >= lb + lc:
+        elif r >= lb + lc and state[5]:
             lo = (r - lb - lc) * chunk_bits
-            for src, reply in sorted(state["replies"].items()):
+            for src, reply in sorted(state[5].items()):
                 piece = reply[lo : lo + chunk_bits]
                 if piece:
                     outbox.append((src, piece))
-        output = None
         if r == decide_round:
-            state["found"] = _light_finds(state, v)
-            output = 1 if state["found"] else 0
-        return state, outbox, output
+            found = state[7] = _light_finds(state)
+            return state, outbox, 1 if found else 0
+        return state, outbox, None
 
-    def _light_finds(state, v) -> set[tuple[int, ...]]:
+    def _light_finds(state) -> set[tuple[int, ...]]:
+        v, _, queries_v, es_adj, recv_entries, _, answer_bits, _ = state
         found: set[tuple[int, ...]] = set()
-        recv_entries = state["recv_entries"]
         # Double-cluster-neighbor rule: v spans the pair (c1, c2), the
         # single-cluster-neighbor u supplies the missing-pair absence.
-        for c1, qs in state["queries"]:
-            answer = state["answer_bits"].get(c1, "")
+        for c1, qs in queries_v:
+            answer = answer_bits.get(c1, "")
             present = [c2 for c2, bit in zip(qs, answer, strict=True) if bit == "1"]
             for u, eset in recv_entries.items():
                 if c1 in eset:
@@ -687,14 +704,14 @@ def run_light_phase(
             members = dec.clusters[ci].members
             lights = sorted(u for u, eset in recv_entries.items() if v in eset)
             for u1, u2 in combinations(lights, 2):
-                if u2 in state["es_adj"][u1]:
+                if u2 in es_adj[u1]:
                     continue
                 for c2 in recv_entries[u1] & recv_entries[u2] & g.adj[v] & members:
                     found.add(tuple(sorted((u1, u2, v, c2))))
         return found
 
     def collect(state):
-        return {"found": tuple(sorted(state["found"]))}
+        return {"found": tuple(sorted(state[7]))}
 
     program = NodeProgram(name="diamond-light", init=init, step=step, collect=collect)
     stats = _run_phase(g, program, decide_round + 2)
@@ -849,8 +866,11 @@ def coverage_tags(
 
     Each diamond is a sorted vertex tuple, as the listers return them.
     By the peel invariants ``Decomposition.validate`` checks, member edges
-    join co-members, so the first adjacent co-member pair names the cluster.
+    join co-members, so the first adjacent co-member pair names the cluster;
+    without clusters every diamond is sparse.
     """
+    if not dec.clusters:
+        return dict.fromkeys(diamonds, "sparse")
     cluster_index = dec.cluster_index
     adj = g.adj
     tags: dict[tuple[int, ...], str] = {}

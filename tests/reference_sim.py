@@ -9,11 +9,15 @@ The twin keeps its own per-round cut tally and timed-out flag and
 asserts that the ``RunStats`` views of its log equal them.
 
 It steps every node in every round, wake schedule or not, so that a
-run of ``congest`` can be compared with it field by field.  It shares
+run of ``congest`` can be compared with it field by field.  Each node
+gets a read-only view of its inbox, so a program that writes to its
+inbox raises here, as the engine's shared empty inbox requires.  It shares
 no code with the engine beyond its public types and ``default_bandwidth``.
 """
 
 from __future__ import annotations
+
+from types import MappingProxyType
 
 from congestlab.congest import ProtocolViolation, RunStats, SimConfig, default_bandwidth
 
@@ -37,7 +41,8 @@ def reference_run(g, program, config=SimConfig(), cut=None):
     for r in range(config.max_rounds):
         inboxes, mail, bits_on_cut = mail, {}, 0
         for v in range(n):
-            states[v], outbox, out = program.step(states[v], r, inboxes.get(v, {}))
+            inbox = MappingProxyType(inboxes.get(v, {}))
+            states[v], outbox, out = program.step(states[v], r, inbox)
             if out is not None:
                 if out not in (0, 1):
                     raise fault(v, r, f"output {out!r} (want 0 or 1)")

@@ -216,6 +216,11 @@ PLANTED_FAULTS = {
         lambda dec: {"cluster_index": {**dec.cluster_index, 9: 1}},
         "edge (0,9) joins two different clusters",
     ),
+    # With no cluster listed, cluster_index alone still names two.
+    "edge-between-unlisted-clusters": (
+        lambda dec: {"clusters": (), "cluster_index": {**dec.cluster_index, 9: 1}},
+        "edge (0,9) joins two different clusters",
+    ),
     "peel-order-short": (
         lambda dec: {"peel_order": dec.peel_order[:-1]},
         "peel order disagrees with cluster membership",
@@ -419,7 +424,67 @@ class TestSparsePhase:
                     assert es_adj[x] == {b if a == x else a for a, b in known if x in (a, b)}
 
 
+def _multi_cluster_graphs():
+    """Two or three dense blocks that each survive peeling as a cluster,
+    and fringe vertices that peel: some with light_max + 1 neighbors in
+    one block (heavy for it), the rest with one to three neighbors in
+    each of two blocks (light for both)."""
+    for i in range(8):
+        rng = random.Random(700 + i)
+        n = rng.randint(100, 160)
+        d_min = min_peel_degree(n, FIVE_SIXTHS, 4)
+        light_max = frac_pow_floor(n, HALF)
+        edges, blocks, start = [], [], 0
+        for _ in range(rng.randint(2, 3)):
+            k = rng.randint(d_min + 6, d_min + 10)
+            edges += [
+                (start + a, start + b)
+                for a, b in combinations(range(k), 2)
+                if rng.random() < 0.9
+            ]
+            blocks.append(range(start, start + k))
+            start += k
+        for f in range(start, n):
+            if rng.random() < 0.3:
+                block = blocks[rng.randrange(len(blocks))]
+                edges += [(u, f) for u in rng.sample(block, light_max + 1)]
+            else:
+                for block in rng.sample(blocks, 2):
+                    edges += [(u, f) for u in rng.sample(block, rng.randint(1, 3))]
+        yield Graph(n, edges)
+
+
+def _sorted_walk_split(g: Graph, dec) -> tuple[dict, dict]:
+    """The heavy/light split as a per-vertex loop over sorted adjacency,
+    run for every vertex whether or not a cluster exists."""
+    heavy: dict[int, dict[int, list[int]]] = {c.index: {} for c in dec.clusters}
+    light: dict[int, dict[int, list[int]]] = {c.index: {} for c in dec.clusters}
+    for v in range(g.n):
+        by_cluster: dict[int, list[int]] = {}
+        for u in sorted(g.adj[v]):
+            cu = dec.cluster_index[u]
+            if cu is not None and cu != dec.cluster_index[v]:
+                by_cluster.setdefault(cu, []).append(u)
+        for ci, members in by_cluster.items():
+            (heavy if len(members) > dec.light_max else light)[ci][v] = members
+    return heavy, light
+
+
 class TestHeavyLightSplit:
+    def test_the_split_equals_the_sorted_per_vertex_walk(self):
+        graphs = [g for make in GRAPH_SETS.values() for g in make()]
+        multi = list(_multi_cluster_graphs())
+        for g in graphs + multi:
+            dec = decompose_by_peeling(g)
+            for ours, ref in zip((dec.heavy, dec.light), _sorted_walk_split(g, dec)):
+                # Same keys, member lists and insertion order, per cluster.
+                assert list(ours) == list(ref)
+                for ci in ref:
+                    assert list(ours[ci].items()) == list(ref[ci].items())
+        split = [decompose_by_peeling(g) for g in multi]
+        assert all(len(dec.clusters) >= 2 for dec in split)
+        assert all(any(dec.heavy.values()) and any(dec.light.values()) for dec in split)
+
     def test_hub_classification_by_member_degree(self):
         # Cluster K20; vertex 20 has 11 member neighbors, above
         # sqrt(100) = 10, so it is heavy; a vertex with one member

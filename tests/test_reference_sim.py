@@ -211,6 +211,25 @@ class TestAgainstTheTwin:
             reference_run, g, program, config, None
         )
 
+    def test_a_program_writing_to_its_inbox_is_caught_by_the_twin(self):
+        # No mail exists in round 0, yet each node files itself in its
+        # inbox.  The engine hands every mail-free node one shared empty
+        # inbox, so node 1 sees node 0's entry and decides 1; the twin's
+        # read-only view refuses the write.
+        def init(v, neighbors, n):
+            return v
+
+        def step(v, r, inbox):
+            heard = len(inbox)
+            inbox[v] = "1"
+            return v, [], int(heard > 0)
+
+        program = NodeProgram("scribbler", init, step)
+        g = Graph(2, [(0, 1)])
+        assert run(g, program).node_outputs == (0, 1)
+        with pytest.raises(TypeError):
+            reference_run(g, program)
+
 
 def test_four_cycle_program_steps_only_in_its_wake_rounds_and_on_mail():
     # A node streams in rounds 0..deg - 1 and decides in round V - 1; its
