@@ -47,6 +47,7 @@ from .congest import (
     SimConfig,
     cut_traffic_bound_check,
     default_bandwidth,
+    flood_program,
     run,
 )
 from .diamond_congest import (
@@ -256,7 +257,7 @@ def _program(spec: str, n: int) -> NodeProgram:
     if name != "flood":
         if arg:
             raise ValueError(f"program {name} takes no argument, got {arg!r}")
-        return PROGRAMS[name](None)
+        return PROGRAMS[name]()
     try:
         source = int(arg or 0)
     except ValueError:
@@ -265,7 +266,7 @@ def _program(spec: str, n: int) -> NodeProgram:
         raise ValueError(
             f"flood source {arg or 0} is not a vertex of the {n}-vertex graph"
         )
-    return PROGRAMS[name](arg or None)
+    return flood_program(source)
 
 
 def cmd_run_congest(args) -> int:

@@ -24,6 +24,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import filterfalse, repeat
 from typing import Any, Callable, Iterable
 
@@ -336,17 +337,13 @@ def naive_four_cycle_program() -> NodeProgram:
     so it wakes in rounds 0 to deg - 1 and in round n - 1.  It keeps
     each neighbor's stream as received and reads it once, when it
     decides, so that no message costs more than a list append.  The
-    address codes are one read-only table per n, shared by the nodes;
+    address codes are ``_address_codes(n)``, one read-only table per n;
     everything else a node holds comes from its own (v, neighbors, n)
     and its mail.
     """
-    tables: dict[int, tuple[str, ...]] = {}
 
     def init(v, neighbors, n):
-        if n not in tables:
-            w = word_bits(n)
-            tables[n] = tuple("1" + encode_uint(u, w) for u in range(n))
-        codes = tables[n]
+        codes = _address_codes(n)
         stream = [codes[u] for u in neighbors]
         return v, codes, stream, {u: [] for u in neighbors}
 
@@ -364,6 +361,13 @@ def naive_four_cycle_program() -> NodeProgram:
         step=step,
         wakes=lambda v, neighbors, n: (*range(len(neighbors)), n - 1),
     )
+
+
+@lru_cache(maxsize=8)
+def _address_codes(n: int) -> tuple[str, ...]:
+    """"1" + u's address word, for every vertex u of an n-vertex graph."""
+    w = word_bits(n)
+    return tuple("1" + encode_uint(u, w) for u in range(n))
 
 
 def _closes_four_cycle(own: str, stream: list[str], heard: dict[int, list[str]]) -> int:
@@ -445,12 +449,12 @@ def silent_program() -> NodeProgram:
     return NodeProgram(name="silent", init=init, step=step, wakes=lambda v, neighbors, n: (0,))
 
 
-PROGRAMS: dict[str, Callable[[str | None], NodeProgram]] = {
-    "detect-four-cycle": lambda arg: naive_four_cycle_program(),
-    "flood": lambda arg: flood_program(int(arg) if arg else 0),
-    "constant-one": lambda arg: constant_program(1),
-    "constant-zero": lambda arg: constant_program(0),
-    "silent": lambda arg: silent_program(),
+PROGRAMS: dict[str, Callable[[], NodeProgram]] = {
+    "detect-four-cycle": naive_four_cycle_program,
+    "flood": flood_program,
+    "constant-one": lambda: constant_program(1),
+    "constant-zero": lambda: constant_program(0),
+    "silent": silent_program,
 }
 
 

@@ -46,10 +46,11 @@ simulator where communication actually happens:
   messages are charged for that step since the member data already
   sits inside the cluster.
 
-Every payload is formatted once, by its sender, and decoded by lookup:
-each phase run files each string a sender formats in a per-run table
-under exactly the value its bits encode.  A table is a cache of the
-decoder, so no node learns anything its mail did not carry.
+Each phase builds its decoder tables before the run, from the
+decomposition, over exactly the strings its nodes can send.  A table
+maps a string to the value its bits encode, so a lookup tells a node
+nothing its mail did not carry.  Nodes only read what their factory
+closed over, so one node affects another through its mail alone.
 
 The three phase outputs are provably disjoint and their union is the
 full induced-diamond set; coverage_tags computes the expected phase of
@@ -63,7 +64,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Callable, Container
+from collections.abc import Container, Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
@@ -311,18 +312,11 @@ def _found(stats: RunStats) -> set[tuple[int, ...]]:
     return {d for res in stats.listings.values() for d in res["found"]}
 
 
-def _id_codebook(w: int) -> tuple[dict[str, int], Callable[[int], str]]:
-    """A decoder cache for one run's w-bit ids: ``code(u)`` formats u as
-    a fresh string and files it in ``ids`` under u, so a receiver of any
-    string a sender formatted this way decodes it by lookup."""
-    ids: dict[str, int] = {}
-
-    def code(u: int) -> str:
-        bits = encode_uint(u, w)
-        ids[bits] = u
-        return bits
-
-    return ids, code
+def _id_tables(sent: Iterable[int], w: int) -> tuple[dict[int, str], dict[str, int]]:
+    """A run's read-only w-bit id codec over the ids it can send:
+    ``codes[u]`` is u's string and ``ids[bits]`` decodes it."""
+    codes = {u: encode_uint(u, w) for u in sent}
+    return codes, {bits: u for u, bits in codes.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -391,35 +385,37 @@ def run_sparse_phase(
     collected state doubles as warm-start knowledge for the light
     phase.
 
-    Each node formats its whole stream in ``init``, its flag and then
-    its assigned edges, and sends ``stream[r]`` in round r.
+    Node v sends ``streams[v][r]`` in round r: its flag, then its
+    assigned edges.
     """
     w = word_bits(g.n)
     edge_format = f"0{2 * w}b"
-    # The decoder caches: a flag decodes to (leader or None, assigned
-    # edge count), where a member is assigned none, and an edge to (a, b).
+    # One pass formats every stream and files the decoders: a flag decodes
+    # to (leader or None, assigned edge count; a member has none), an edge to (a, b).
+    streams: list[list[str]] = []
     flags: dict[str, tuple[int | None, int]] = {}
     edges: dict[str, tuple[int, int]] = {}
-
-    def init(v, neighbors, n_):
+    for v in range(g.n):
         own = dec.es_assigned.get(v, ())
+        stream = [_cluster_flag_payload(dec, v, len(own), w)]
         ci = dec.cluster_index[v]
-        flag = _cluster_flag_payload(dec, v, len(own), w)
-        flags[flag] = (None if ci is None else dec.clusters[ci].leader, len(own))
-        stream = [flag]
-        es_adj = {u: set() for u in neighbors}
-        partners = set()
+        flags[stream[0]] = (None if ci is None else dec.clusters[ci].leader, len(own))
         for e in own:
-            a, b = e
-            bits = format(a << w | b, edge_format)
+            bits = format(e[0] << w | e[1], edge_format)
             edges[bits] = e
             stream.append(bits)
+        streams.append(stream)
+
+    def init(v, neighbors, n_):
+        es_adj = {u: set() for u in neighbors}
+        partners = set()
+        for a, b in dec.es_assigned.get(v, ()):
             x = b if a == v else a
             partners.add(x)
             es_adj[x].add(v)
         es_adj[v] = partners
         # v, its stream, neighbor leaders, sparse adjacency, decide round, finds.
-        return [v, stream, {}, es_adj, None, set()]
+        return [v, streams[v], {}, es_adj, None, set()]
 
     def step(state, r, inbox):
         if r == 1:
@@ -508,32 +504,30 @@ def run_heavy_phase(
             for t, m in enumerate(members):
                 plan[m] = nbrs[t * chunk : (t + 1) * chunk]
     schedule_end = 2 + max_chunk
-    ids, code = _id_codebook(w)
+    # Chunks hold the neighbors of heavy vertices, the only ids sent.
+    codes, ids = _id_tables((u for h in plans for u in g.adj[h]), w)
 
     def init(v, neighbors, n_):
-        return {
-            "v": v,
-            "plans": sorted(plans.get(v, {}).items()),
-            "fragments": {},
-        }
+        # Round 0 sends the flag, round r entry r - 1 of each chunk.
+        chunks = sorted(plans[v].items()) if v in plans else []
+        stream = [_cluster_flag_payload(dec, v, 0, w)]
+        for idx in range(max((len(chunk) for _, chunk in chunks), default=0)):
+            stream.append([(m, codes[chunk[idx]]) for m, chunk in chunks if idx < len(chunk)])
+        # Its stream, then the received fragments by sender.
+        return [stream, {}]
 
     def step(state, r, inbox):
-        for src, bits in inbox.items():
-            if r >= 2:
-                state["fragments"].setdefault(src, []).append(ids[bits])
-        outbox: str | list[tuple[int, str]] = []
-        if r == 0:
-            outbox = _cluster_flag_payload(dec, state["v"], 0, w)
-        else:
-            for m, chunk in state["plans"]:
-                idx = r - 1
-                if idx < len(chunk):
-                    outbox.append((m, code(chunk[idx])))
-        output = 0 if r == schedule_end else None
-        return state, outbox, output
+        # Round-1 mail is the flags, charged but not stored.
+        if r >= 2 and inbox:
+            fragments = state[1]
+            for src, bits in inbox.items():
+                fragments.setdefault(src, []).append(ids[bits])
+        stream = state[0]
+        outbox = stream[r] if r < len(stream) else []
+        return state, outbox, 0 if r == schedule_end else None
 
     def collect(state):
-        return {"fragments": {u: tuple(ids) for u, ids in state["fragments"].items()}}
+        return {"fragments": {u: tuple(got) for u, got in state[1].items()}}
 
     program = NodeProgram(name="diamond-heavy", init=init, step=step, collect=collect)
     stats = _run_phase(g, program, schedule_end + 2)
@@ -634,12 +628,13 @@ def run_light_phase(
     chunk_bits = 2 * w
     ld = math.ceil(max_qlen / chunk_bits)
     decide_round = lb + lc + ld
-    ids, code = _id_codebook(w)
+    # Entries and queries name cluster members, the only ids sent.
+    codes, ids = _id_tables((u for c in dec.clusters for u in c.members), w)
 
     def init(v, neighbors, n_):
         # The broadcast stream: the entry count, then one string per entry.
         mine = sorted(entries.get(v, ()))
-        stream = [encode_uint(len(mine), w), *map(code, mine)]
+        stream = [encode_uint(len(mine), w), *map(codes.__getitem__, mine)]
         asks = sorted(queries[v].items()) if v in queries else []
         # v, stream, queries, sparse adjacency, received entries, replies,
         # answer bits, finds.
@@ -672,7 +667,7 @@ def run_light_phase(
             idx = r - lb - 1
             for c1, qs in state[2]:
                 if idx < len(qs):
-                    outbox.append((c1, code(qs[idx])))
+                    outbox.append((c1, codes[qs[idx]]))
         elif r >= lb + lc and state[5]:
             lo = (r - lb - lc) * chunk_bits
             for src, reply in sorted(state[5].items()):

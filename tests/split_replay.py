@@ -26,13 +26,22 @@ The parties also learn each cut message's round and edge, which a
 ``congest_reduction`` transcript does not carry; the replay reads them
 from ``cut_messages`` and charges nothing for them.
 
-It uses the engine only through ``run``, ``NodeProgram`` and
+The replay sees a leak only when it moves an output, a listing or a cut
+message.  ``guarded_run`` checks the cause instead, on any run: it
+deep-copies every closure cell of the program's ``init``, ``step``,
+``collect`` and ``wakes``, and of each function those cells hold,
+before ``run``, and raises ``ClosureWrite`` if one compares unequal
+after it.  It cannot see a node that only reads what its factory
+closed over.
+
+Both use the engine only through ``run``, ``NodeProgram`` and
 ``SimConfig``, and the graph only through ``Graph``: nothing private to
-``congest``.
+``congest``.  The guard adds only ``copy``, from the standard library.
 """
 
 from __future__ import annotations
 
+import copy
 from collections import defaultdict
 from itertools import zip_longest
 
@@ -42,6 +51,10 @@ from congestlab.graphs import Graph
 
 class SplitReplayMismatch(AssertionError):
     """An own node of a party did not reproduce the joint run."""
+
+
+class ClosureWrite(AssertionError):
+    """A node changed an object its program's factory closed over."""
 
 
 def split_replay(inst, make_program, joint) -> None:
@@ -117,3 +130,64 @@ def _replay_party(inst, own, program, joint) -> None:
     if faults:
         r, v, what = min(faults)
         raise SplitReplayMismatch(f"program {program.name}: node {v} {what} in round {r}")
+
+
+def guarded_run(g, program, *args, **kwargs):
+    """``run(g, program, ...)``, raising ``ClosureWrite`` that names the
+    program and the variable if the run changed a closure-held object."""
+    cells = _closure_cells(program)
+    before = [_snapshot(cell.cell_contents) for _, cell in cells]
+    stats = run(g, program, *args, **kwargs)
+    for (name, cell), old in zip(cells, before):
+        if not _same(old, cell.cell_contents):
+            raise ClosureWrite(f"program {program.name}: a node wrote {name!r} in its closure")
+    return stats
+
+
+def _closure_cells(program):
+    """(variable, cell) for each closure cell of the program's callables
+    and of every function a cell holds, each cell once, breadth first."""
+    seen = set()
+    cells = []
+    todo = [program.init, program.step, program.collect, program.wakes]
+    for fn in todo:
+        closure = getattr(fn, "__closure__", None)
+        if not closure:
+            continue
+        for name, cell in zip(fn.__code__.co_freevars, closure):
+            if id(cell) not in seen:
+                seen.add(id(cell))
+                cells.append((name, cell))
+                todo.append(cell.cell_contents)
+    return cells
+
+
+def _snapshot(x):
+    """A deep copy of *x*.  Dicts, lists and sets, the bulk of a phase
+    program's closure, are walked here at about three times the speed of
+    ``copy.deepcopy``, which copies everything else; dict keys are kept
+    as they are."""
+    kind = type(x)
+    if kind is dict:
+        return {k: _snapshot(v) for k, v in x.items()}
+    if kind is list or kind is set:
+        return kind(map(_snapshot, x))
+    return copy.deepcopy(x)
+
+
+def _same(a, b) -> bool:
+    """Deep equality that compares an object without its own ``__eq__``
+    (a ``Graph``, say) attribute by attribute.  Such an object equals
+    only itself, so ``a == b`` decides at once wherever none is held."""
+    if a is b or a == b:
+        return True
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if type(a).__eq__ is object.__eq__:
+        names = [*getattr(a, "__dict__", ()), *getattr(type(a), "__slots__", ())]
+        return all(_same(getattr(a, k), getattr(b, k)) for k in names)
+    return False

@@ -16,7 +16,7 @@ from reference_sim import reference_run
 from test_golden_outputs import planted_graph, sparse_graph
 
 from congestlab import diamond_congest
-from congestlab.congest import PROGRAMS, NodeProgram, SimConfig, run
+from congestlab.congest import PROGRAMS, NodeProgram, SimConfig, flood_program, run
 from congestlab.diamond_congest import (
     coverage_tags,
     decompose_by_peeling,
@@ -761,7 +761,7 @@ class TestBroadcastsUseTheStringForm:
         listed: list = []
         for seed in range(4):
             g = random_graph(10 + seed, 0.15 + 0.05 * seed, random.Random(seed))
-            program = PROGRAMS[name](str(seed) if name == "flood" else None)
+            program = flood_program(seed) if name == "flood" else PROGRAMS[name]()
             run(g, self._guarded(program, listed), SimConfig(max_rounds=30))
         assert listed == []
 

@@ -23,6 +23,7 @@ from congestlab.congest import (
     ProtocolViolation,
     SimConfig,
     default_bandwidth,
+    flood_program,
     naive_four_cycle_program,
     run,
 )
@@ -140,6 +141,22 @@ def _four_cycle_instances(n: int, seed: int):
     return [build_four_cycle_family(n, InputPair(x, y)) for y in (disjoint, x)]
 
 
+def stock_program_cases() -> list[tuple[int, Graph, frozenset]]:
+    """(seed, graph, cut) cases for the stock programs: four seeded
+    graphs cut in half, the c4 instances at n = 2 and 3, and the empty
+    graph, where no node means no mail and no wake, so a run still ends
+    in round 0."""
+    cases = []
+    for seed in range(4):
+        g = random_graph(10 + seed, 0.15 + 0.05 * seed, random.Random(seed))
+        cases.append((seed, g, crossing_edges(g, range(g.n // 2))))
+    for n in (2, 3):
+        for seed, inst in enumerate(_four_cycle_instances(n, n)):
+            cases.append((seed, inst.graph, inst.cut_edges))
+    cases.append((0, Graph(0, []), frozenset()))
+    return cases
+
+
 @st.composite
 def _instances(draw):
     n = draw(st.integers(min_value=1, max_value=8))
@@ -174,18 +191,9 @@ class TestAgainstTheTwin:
 
     @pytest.mark.parametrize("name", sorted(PROGRAMS))
     def test_stock_programs_match_the_twin(self, name):
-        cases = []
-        for seed in range(4):
-            g = random_graph(10 + seed, 0.15 + 0.05 * seed, random.Random(seed))
-            cases.append((seed, g, crossing_edges(g, range(g.n // 2))))
-        for n in (2, 3):
-            for seed, inst in enumerate(_four_cycle_instances(n, n)):
-                cases.append((seed, inst.graph, inst.cut_edges))
-        # No node, so no mail and no wake: the run still ends in round 0.
-        cases.append((0, Graph(0, []), frozenset()))
         config = SimConfig(max_rounds=30)
-        for seed, g, cut in cases:
-            program = PROGRAMS[name](str(seed) if name == "flood" else None)
+        for seed, g, cut in stock_program_cases():
+            program = flood_program(seed) if name == "flood" else PROGRAMS[name]()
             assert _outcome(run, g, program, config, cut) == _outcome(
                 reference_run, g, program, config, cut
             )

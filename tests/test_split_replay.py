@@ -5,6 +5,10 @@ stock programs on seeded four-cycle instances.  A planted program whose
 nodes share what the factory's closure gathered passes
 ``congest_reduction``'s consistency check, yet fails the replay on
 every intersecting instance.
+
+The closure guard (``guarded_run``) holds for every stock and phase
+program, and catches the planted program on disjoint instances too,
+where the replay is blind.
 """
 
 from __future__ import annotations
@@ -13,10 +17,22 @@ import dataclasses
 import random
 
 import pytest
-from split_replay import SplitReplayMismatch, split_replay
+from split_replay import ClosureWrite, SplitReplayMismatch, guarded_run, split_replay
+from test_diamond_congest import GRAPH_SETS, _clique_edges
+from test_reference_sim import stock_program_cases
 
+from congestlab import diamond_congest
 from congestlab.bitstrings import bits_intersect
-from congestlab.congest import PROGRAMS, NodeProgram, SimConfig, naive_four_cycle_program, run
+from congestlab.congest import (
+    PROGRAMS,
+    NodeProgram,
+    SimConfig,
+    encode_uint,
+    flood_program,
+    naive_four_cycle_program,
+    run,
+)
+from congestlab.diamond_congest import list_induced_diamonds_congest
 from congestlab.families import InputPair, build_four_cycle_family
 from congestlab.graphs import Graph, has_induced_cycle
 from congestlab.twoparty import congest_reduction
@@ -72,7 +88,7 @@ def test_stock_programs_replay_on_four_cycle_instances(name):
     for seed, inst in enumerate(_four_cycle_instances()):
 
         def make():
-            return PROGRAMS[name](str(seed) if name == "flood" else None)
+            return flood_program(seed) if name == "flood" else PROGRAMS[name]()
 
         joint = run(inst.graph, make(), config, cut=inst.cut_edges)
         split_replay(inst, make, joint)
@@ -123,3 +139,62 @@ def test_a_changed_record_names_the_node_and_the_round():
         rf"across the cut where the joint run sent \({r}, {dst}, '{flipped}'\) in round {r}$",
     ):
         split_replay(inst, naive_four_cycle_program, altered)
+
+
+@pytest.mark.parametrize("name", sorted(PROGRAMS))
+def test_stock_programs_write_nothing_their_factory_closed_over(name):
+    config = SimConfig(max_rounds=30)
+    for seed, g, cut in stock_program_cases():
+        program = flood_program(seed) if name == "flood" else PROGRAMS[name]()
+        guarded_run(g, program, config, cut=cut)
+
+
+PHASE_GRAPHS = {
+    **GRAPH_SETS,
+    # K20 and hub 20 with 11 member neighbors, heavy at n = 100.
+    "heavy-gadget": lambda: [Graph(100, _clique_edges(range(20)) + [(i, 20) for i in range(11)])],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PHASE_GRAPHS))
+def test_phase_programs_write_nothing_their_factory_closed_over(name, monkeypatch):
+    names = set()
+
+    def guarded(g, program, config):
+        names.add(program.name)
+        return guarded_run(g, program, config)
+
+    monkeypatch.setattr(diamond_congest, "run", guarded)
+    for g in PHASE_GRAPHS[name]():
+        list_induced_diamonds_congest(g)
+    # Only the golden planted graph and the gadget have heavy vertices.
+    heavy = name in ("golden-planted", "heavy-gadget")
+    assert names == {"diamond-sparse", "diamond-light"} | ({"diamond-heavy"} if heavy else set())
+
+
+@pytest.mark.parametrize("n, x, y", [(2, "1000", "0001"), (3, "100000000", "000000010")])
+def test_the_guard_catches_the_leaky_program_where_the_replay_is_blind(n, x, y):
+    inst = build_four_cycle_family(n, InputPair(x, y))
+    assert not bits_intersect(x, y)
+    joint = run(inst.graph, leaky_four_cycle_program(), cut=inst.cut_edges)
+    split_replay(inst, leaky_four_cycle_program, joint)
+    with pytest.raises(
+        ClosureWrite, match=r"^program leaky-four-cycle: a node wrote 'seen' in its closure$"
+    ):
+        guarded_run(inst.graph, leaky_four_cycle_program(), cut=inst.cut_edges)
+
+
+def test_the_guard_sees_a_write_through_a_helper_the_program_closes_over():
+    # A sender that files each string it formats in a shared decoder, as
+    # a codebook helper would: step reaches ``ids`` only through ``code``.
+    ids: dict[str, int] = {}
+
+    def code(u):
+        ids[encode_uint(u, 2)] = u
+        return encode_uint(u, 2)
+
+    program = NodeProgram(
+        "codebook", lambda v, neighbors, n: v, lambda v, r, inbox: (v, code(v), 0)
+    )
+    with pytest.raises(ClosureWrite, match=r"^program codebook: a node wrote 'ids' in its closure$"):
+        guarded_run(Graph(3, [(0, 1), (1, 2)]), program)

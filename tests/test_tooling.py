@@ -222,9 +222,10 @@ def test_the_split_replay_uses_no_engine_internals():
 
 
 def test_the_split_replay_imports_only_what_its_docstring_allows():
-    """From the package, the replay may import ``run``, the types it
-    builds and ``Graph``; a stock program, ``twoparty`` or a family
-    builder would let it share code with what it checks."""
+    """From the package, the replay and its closure guard may import
+    ``run``, the types they build and ``Graph``; a stock program,
+    ``twoparty`` or a family builder would let them share code with
+    what they check."""
     allowed = {"Graph", "NodeProgram", "SimConfig", "run"}
     imported = _package_imports("split_replay.py")
     assert imported and imported <= allowed, sorted(imported - allowed)
