@@ -10,7 +10,9 @@ intentionally non-reproducible column.
 Exit codes: 0 success, 1 verification failure, 2 usage error (such as
 a count below 1, a --max-rounds above 1000000, an --input-density or
 --densities value outside [0, 1], a --delta or --epsilon outside
-[0, 2], two report --inputs with the same file name, --input-seed,
+[0, 2], a --delta and --epsilon whose common denominator is above 1000,
+--exhaustive yes on a family of more than 9 bits, two report --inputs
+with the same file name, --input-seed,
 --input-density or --intersecting yes|no together with --x/--y, an
 --x or --y that is not hex digits alone, an argument to a program that takes none, a flood source that is not an
 integer or not a vertex of the graph, a cycles:<k> protocol whose k is

@@ -132,7 +132,8 @@ class Cluster:
 
 @dataclass
 class Decomposition:
-    """One peel: ``cluster_index`` maps each vertex to its cluster's index
+    """One peel: ``es_assigned`` maps each peeled vertex, in peel order, to
+    its edges; ``cluster_index`` maps each vertex to its cluster's index
     (None if peeled), whose ``leader`` is the member's leader; ``heavy``
     and ``light`` map a cluster index to non-members, each with its sorted
     member neighbors."""
@@ -142,7 +143,6 @@ class Decomposition:
     epsilon: Fraction
     d_min: int
     light_max: int
-    peel_order: tuple[int, ...]
     es_assigned: dict[int, tuple[tuple[int, int], ...]]
     clusters: tuple[Cluster, ...]
     cluster_index: dict[int, int | None]
@@ -196,7 +196,7 @@ class Decomposition:
                 cu, cv = self.cluster_index.get(u), self.cluster_index.get(v)
                 if cu is not None and cv is not None and cu != cv:
                     out.append(f"edge ({u},{v}) joins two different clusters")
-        if set(self.peel_order) != {
+        if self.es_assigned.keys() != {
             v for v in range(self.n) if self.cluster_index.get(v) is None
         }:
             out.append("peel order disagrees with cluster membership")
@@ -225,11 +225,12 @@ def decompose_by_peeling(
     A non-member is heavy for a cluster with more than light_max =
     floor(n^epsilon) member neighbors and light with 1..light_max.
 
-    delta and epsilon must lie in [0, 2] and have a denominator of at
-    most 1000, checked before any power: at delta 1 every vertex already
-    peels, at epsilon 1 none is heavy, and the exact powers raise
-    candidates to the denominator's power (one n^(1/q) at n = 3000 takes
-    0.003 s at q = 10^3 and 4.8 s at q = 10^5).
+    delta and epsilon must lie in [0, 2] and have a common denominator
+    (that of the heavy phase's n^(2 - delta - epsilon)) of at most 1000,
+    checked before any power: at delta 1 every vertex already peels, at
+    epsilon 1 none is heavy, and the exact powers raise candidates to the
+    denominator's power (one n^(1/q) at n = 3000 takes 0.003 s at q = 10^3
+    and 4.8 s at q = 10^5).
     """
     delta = _as_fraction(delta)
     epsilon = _as_fraction(epsilon)
@@ -238,6 +239,11 @@ def decompose_by_peeling(
             raise ValueError(f"{name} must be in [0, 2], got {value}")
         if value.denominator > 1000:
             raise ValueError(f"{name} must have a denominator of at most 1000, got {value}")
+    if math.lcm(delta.denominator, epsilon.denominator) > 1000:
+        raise ValueError(
+            "delta and epsilon must have a common denominator of at most 1000, "
+            f"got {delta} and {epsilon}"
+        )
     d_min = min_peel_degree(g.n, delta, min_degree_constant)
     adj = [set(nbrs) for nbrs in g.adj]
     # Built in increasing id order, so it is already a valid heap.
@@ -283,7 +289,6 @@ def decompose_by_peeling(
         epsilon=epsilon,
         d_min=d_min,
         light_max=light_max,
-        peel_order=tuple(es_assigned),
         es_assigned=es_assigned,
         clusters=tuple(clusters),
         cluster_index=cluster_index,
@@ -821,7 +826,7 @@ def list_induced_diamonds_congest(
         es_cap=dec.es_cap(),
         cluster_count=len(dec.clusters),
         cluster_sizes=tuple(sorted(len(c.members) for c in dec.clusters)),
-        outsider_count=len(dec.peel_order),
+        outsider_count=len(dec.es_assigned),
         sparse_rounds=sparse_stats.rounds_used,
         sparse_messages=sparse_stats.message_count,
         sparse_found=len(sparse_found),

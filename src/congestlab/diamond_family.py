@@ -38,8 +38,7 @@ from __future__ import annotations
 import marshal
 import math
 import random
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 from .families import FamilyInstance, InputPair, _Fixture, _instance
 from .graphs import (
@@ -62,53 +61,27 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class DiamondFixture:
+class DiamondFixture(_Fixture):
     """Input-independent scaffold for the diamond family.
 
     ``graph`` carries only the fixture edges (block bijections and the
-    A-to-partner matching).  ``quadruples`` holds the kept slots as
-    (a1, a2, b1, b2) vertex ids, sorted; its length is the bit count
-    of the input pairs this fixture accepts.
+    A-to-partner matching); ``blocks`` holds ``a`` (side A), ``b`` and
+    ``partner``.  ``quadruples`` holds the kept slots as (a1, a2, b1, b2)
+    vertex ids, sorted, one per input bit: a 1 at bit k of x adds (a1, a2)
+    of slot k, of y its (b1, b2).
     """
 
     n: int
     seed: int
-    graph: Graph
-    a_vertices: tuple[int, ...]
-    b_vertices: tuple[int, ...]
-    partner_vertices: tuple[int, ...]
     a_blocks: tuple[tuple[int, ...], ...]
     good_pairs: tuple[tuple[int, int], ...]
     astar: frozenset[int]
     quadruples: tuple[tuple[int, int, int, int], ...]
     dropped: tuple[tuple[int, int, int, int], ...]
-    labels: dict[int, str] = field(repr=False)
 
     @property
     def bit_count(self) -> int:
         return len(self.quadruples)
-
-    @cached_property
-    def _family_fixture(self) -> _Fixture:
-        """This fixture in the shape every family's per-pair step takes:
-        a 1 at bit k of x adds (a1, a2) of slot k, of y its (b1, b2)."""
-        quads = self.quadruples
-        meta = {
-            "quadruples": [list(q) for q in quads],
-            "astar": sorted(self.astar),
-            "good_pair_count": len(self.good_pairs),
-            "dropped_count": len(self.dropped),
-        }
-        blocks = {
-            "a": self.a_vertices,
-            "b": self.b_vertices,
-            "partner": self.partner_vertices,
-        }
-        empty = ((),) * len(quads)
-        on_x, on_y = tuple((q[:2],) for q in quads), tuple((q[2:],) for q in quads)
-        slots = ((empty, on_x), (empty, on_y))
-        meta_bytes = marshal.dumps(meta)
-        return _Fixture(self.graph, self.a_vertices, self.labels, blocks, meta_bytes, slots)
 
 
 def diamond_cut_size(n: int) -> int:
@@ -184,19 +157,27 @@ def build_diamond_fixture(n: int, seed: int) -> DiamondFixture:
         quadruples.append(quad)
     quadruples.sort()
 
+    meta = {
+        "quadruples": [list(q) for q in quadruples],
+        "astar": sorted(astar),
+        "good_pair_count": len(good),
+        "dropped_count": len(dropped),
+    }
+    empty = ((),) * len(quadruples)
     return DiamondFixture(
+        graph=g,
+        side_a=tuple(a),
+        labels=labels,
+        blocks={"a": tuple(a), "b": tuple(b), "partner": tuple(partner)},
+        meta=marshal.dumps(meta),
+        slots=tuple((empty, tuple((q[i : i + 2],) for q in quadruples)) for i in (0, 2)),
         n=n,
         seed=seed,
-        graph=g,
-        a_vertices=tuple(a),
-        b_vertices=tuple(b),
-        partner_vertices=tuple(partner),
         a_blocks=a_blocks,
         good_pairs=tuple(good),
         astar=astar,
         quadruples=tuple(quadruples),
         dropped=tuple(dropped),
-        labels=labels,
     )
 
 
@@ -213,8 +194,7 @@ def build_diamond_family(fixture: DiamondFixture, pair: InputPair) -> FamilyInst
             f"pair has {pair.length} bits, fixture has {fixture.bit_count} slots"
         )
     params = {"n": fixture.n, "seed": fixture.seed}
-    base, cut_size = fixture._family_fixture, diamond_cut_size(fixture.n)
-    return _instance("diamond", params, base, pair, cut_size)
+    return _instance("diamond", params, fixture, pair, diamond_cut_size(fixture.n))
 
 
 def list_two_two_diamonds(inst: FamilyInstance) -> list[tuple[int, ...]]:

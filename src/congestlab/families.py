@@ -117,10 +117,10 @@ class _Fixture:
 
     graph: Graph
     side_a: tuple[int, ...]
-    labels: dict[int, str]
-    blocks: dict[str, tuple[int, ...]]
-    meta: bytes
-    slots: tuple[tuple[tuple[tuple[tuple[int, int], ...], ...], ...], ...]
+    labels: dict[int, str] = field(repr=False)
+    blocks: dict[str, tuple[int, ...]] = field(repr=False)
+    meta: bytes = field(repr=False)
+    slots: tuple[tuple[tuple[tuple[tuple[int, int], ...], ...], ...], ...] = field(repr=False)
 
 
 def _instance(

@@ -52,6 +52,8 @@ __all__ = [
 ]
 
 EXHAUSTIVE_PAIR_LIMIT = 1024
+# 4^9 pairs cover every cycle family at n <= 3; all are listed before any check.
+EXHAUSTIVE_BIT_CAP = 9
 COUNTEREXAMPLE_CAP = 5
 
 
@@ -177,7 +179,8 @@ def verify_family_conditions(
     """Check the four conditions over a battery of input pairs.
 
     With exhaustive=None the full product of inputs is used whenever it
-    has at most EXHAUSTIVE_PAIR_LIMIT pairs.  Counterexamples are
+    has at most EXHAUSTIVE_PAIR_LIMIT pairs; exhaustive=True on more than
+    EXHAUSTIVE_BIT_CAP bits raises ValueError.  Counterexamples are
     recorded verbatim (capped per condition) so failures are
     actionable.  The report's family and parameters are those of the
     instance built for the first pair.
@@ -185,6 +188,11 @@ def verify_family_conditions(
     k = harness.bit_count
     if exhaustive is None:
         exhaustive = 4**k <= EXHAUSTIVE_PAIR_LIMIT
+    elif exhaustive and k > EXHAUSTIVE_BIT_CAP:
+        raise ValueError(
+            f"an exhaustive check takes at most {EXHAUSTIVE_BIT_CAP} bits "
+            f"(4^{EXHAUSTIVE_BIT_CAP} pairs), this family has {k}"
+        )
     pairs = _all_pairs(k) if exhaustive else _designed_pairs(k, samples, seed)
 
     conditions = {

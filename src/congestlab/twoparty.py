@@ -16,8 +16,7 @@ The reduction entry point reruns a simulated distributed algorithm on
 a two-sided instance and recasts its cut traffic as such a transcript:
 if the algorithm decides the target predicate, the transcript decides
 set intersection, with exactly the measured cut bits plus one answer
-bit.  The bound report turns that equivalence into the arithmetic
-ceiling it implies for this proof technique.
+bit.
 """
 
 from __future__ import annotations
@@ -55,7 +54,6 @@ __all__ = [
     "congest_reduction",
     "cycle_listing_protocol",
     "diamond_listing_protocol",
-    "limitation_bound_report",
     "make_views",
 ]
 
@@ -406,35 +404,3 @@ def congest_reduction(inst: FamilyInstance, program: NodeProgram) -> ReductionRe
         transcript=transcript,
     )
 
-
-def limitation_bound_report(n: int, cut_size: int, kind: str) -> dict:
-    """Arithmetic ceiling of the cut-charging argument for one family.
-
-    The listing protocols above cap the disjointness cost extractable
-    from a cut at payload_ceiling bits.  A simulated round moves at
-    most one bandwidth unit per cut edge per direction, so no round
-    lower bound proved by charging this cut can exceed the ceiling
-    divided by the per-round cut capacity in words.  An empty cut
-    carries no bits, so charging it certifies no round: the ceiling is
-    0.  This reports the technique's reach, not the problem's
-    difficulty.
-    """
-    w = word_bits(n)
-    if kind == "cycle":
-        payload_ceiling = 4 * w * n * cut_size
-    elif kind == "diamond":
-        payload_ceiling = 12 * w * ceil_sqrt(n) * cut_size
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
-    return {
-        "kind": kind,
-        "n": n,
-        "cut_size": cut_size,
-        "word_bits": w,
-        "payload_ceiling_bits": payload_ceiling,
-        "round_ceiling": payload_ceiling / (cut_size * w) if cut_size else 0,
-        "note": (
-            "ceiling on what cut-charging can certify for this family; "
-            "a protocol with this payload exists"
-        ),
-    }

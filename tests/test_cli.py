@@ -6,7 +6,9 @@ import csv
 import dataclasses
 import json
 import random
+import shlex
 import time
+from pathlib import Path
 
 import pytest
 
@@ -300,6 +302,25 @@ class TestVerifyFamily:
         assert report["passed"] is True
         assert report["exhaustive"] is True
         assert report["conditions"]["target_iff_intersect"]["passed"] is True
+
+    @pytest.mark.parametrize(
+        "family, bits",
+        [(["c4", "--n", "4"], 16), (["diamond", "--n", "16", "--seed", "0"], 18)],
+    )
+    def test_an_exhaustive_check_that_cannot_finish_is_refused_at_once(
+        self, tmp_path, capsys, family, bits
+    ):
+        # 4^16 and 4^18 pairs would exhaust memory before the first check.
+        out = tmp_path / "report.json"
+        t0 = time.perf_counter()
+        rc = main(["verify-family", *family, "--exhaustive", "yes", "--json-out", str(out)])
+        assert time.perf_counter() - t0 < 1.0
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: an exhaustive check takes at most 9 bits (4^9 pairs), "
+            f"this family has {bits}\n"
+        )
+        assert not out.exists()
 
 
 class TestRunCongest:
@@ -734,6 +755,23 @@ class TestRunDiamondListing:
             assert rc == EXIT_USAGE
             assert capsys.readouterr().err == f"error: {name} {rule}, got {value}\n"
 
+    def test_exponents_with_a_common_denominator_above_1000_are_refused_at_once(
+        self, tmp_path, capsys
+    ):
+        # Each denominator is at most 1000, but the heavy phase's
+        # n^(2 - delta - epsilon) would have one of 997000.
+        g = tmp_path / "g.txt"
+        _write_random_graph(g, n=40, density=0.2, seed=1)
+        exponents = ["--delta", "833/1000", "--epsilon", "499/997"]
+        t0 = time.perf_counter()
+        rc = main(["run-diamond-listing", "--graph", str(g), *exponents])
+        assert time.perf_counter() - t0 < 1.0
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: delta and epsilon must have a common denominator of at most "
+            "1000, got 833/1000 and 499/997\n"
+        )
+
 
 class TestBenchAndReport:
     def test_bench_emits_the_frozen_csv_schema(self, tmp_path):
@@ -855,3 +893,22 @@ def test_an_internal_key_error_is_not_a_usage_error(tmp_path, monkeypatch):
     _write_random_graph(g, n=10)
     with pytest.raises(KeyError, match="internal"):
         main(["run-diamond-listing", "--graph", str(g)])
+
+
+def _readme_commands() -> list[list[str]]:
+    """The arguments of each ``congestlab`` line in the README's
+    "Command line" block, in order."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("congestlab ")]
+    return [shlex.split(line)[1:] for line in lines]
+
+
+def test_the_readme_command_line_examples_run(tmp_path, monkeypatch, capsys):
+    # Each command runs in a scratch directory, its /tmp/ paths moved there.
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_commands()
+    assert len(commands) == 9
+    for argv in commands:
+        assert main([arg.replace("/tmp/", f"{tmp_path}/") for arg in argv]) == EXIT_OK, argv

@@ -99,7 +99,7 @@ class TestDecomposition:
     def test_empty_graph_peels_everything(self):
         dec = decompose_by_peeling(Graph(5, []))
         assert dec.clusters == ()
-        assert sorted(dec.peel_order) == [0, 1, 2, 3, 4]
+        assert sorted(dec.es_assigned) == [0, 1, 2, 3, 4]
         assert dec.es_edges() == frozenset()
 
     def test_two_cliques_become_two_clusters_with_no_sparse_edges(self):
@@ -114,7 +114,7 @@ class TestDecomposition:
         # A pendant path hanging off a clique peels from the far end.
         g = Graph(14, _clique_edges(range(12)) + [(11, 12), (12, 13)])
         dec = decompose_by_peeling(g)
-        assert set(dec.peel_order) == {12, 13}
+        assert set(dec.es_assigned) == {12, 13}
         assert dec.es_edges() == frozenset({(11, 12), (12, 13)})
         assert dec.validate(g) == []
 
@@ -149,6 +149,15 @@ class TestDecomposition:
             rule = r"must be in \[0, 2\]"
         with pytest.raises(ValueError, match=f"^{named} {rule}, got {value}$"):
             decompose_by_peeling(Graph(4, [(0, 1)]), **exponents)
+
+    def test_exponents_with_a_common_denominator_above_1000_are_refused(self):
+        # The heavy phase charges n^(2 - delta - epsilon), whose denominator
+        # is the lcm of the two, 997000 here.
+        rule = "delta and epsilon must have a common denominator of at most 1000"
+        with pytest.raises(ValueError, match=f"^{rule}, got 833/1000 and 499/997$"):
+            decompose_by_peeling(
+                Graph(4, [(0, 1)]), delta=Fraction(833, 1000), epsilon=Fraction(499, 997)
+            )
 
     def test_an_exponent_with_a_denominator_of_1000_is_accepted(self):
         dec = decompose_by_peeling(
@@ -222,7 +231,7 @@ PLANTED_FAULTS = {
         "edge (0,9) joins two different clusters",
     ),
     "peel-order-short": (
-        lambda dec: {"peel_order": dec.peel_order[:-1]},
+        lambda dec: {"es_assigned": dict([*dec.es_assigned.items()][:-1])},
         "peel order disagrees with cluster membership",
     ),
 }
@@ -231,7 +240,7 @@ PLANTED_FAULTS = {
 class TestPlantedDecompositionFaults:
     def test_the_unplanted_peel_is_valid(self):
         g, dec = _one_cluster_with_a_fringe()
-        assert (dec.d_min, dec.peel_order) == (9, (10, 11, 12))
+        assert (dec.d_min, tuple(dec.es_assigned)) == (9, (10, 11, 12))
         assert dec.validate(g) == []
 
     @pytest.mark.parametrize("fault", sorted(PLANTED_FAULTS))
@@ -304,7 +313,7 @@ class TestPeelOrderPin:
     def _assert_matches_reference(g: Graph, delta=FIVE_SIXTHS, constant=4):
         dec = decompose_by_peeling(g, delta, constant)
         order, assigned, clusters, leaders = _reference_peel(g, dec.d_min)
-        assert dec.peel_order == order
+        assert tuple(dec.es_assigned) == order
         assert dec.es_assigned == assigned
         assert [sorted(c.members) for c in dec.clusters] == clusters
         assert _leader_map(dec) == leaders
@@ -332,12 +341,12 @@ class TestPeelOrderPin:
     def test_delta_above_one_peels_everything(self):
         g = random_graph(80, 0.3, random.Random(5))
         dec = decompose_by_peeling(g, Fraction(2), 4)
-        assert dec.clusters == () and len(dec.peel_order) == g.n
+        assert dec.clusters == () and len(dec.es_assigned) == g.n
         self._assert_matches_reference(g, Fraction(2), 4)
 
     def test_empty_graph(self):
         dec = decompose_by_peeling(Graph(0, []))
-        assert dec.peel_order == () and dec.clusters == ()
+        assert dec.es_assigned == {} and dec.clusters == ()
         self._assert_matches_reference(Graph(0, []))
 
 
@@ -523,7 +532,7 @@ class TestPhasesOnHandGadgets:
         g = self._light_gadget()
         dec = decompose_by_peeling(g)
         assert dec.d_min == 3
-        assert dec.peel_order == (13, 12)
+        assert tuple(dec.es_assigned) == (13, 12)
         assert [sorted(c.members) for c in dec.clusters] == [list(range(12))]
         assert dec.validate(g) == []
 

@@ -80,7 +80,7 @@ class TestFixtureStructure:
         for a1, a2, b1, b2 in fx.quadruples:
             assert a1 in fx.astar and a2 not in fx.astar
             assert fx.graph.adj[a1] & fx.graph.adj[a2] == {b1}
-            assert fx.partner_vertices[a1] == b2
+            assert fx.blocks["partner"][a1] == b2
             assert (b1, b2) not in seen_b
             seen_b.add((b1, b2))
 

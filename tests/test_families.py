@@ -70,6 +70,30 @@ def _pair(x: str, y: str) -> InputPair:
     return InputPair(x, y)
 
 
+# Each builder call that breaks an input check, and the message it must raise.
+BAD_PARAMETERS = {
+    "cycle n below one": (lambda: build_cycle_family(0, 4, _pair("", "")), "need n >= 1"),
+    "cycle pair length": (
+        lambda: build_cycle_family(2, 5, _pair("000", "000")),
+        "pair has 3 bits, family needs 4",
+    ),
+    "colex negative rank": (lambda: colex_subset(-1, 2), "must be nonnegative"),
+    "alphabet ell below one": (lambda: long_cycle_alphabet(2, 0), "ell >= 1"),
+    "long cycle m below zero": (
+        lambda: build_long_cycle_family(2, 1, -1, _pair("0000", "0000")),
+        "m >= 0",
+    ),
+    "diamond n not a square": (lambda: build_diamond_fixture(5, 0), "perfect square"),
+    "diamond n below four": (lambda: build_diamond_fixture(1, 0), ">= 4"),
+}
+
+
+@pytest.mark.parametrize("call, message", BAD_PARAMETERS.values(), ids=BAD_PARAMETERS)
+def test_a_bad_parameter_is_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 class TestColexCodes:
     def test_first_two_subsets_in_colex_order(self):
         assert [colex_subset(r, 2) for r in range(4)] == [
@@ -428,6 +452,14 @@ class TestSampledVerification:
         harness = dataclasses.replace(_broken_harness(), bit_count=bits)
         report = verify_family_conditions(harness, samples=40, exhaustive=False)
         assert report.pairs_checked == pairs
+
+    def test_an_exhaustive_check_over_nine_bits_is_refused_before_any_build(self):
+        builds = []
+        harness = dataclasses.replace(_broken_harness(), bit_count=10, build=builds.append)
+        rule = r"^an exhaustive check takes at most 9 bits \(4\^9 pairs\), this family has 10$"
+        with pytest.raises(ValueError, match=rule):
+            verify_family_conditions(harness, exhaustive=True)
+        assert builds == []
 
 
 # sha256 over every build of _builder_grid(): a changed vertex id,

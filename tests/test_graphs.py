@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 import sys
+from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
@@ -20,6 +21,7 @@ from congestlab.graphs import (
     connected_components,
     crossing_edges,
     diameter,
+    frac_pow_floor,
     has_induced_cycle,
     induced_edge_count,
     induced_edges,
@@ -73,6 +75,7 @@ class TestGraphBasics:
         g = Graph(4, [(0, 1), (1, 2)])
         assert g.has_edge(0, 1) and g.has_edge(1, 0)
         assert not g.has_edge(0, 2)
+        assert not g.has_edge(1, 1)
         assert g.adj[1] == frozenset({0, 2})
         assert g.degree(1) == 2
         assert g.degree(3) == 0
@@ -155,6 +158,7 @@ class TestInducedSubgraphPredicates:
         g = _cycle_graph(4)
         assert is_induced_cycle(g, (0, 2, 1, 3))
         assert not is_induced_cycle(g, (0, 1, 2))
+        assert not is_induced_cycle(g, (0, 1))
 
     def test_diamond_predicate_accepts_k4_minus_an_edge(self):
         g = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
@@ -526,6 +530,9 @@ class TestDistancesAndCuts:
     def test_diameter_of_a_cycle(self):
         assert diameter(_cycle_graph(6)) == 3
 
+    def test_diameter_of_at_most_one_vertex_is_zero(self):
+        assert diameter(Graph(0, [])) == diameter(Graph(1, [])) == 0
+
     def test_diameter_of_a_disconnected_graph_is_infinite(self):
         g = Graph(4, [(0, 1), (2, 3)])
         assert diameter(g) == float("inf")
@@ -545,3 +552,25 @@ class TestDistancesAndCuts:
         a = random_graph(15, 0.3, random.Random(42))
         b = random_graph(15, 0.3, random.Random(42))
         assert a == b
+
+
+# Each call that breaks an input check, and the message it must raise.
+BAD_INPUTS = {
+    "negative vertex count": (lambda: Graph(-1, []), "vertex count must be nonnegative"),
+    "negative power base": (lambda: frac_pow_floor(-1, Fraction(1, 2)), "need n >= 0"),
+    "negative exponent": (lambda: frac_pow_floor(4, Fraction(-1, 2)), "exponent >= 0"),
+    "naive cycle below three": (
+        lambda: list_induced_cycles_naive(_cycle_graph(5), 2),
+        "cycles need k >= 3",
+    ),
+    "density above one": (
+        lambda: random_graph(4, 1.5, random.Random(0)),
+        r"density must be in \[0, 1\], got 1.5",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, message", BAD_INPUTS.values(), ids=BAD_INPUTS)
+def test_a_bad_input_is_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

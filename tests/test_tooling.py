@@ -3,13 +3,14 @@ pulls in no third-party runtime dependency, every name a module exports
 exists, the package namespace is the star import of each module with an
 ``__all__``, no module exports a name it imports, no module imports
 a name it never uses, no module-level private name goes unreferenced,
-every exported function and constant is used outside its module, the
-simulator's naive twin and the split replay borrow nothing private from
-the engine and import from the package only the names their docstrings
-allow, the engine imports no random module, the benchmark's tracer still
-finds, and reads the results of, every function it traces, every
-defaulted parameter is set by some call outside the tests, and every
-memo in the package has a written, finite bound."""
+every exported function and constant is used outside its module, every
+exported function but the named test oracles is called outside the
+tests, the simulator's naive twin and the split replay borrow nothing
+private from the engine and import from the package only the names
+their docstrings allow, the engine imports no random module, the
+benchmark's tracer still finds, and reads the results of, every function
+it traces, every defaulted parameter is set by some call outside the
+tests, and every memo in the package has a written, finite bound."""
 
 from __future__ import annotations
 
@@ -323,6 +324,73 @@ def test_every_exported_function_and_constant_is_used_elsewhere():
         if exported:
             unused[path.name] = exported
     assert unused == {}
+
+
+# Exported functions that nothing in the package or the benchmark calls,
+# each kept on purpose as a test oracle, with the reason.
+TEST_ORACLES = {
+    "read_bundle": "reads a written bundle back, so tests can round-trip one",
+    "good_pair_ratio": "the fixture's good-pair density, acceptance criterion 07",
+    "list_two_two_diamonds": "the full listing has_two_two_diamond must agree with",
+    "check_block_counts": "the long-cycle block lemma, acceptance criterion 03",
+    "diameter": "the centered long-cycle diameter, acceptance criterion 04",
+    "is_induced_cycle": "the definition the cycle oracles are checked against",
+    "is_induced_diamond": "the definition the diamond oracles are checked against",
+    "list_induced_cycles_naive": "the naive cycle oracle, independent of the pruned search",
+    "list_induced_diamonds_naive": "the naive diamond oracle, independent of the pruned search",
+}
+
+
+def _uncalled_functions(sources: dict[str, str]) -> list[str]:
+    """The functions a source's ``__all__`` lists that no source, its
+    own included, references: defined and exported, never called."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    used = set().union(*map(_referenced_names, trees.values()))
+    uncalled = []
+    for tree in trees.values():
+        exported = set()
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                exported = set(ast.literal_eval(node.value))
+        uncalled += [
+            node.name
+            for node in tree.body
+            if isinstance(node, ast.FunctionDef)
+            and node.name in exported
+            and node.name not in used
+        ]
+    return sorted(uncalled)
+
+
+def test_every_exported_function_is_called_outside_the_tests():
+    """An exported function only the tests call is surface the program
+    does not use: every one is referenced in the package or the
+    benchmark, except the oracles in ``TEST_ORACLES``.  An oracle the
+    program has come to call is listed no longer."""
+    root = PACKAGE_DIR.parents[1]
+    paths = [*PACKAGE_DIR.glob("*.py"), *(root / "perfbench").glob("*.py")]
+    uncalled = _uncalled_functions({str(p): p.read_text(encoding="utf-8") for p in paths})
+    assert sorted(set(uncalled) - TEST_ORACLES.keys()) == []
+    assert sorted(TEST_ORACLES.keys() - set(uncalled)) == []
+
+
+def test_the_call_guard_flags_an_exported_function_nothing_calls():
+    sources = {
+        "lib.py": (
+            "__all__ = ['called', 'self_called', 'uncalled', 'CONSTANT']\n"
+            "CONSTANT = 1\n"
+            "def called(): ...\n"
+            "def self_called(): ...\n"
+            "def uncalled(): ...\n"
+            "def _private(): ...\n"
+            "def unexported(): ...\n"
+            "x = self_called()\n"
+        ),
+        "app.py": "from lib import called\ncalled()\n",
+    }
+    assert _uncalled_functions(sources) == ["uncalled"]
 
 
 # Defaulted parameters that no call in the package or the benchmark

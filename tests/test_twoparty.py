@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from itertools import combinations, product
@@ -19,7 +18,6 @@ from congestlab.bitstrings import (
     singleton,
     zeros,
 )
-from congestlab.bundles import canonical_json_bytes
 from congestlab.congest import constant_program, naive_four_cycle_program, word_bits
 from congestlab.diamond_family import build_diamond_family, build_diamond_fixture
 from congestlab.families import (
@@ -52,7 +50,6 @@ from congestlab.twoparty import (
     diamond_listing_protocol,
     encode_edge_list,
     encode_vertex_list,
-    limitation_bound_report,
     make_views,
 )
 
@@ -429,25 +426,7 @@ class TestReduction:
             congest_reduction(inst, silent_program())
 
 
-class TestLimitationReport:
-    def test_cycle_and_diamond_ceilings(self):
-        rep = limitation_bound_report(16, 8, "cycle")
-        assert rep["payload_ceiling_bits"] == 4 * 4 * 16 * 8
-        assert rep["round_ceiling"] == 4 * 16
-        rep_d = limitation_bound_report(16, 8, "diamond")
-        assert rep_d["payload_ceiling_bits"] == 12 * 4 * 4 * 8
-        assert rep_d["round_ceiling"] == 12 * 4
-
-    def test_zero_cut_reports_a_zero_ceiling_that_serializes(self):
-        for kind in ("cycle", "diamond"):
-            rep = limitation_bound_report(4, 0, kind)
-            assert rep["payload_ceiling_bits"] == rep["round_ceiling"] == 0
-            assert json.loads(canonical_json_bytes(rep)) == rep
-
-    def test_unknown_kind_is_rejected(self):
-        with pytest.raises(ValueError):
-            limitation_bound_report(16, 8, "clique")
-
+class TestCeilSqrt:
     def test_ceil_sqrt_on_squares_and_non_squares(self):
         assert ceil_sqrt(16) == 4
         assert ceil_sqrt(17) == 5
