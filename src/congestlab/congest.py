@@ -93,8 +93,8 @@ class NodeProgram:
     engine adds no randomness: a program that draws builds its own
     stream in ``init``, from a seed its factory was given.
     ``step(state, round_index, inbox)`` returns (state, outbox, output)
-    where inbox maps sender id to bit string, outbox lists
-    (destination, bits) or is one bit string sent to every neighbor
+    where inbox maps sender id to bit string, outbox is a list of
+    (destination, bits) tuples or one bit string sent to every neighbor
     (``""`` is an empty message each, ``[]`` no message), and output is
     None while undecided, else the final 0/1.  A program reads its inbox
     and never writes it: every node without mail gets one shared empty
@@ -172,16 +172,18 @@ def run(
     draws nothing, so a run is a function of the graph, the program,
     the config and the cut.
 
-    A list outbox is walked once, in send order: each message is checked
-    for a non-neighbor, a repeated edge, a non-bitstring and an oversize
-    payload, in that order, and the first fault raises.  A broadcast (a
-    string outbox) is checked once and raises what its first message
-    would; it goes to the neighbors in ascending order, and a node
-    without neighbors sends and checks nothing.  A cut is a set of
-    edges of *g*, each in either orientation; a pair that is not an
-    edge raises ValueError.  Given a cut, ``cut_messages`` lists each
-    message across it as (round, sender, destination, bits) in send
-    order, ``()`` for an empty cut, and is None without a cut.
+    A non-empty outbox that is neither a string nor a list raises.  A
+    list outbox is walked once, in send order: each item is checked for
+    not being a (destination, bits) tuple, a non-neighbor, a repeated
+    edge, a non-bitstring and an oversize payload, in that order, and
+    the first fault raises.  A broadcast (a string outbox) is checked
+    once and raises what its first message would; it goes to the
+    neighbors in ascending order, and a node without neighbors sends
+    and checks nothing.  A cut is a set of edges of *g*, each in either
+    orientation; a pair that is not an edge raises ValueError.  Given a
+    cut, ``cut_messages`` lists each message across it as (round,
+    sender, destination, bits) in send order, ``()`` for an empty cut,
+    and is None without a cut.
     """
     n = g.n
     adj = g.adj
@@ -271,8 +273,14 @@ def run(
                 for dst in cut_neighbors[v]:
                     cut_messages.append((r, v, dst, outbox))
             elif outbox:
+                if outbox.__class__ is not list:
+                    raise violation(v, r, f"sent outbox {outbox!r} (want a bit string or a list)")
                 nbrs = adj[v]
-                for dst, bits in outbox:
+                crossing = cut_neighbors[v]
+                for item in outbox:
+                    if item.__class__ is not tuple or len(item) != 2:
+                        raise violation(v, r, f"listed {item!r} (want a (destination, bits) tuple)")
+                    dst, bits = item
                     if dst not in nbrs:
                         raise violation(v, r, f"sent to non-neighbor {dst}")
                     # v steps once a round: mail from v here reuses the edge.
@@ -286,12 +294,9 @@ def run(
                     if len(bits) > max_message_bits:
                         max_message_bits = len(bits)
                     box[v] = bits
+                    if crossing and dst in crossing:
+                        cut_messages.append((r, v, dst, bits))
                 message_count += len(outbox)
-                crossing = cut_neighbors[v]
-                if crossing:
-                    for dst, bits in outbox:
-                        if dst in crossing:
-                            cut_messages.append((r, v, dst, bits))
         if not undecided:
             rounds_used = r + 1
             break

@@ -637,10 +637,14 @@ def run_light_phase(
     codes, ids = _id_tables((u for c in dec.clusters for u in c.members), w)
 
     def init(v, neighbors, n_):
-        # The broadcast stream: the entry count, then one string per entry.
+        # Rounds 0..lb+lc-1: entry count, entries, silence, query counts, queries.
         mine = sorted(entries.get(v, ()))
-        stream = [encode_uint(len(mine), w), *map(codes.__getitem__, mine)]
         asks = sorted(queries[v].items()) if v in queries else []
+        stream = [encode_uint(len(mine), w), *map(codes.__getitem__, mine)]
+        stream += [[]] * (lb - len(stream))
+        stream.append([(c1, encode_uint(len(qs), w)) for c1, qs in asks])
+        for idx in range(max_qlen):
+            stream.append([(c1, codes[qs[idx]]) for c1, qs in asks if idx < len(qs)])
         # v, stream, queries, sparse adjacency, received entries, replies,
         # answer bits, finds.
         return [v, stream, asks, warm[v]["es_adj"], {}, {}, {}, set()]
@@ -666,14 +670,7 @@ def run_light_phase(
         outbox: str | list[tuple[int, str]] = []
         if r < len(stream):
             outbox = stream[r]
-        elif r == lb and state[2]:
-            outbox = [(c1, encode_uint(len(qs), w)) for c1, qs in state[2]]
-        elif lb < r <= lb + max_qlen:
-            idx = r - lb - 1
-            for c1, qs in state[2]:
-                if idx < len(qs):
-                    outbox.append((c1, codes[qs[idx]]))
-        elif r >= lb + lc and state[5]:
+        elif state[5]:
             lo = (r - lb - lc) * chunk_bits
             for src, reply in sorted(state[5].items()):
                 piece = reply[lo : lo + chunk_bits]

@@ -73,11 +73,9 @@ class DiamondFixture(_Fixture):
 
     n: int
     seed: int
-    a_blocks: tuple[tuple[int, ...], ...]
     good_pairs: tuple[tuple[int, int], ...]
     astar: frozenset[int]
     quadruples: tuple[tuple[int, int, int, int], ...]
-    dropped: tuple[tuple[int, int, int, int], ...]
 
     @property
     def bit_count(self) -> int:
@@ -173,11 +171,9 @@ def build_diamond_fixture(n: int, seed: int) -> DiamondFixture:
         slots=tuple((empty, tuple((q[i : i + 2],) for q in quadruples)) for i in (0, 2)),
         n=n,
         seed=seed,
-        a_blocks=a_blocks,
         good_pairs=tuple(good),
         astar=astar,
         quadruples=tuple(quadruples),
-        dropped=tuple(dropped),
     )
 
 

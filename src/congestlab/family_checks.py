@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import asdict, dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 from .bitstrings import (
     bits_intersect,
@@ -52,7 +52,7 @@ __all__ = [
 ]
 
 EXHAUSTIVE_PAIR_LIMIT = 1024
-# 4^9 pairs cover every cycle family at n <= 3; all are listed before any check.
+# 4^9 pairs cover every cycle family at n <= 3; the cap bounds the running time.
 EXHAUSTIVE_BIT_CAP = 9
 COUNTEREXAMPLE_CAP = 5
 
@@ -165,9 +165,9 @@ def _designed_pairs(k: int, samples: int, seed: int) -> list[InputPair]:
     return list(unique)
 
 
-def _all_pairs(k: int) -> list[InputPair]:
+def _all_pairs(k: int) -> Iterator[InputPair]:
     strings = [format(v, f"0{k}b") if k else "" for v in range(2**k)]
-    return [InputPair(x, y) for x in strings for y in strings]
+    return (InputPair(x, y) for x in strings for y in strings)
 
 
 def verify_family_conditions(
@@ -260,7 +260,7 @@ def verify_family_conditions(
         family=reference.family,
         params=reference.params,
         bit_count=k,
-        pairs_checked=len(pairs),
+        pairs_checked=n_intersecting + n_disjoint,
         exhaustive=exhaustive,
         intersecting_checked=n_intersecting,
         disjoint_checked=n_disjoint,

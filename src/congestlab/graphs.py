@@ -37,7 +37,6 @@ __all__ = [
     "frac_pow_ceil",
     "frac_pow_floor",
     "has_induced_cycle",
-    "induced_edge_count",
     "induced_edges",
     "is_induced_cycle",
     "is_induced_diamond",
@@ -216,10 +215,6 @@ def induced_edges(g: Graph, vs: Iterable[int]) -> frozenset[tuple[int, int]]:
     )
 
 
-def induced_edge_count(g: Graph, vs: Iterable[int]) -> int:
-    return len(induced_edges(g, vs))
-
-
 def is_induced_cycle(g: Graph, vs: Iterable[int]) -> bool:
     """True when vs induces a single chordless cycle (so |vs| >= 3).
 
@@ -247,7 +242,7 @@ def is_induced_cycle(g: Graph, vs: Iterable[int]) -> bool:
 def is_induced_diamond(g: Graph, vs: Iterable[int]) -> bool:
     """True when vs induces a diamond: 4 vertices carrying 5 of the 6 pairs."""
     s = frozenset(vs)
-    return len(s) == 4 and induced_edge_count(g, s) == 5
+    return len(s) == 4 and len(induced_edges(g, s)) == 5
 
 
 def _check_naive_budget(n: int, k: int, budget: int) -> None:
@@ -496,7 +491,7 @@ def list_induced_diamonds_naive(
     """Subset-scan route: test every 4-subset for exactly five induced edges."""
     _check_naive_budget(g.n, 4, budget)
     return [
-        vs for vs in combinations(range(g.n), 4) if induced_edge_count(g, vs) == 5
+        vs for vs in combinations(range(g.n), 4) if len(induced_edges(g, vs)) == 5
     ]
 
 

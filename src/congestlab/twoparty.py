@@ -79,9 +79,6 @@ class PartyView:
             adj.setdefault(b, set()).add(a)
         return {v: frozenset(nb) for v, nb in adj.items()}
 
-    def cut_neighbors(self, v: int) -> frozenset[int]:
-        return self.cut_adjacency.get(v, frozenset())
-
 
 def make_views(g: Graph, side_a) -> tuple[PartyView, PartyView]:
     sa = frozenset(side_a)
@@ -339,7 +336,7 @@ def diamond_listing_protocol(
         windows = {
             e
             for v in far - recv_heavy
-            for e in combinations(sorted(view_b.cut_neighbors(v)), 2)
+            for e in combinations(sorted(view_b.cut_adjacency[v]), 2)
             if e in view_b.internal_edges
         }
         transcript.add("b->a", "light-windows", encode_edge_list(windows, w))

@@ -2,7 +2,8 @@
 docstring: rounds in lockstep, mail sent in round r read in round r + 1,
 each message checked on its own in send order, outputs final once set.
 A string outbox is expanded to one (neighbor, string) pair per neighbor
-in ascending order and then checked like any other.  A cut pair may
+in ascending order and then checked like any other; any other non-empty
+outbox must be a list of (destination, bits) tuples.  A cut pair may
 come in either orientation, and one that is not an edge is refused.
 Given a cut, every message across it is recorded; without one, none is.
 The twin keeps its own per-round cut tally and timed-out flag and
@@ -49,10 +50,15 @@ def reference_run(g, program, config=SimConfig(), cut=None):
                 if outputs[v] is not None and outputs[v] != out:
                     raise fault(v, r, f"changed output {outputs[v]} -> {out}")
                 outputs[v] = out
-            if isinstance(outbox, str):
+            if type(outbox) is str:
                 outbox = [(dst, outbox) for dst in sorted(g.adj[v])]
+            elif outbox and type(outbox) is not list:
+                raise fault(v, r, f"sent outbox {outbox!r} (want a bit string or a list)")
             used = set()
-            for dst, bits in outbox or ():
+            for item in outbox or ():
+                if type(item) is not tuple or len(item) != 2:
+                    raise fault(v, r, f"listed {item!r} (want a (destination, bits) tuple)")
+                dst, bits = item
                 if dst not in g.adj[v]:
                     raise fault(v, r, f"sent to non-neighbor {dst}")
                 if dst in used:

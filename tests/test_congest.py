@@ -8,6 +8,7 @@ import random
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from reference_sim import reference_run
 
 from congestlab.bitstrings import bits_intersect
 from congestlab.congest import (
@@ -307,6 +308,32 @@ class TestViolations:
         where = rf"^program one-outbox: node 0 {fault} in round 0$"
         with pytest.raises(ProtocolViolation, match=where):
             run(_complete_graph(4), prog, SimConfig(bandwidth_bits=8))
+
+    @pytest.mark.parametrize(
+        ("outbox", "fault"),
+        [
+            ([1], "listed 1 (want a (destination, bits) tuple)"),
+            ([(1,)], "listed (1,) (want a (destination, bits) tuple)"),
+            ([(1, "1", "x")], "listed (1, '1', 'x') (want a (destination, bits) tuple)"),
+            ([(1, "1"), [2, "1"]], "listed [2, '1'] (want a (destination, bits) tuple)"),
+            ([(1, "0" * 9), (2,)], "sent 9 bits > bandwidth 8"),
+            ([(4,), (4, "1")], "listed (4,) (want a (destination, bits) tuple)"),
+            ({1: "1"}, "sent outbox {1: '1'} (want a bit string or a list)"),
+            (5, "sent outbox 5 (want a bit string or a list)"),
+            ({(1, "1")}, "sent outbox {(1, '1')} (want a bit string or a list)"),
+            (((1, "1"),), "sent outbox ((1, '1'),) (want a bit string or a list)"),
+        ],
+    )
+    def test_a_malformed_outbox_is_named_by_run_and_its_twin(self, outbox, fault):
+        # A malformed item is caught before any other check on it, in
+        # send order, and the twin raises the same text.
+        prog = self._one_outbox_program(outbox)
+        texts = []
+        for runner in (run, reference_run):
+            with pytest.raises(ProtocolViolation) as raised:
+                runner(_complete_graph(4), prog, SimConfig(bandwidth_bits=8))
+            texts.append(str(raised.value))
+        assert texts == [f"program one-outbox: node 0 {fault} in round 0"] * 2
 
     @pytest.mark.parametrize(
         "outbox",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import marshal
 import random
 
 import pytest
@@ -58,7 +59,7 @@ class TestFixtureStructure:
         assert sorted(fx.astar) == [1, 3]
         assert fx.quadruples == ((1, 2, 5, 9), (3, 0, 4, 11))
         assert fx.bit_count == 2
-        assert fx.dropped == ()
+        assert marshal.loads(fx.meta)["dropped_count"] == 0
 
     def test_good_pairs_have_exactly_one_common_neighbor(self):
         fx = build_diamond_fixture(16, 1)
@@ -67,10 +68,8 @@ class TestFixtureStructure:
 
     def test_good_pairs_span_distinct_blocks(self):
         fx = build_diamond_fixture(16, 1)
-        block_of = {}
-        for i, blk in enumerate(fx.a_blocks):
-            for v in blk:
-                block_of[v] = i
+        # Side A in rows of sqrt(16) = 4: the blocks.
+        block_of = {v: i // 4 for i, v in enumerate(fx.blocks["a"])}
         for u, v in fx.good_pairs:
             assert block_of[u] != block_of[v]
 

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from congestlab import bundles, families
+from congestlab import bundles, families, family_checks
 from congestlab.bitstrings import (
     bits_intersect,
     ones,
@@ -460,6 +460,24 @@ class TestSampledVerification:
         with pytest.raises(ValueError, match=rule):
             verify_family_conditions(harness, exhaustive=True)
         assert builds == []
+
+    def test_an_exhaustive_check_draws_each_pair_as_it_checks_it(self, monkeypatch):
+        # A build that raises on the first pair stops a 9-bit check after
+        # at most two of its 4^9 pairs are made.
+        made = []
+
+        def counted_pair(x, y):
+            made.append((x, y))
+            return InputPair(x, y)
+
+        def build(pair):
+            raise RuntimeError("first build")
+
+        monkeypatch.setattr(family_checks, "InputPair", counted_pair)
+        harness = dataclasses.replace(_broken_harness(), bit_count=9, build=build)
+        with pytest.raises(RuntimeError, match="^first build$"):
+            verify_family_conditions(harness, exhaustive=True)
+        assert 1 <= len(made) <= 2
 
 
 # sha256 over every build of _builder_grid(): a changed vertex id,

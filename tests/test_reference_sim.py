@@ -63,15 +63,19 @@ def _random_program(fault_rate: float, bandwidth: int, seed: int, wakes=None) ->
     nodes too), or distinct payloads to neighbours in random order.
     With probability *fault_rate* a step flips its output or emits 2,
     and with that probability again one or two listed messages each
-    break a rule, or the broadcast string is oversize or not bits.  Given
-    a wake schedule, a node draws and acts only in its wake rounds or
-    with mail, and otherwise repeats its last output."""
+    break a rule or are no (destination, bits) tuple, or the broadcast
+    string is oversize or not bits.  Given a wake schedule, a node draws
+    and acts only in its wake rounds or with mail, and otherwise repeats
+    its last output."""
 
     def payload(rng):
         return "".join(rng.choice("01") for _ in range(rng.randint(0, bandwidth)))
 
     def faulty(rng, outbox, nbrs, n):
-        kind = rng.randrange(4)
+        kind = rng.randrange(5)
+        if kind == 3:
+            dst = rng.choice(nbrs or (0,))
+            return rng.choice(((dst,), (dst, payload(rng), "x"), [dst, payload(rng)]))
         if kind == 0:
             strangers = [u for u in range(n + 1) if u not in nbrs]
             return rng.choice(strangers), payload(rng)

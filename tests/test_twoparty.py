@@ -102,14 +102,15 @@ class TestViews:
         for view in (va, vb):
             for v in g.vertices():
                 expected = {u for e in view.cut_edges if v in e for u in e if u != v}
-                assert view.cut_neighbors(v) == expected
-                assert len(view.cut_neighbors(v)) == sum(v in e for e in view.cut_edges)
+                got = view.cut_adjacency.get(v, frozenset())
+                assert got == expected
+                assert len(got) == sum(v in e for e in view.cut_edges)
 
     def test_cut_degree_and_neighbors(self):
         g = Graph(4, [(0, 2), (0, 3), (1, 2)])
         va, _ = make_views(g, {0, 1})
-        assert va.cut_neighbors(0) == frozenset({2, 3})
-        assert len(va.cut_neighbors(1)) == 1
+        assert va.cut_adjacency[0] == frozenset({2, 3})
+        assert len(va.cut_adjacency[1]) == 1
 
 
 class TestEncodings:
