@@ -243,7 +243,7 @@ def cmd_verify_family(args) -> int:
     harness = _harness(args, budget=work_budget())
     exhaustive = {"auto": None, "yes": True, "no": False}[args.exhaustive]
     report = verify_family_conditions(
-        harness, samples=args.samples, seed=args.check_seed, exhaustive=exhaustive
+        harness, samples=args.samples, exhaustive=exhaustive
     )
     _write_out(report.to_json_bytes(), args.json_out)
     return EXIT_OK if report.passed else EXIT_VERIFY
@@ -362,8 +362,7 @@ def cmd_run_diamond_listing(args) -> int:
         budget=budget,
         with_coverage=True,
     )
-    payload = json.loads(stats.to_json_bytes())
-    payload["schema_version"] = SCHEMA_VERSION
+    payload = dict(vars(stats), schema_version=SCHEMA_VERSION)
     payload["parameters"] = {
         "graph": args.graph,
         "delta": str(args.delta),
@@ -511,7 +510,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-family", help="check structure and the iff predicate")
     _add_family_flags(p)
     p.add_argument("--samples", type=_positive_int, default=40)
-    p.add_argument("--check-seed", type=int, default=0)
     p.add_argument("--exhaustive", choices=["auto", "yes", "no"], default="auto")
     p.add_argument("--json-out")
     p.set_defaults(func=cmd_verify_family)

@@ -94,7 +94,8 @@ class NodeProgram:
     stream in ``init``, from a seed its factory was given.
     ``step(state, round_index, inbox)`` returns (state, outbox, output)
     where inbox maps sender id to bit string, outbox is a list of
-    (destination, bits) tuples or one bit string sent to every neighbor
+    (destination, bits) tuples, each destination an ``int`` neighbor id
+    (not a ``bool`` or a float), or one bit string sent to every neighbor
     (``""`` is an empty message each, ``[]`` no message), and output is
     None while undecided, else the final 0/1.  A program reads its inbox
     and never writes it: every node without mail gets one shared empty
@@ -174,16 +175,17 @@ def run(
 
     A non-empty outbox that is neither a string nor a list raises.  A
     list outbox is walked once, in send order: each item is checked for
-    not being a (destination, bits) tuple, a non-neighbor, a repeated
-    edge, a non-bitstring and an oversize payload, in that order, and
-    the first fault raises.  A broadcast (a string outbox) is checked
-    once and raises what its first message would; it goes to the
-    neighbors in ascending order, and a node without neighbors sends
-    and checks nothing.  A cut is a set of edges of *g*, each in either
-    orientation; a pair that is not an edge raises ValueError.  Given a
-    cut, ``cut_messages`` lists each message across it as (round,
-    sender, destination, bits) in send order, ``()`` for an empty cut,
-    and is None without a cut.
+    not being a (destination, bits) tuple, a destination that is not
+    an ``int`` neighbor id (a list, ``True`` and ``1.0`` count as
+    non-neighbors), a repeated edge, a non-bitstring and an oversize
+    payload, in that order, and the first fault raises.  A broadcast
+    (a string outbox) is checked once and raises what its first
+    message would; it goes to the neighbors in ascending order, and a
+    node without neighbors sends and checks nothing.  A cut is a set
+    of edges of *g*, each in either orientation; a pair that is not an
+    edge raises ValueError.  Given a cut, ``cut_messages`` lists each
+    message across it as (round, sender, destination, bits) in send
+    order, ``()`` for an empty cut, and is None without a cut.
     """
     n = g.n
     adj = g.adj
@@ -281,8 +283,8 @@ def run(
                     if item.__class__ is not tuple or len(item) != 2:
                         raise violation(v, r, f"listed {item!r} (want a (destination, bits) tuple)")
                     dst, bits = item
-                    if dst not in nbrs:
-                        raise violation(v, r, f"sent to non-neighbor {dst}")
+                    if dst.__class__ is not int or dst not in nbrs:
+                        raise violation(v, r, f"sent to non-neighbor {dst!r}")
                     # v steps once a round: mail from v here reuses the edge.
                     box = inbox_next[dst]
                     if v in box:

@@ -43,7 +43,6 @@ __all__ = [
     "build_cycle_family",
     "build_four_cycle_family",
     "build_long_cycle_family",
-    "colex_subset",
     "cycle_cut_size",
     "long_cycle_alphabet",
     "long_cycle_cut_size",
@@ -98,7 +97,7 @@ class FamilyInstance:
     @cached_property
     def side_b(self) -> tuple[int, ...]:
         side_a = set(self.side_a)
-        return tuple(v for v in self.graph.vertices() if v not in side_a)
+        return tuple(v for v in range(self.graph.n) if v not in side_a)
 
     @cached_property
     def cut_edges(self) -> frozenset[tuple[int, int]]:
@@ -287,26 +286,6 @@ def _cut_path(
 # ---------------------------------------------------------------------------
 
 
-def colex_subset(rank: int, ell: int) -> tuple[int, ...]:
-    """The ell-subset of the nonnegative integers at *rank* in colex order.
-
-    Colex compares subsets by largest element first.  Unranking is the
-    standard greedy walk: the largest element is the biggest c with
-    comb(c, ell) <= rank, and the remainder recurses.
-    """
-    if ell < 0 or rank < 0:
-        raise ValueError("rank and ell must be nonnegative")
-    out: list[int] = []
-    r = rank
-    for i in range(ell, 0, -1):
-        c = i - 1
-        while math.comb(c + 1, i) <= r:
-            c += 1
-        out.append(c)
-        r -= math.comb(c, i)
-    return tuple(reversed(out))
-
-
 # Each input block of the long-cycle family and the code block it wires to.
 LONG_CYCLE_CODE_BLOCKS = {
     "a1": "upper_a",
@@ -393,15 +372,14 @@ def build_long_cycle_family(
 
 @lru_cache(maxsize=8)
 def _long_cycle_fixture(n: int, ell: int, m: int, include_centers: bool) -> _Fixture:
-    # Sub-block i gets the colex-rank-(i-1) ell-subset of the alphabet.
-    # Colex order puts the largest symbol last, so the last code fits in
-    # range(r) exactly when comb(r, ell) >= n.
+    # Sub-block i gets the i-th ell-subset of the alphabet in colex order,
+    # which compares subsets from their largest symbol down.
     r = long_cycle_alphabet(n, ell)
-    codes = [colex_subset(i, ell) for i in range(n)]
-    if codes[-1][-1] >= r:
+    codes = sorted(combinations(range(r), ell), key=lambda c: c[::-1])[:n]
+    if len(codes) < n:
         raise RuntimeError(
-            f"longcycle family (n={n}, ell={ell}): code {codes[-1]} needs "
-            f"{codes[-1][-1] + 1} symbols, alphabet has {r}"
+            f"longcycle family (n={n}, ell={ell}): needs {n} codes, "
+            f"an alphabet of {r} gives {len(codes)}"
         )
 
     # Ids run through the input blocks a1, a2, b1, b2 (n sub-blocks of

@@ -161,9 +161,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Graph) and self.n == other.n and self.edges == other.edges
@@ -620,7 +617,7 @@ def connected_components(
 
     Returned sorted by minimum member, so the order is deterministic.
     """
-    allowed = set(g.vertices()) if within is None else set(within)
+    allowed = set(range(g.n)) if within is None else set(within)
     seen: set[int] = set()
     comps: list[frozenset[int]] = []
     for start in sorted(allowed):
@@ -640,29 +637,21 @@ def connected_components(
     return comps
 
 
-def _bfs_ecc(g: Graph, src: int) -> tuple[int, int]:
-    """(eccentricity, reached count) from src."""
-    dist = {src: 0}
-    queue = deque([src])
-    ecc = 0
-    while queue:
-        u = queue.popleft()
-        for w in g.adj[u]:
-            if w not in dist:
-                dist[w] = dist[u] + 1
-                ecc = max(ecc, dist[w])
-                queue.append(w)
-    return ecc, len(dist)
-
-
 def diameter(g: Graph) -> float:
     """Max shortest-path distance; math.inf when disconnected, 0 when n <= 1."""
     if g.n <= 1:
         return 0
     best = 0
-    for v in g.vertices():
-        ecc, reached = _bfs_ecc(g, v)
-        if reached != g.n:
+    for src in range(g.n):
+        dist = {src: 0}
+        queue = deque([src])
+        while queue:
+            u = queue.popleft()
+            for w in g.adj[u]:
+                if w not in dist:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        if len(dist) != g.n:
             return math.inf
-        best = max(best, ecc)
+        best = max(best, dist[u])  # popped in distance order: u is farthest
     return best

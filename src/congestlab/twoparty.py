@@ -82,7 +82,7 @@ class PartyView:
 
 def make_views(g: Graph, side_a) -> tuple[PartyView, PartyView]:
     sa = frozenset(side_a)
-    sb = frozenset(g.vertices()) - sa
+    sb = frozenset(range(g.n)) - sa
     cut = crossing_edges(g, sa)
     return (
         PartyView("a", g.n, sa, induced_edges(g, sa), cut),

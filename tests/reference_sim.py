@@ -59,8 +59,8 @@ def reference_run(g, program, config=SimConfig(), cut=None):
                 if type(item) is not tuple or len(item) != 2:
                     raise fault(v, r, f"listed {item!r} (want a (destination, bits) tuple)")
                 dst, bits = item
-                if dst not in g.adj[v]:
-                    raise fault(v, r, f"sent to non-neighbor {dst}")
+                if type(dst) is not int or dst not in g.adj[v]:
+                    raise fault(v, r, f"sent to non-neighbor {dst!r}")
                 if dst in used:
                     raise fault(v, r, f"sent twice over edge to {dst}")
                 if not isinstance(bits, str) or any(b not in "01" for b in bits):

@@ -37,7 +37,7 @@ def test_pruned_search_and_side_listings_match_chordless_cycles():
     for g, side in _criterion_08_graphs(max_n=48):
         graphs += 1
         nxg = nx.Graph()
-        nxg.add_nodes_from(g.vertices())
+        nxg.add_nodes_from(range(g.n))
         nxg.add_edges_from(g.edges)
         by_length: dict[int, list[tuple[int, ...]]] = {k: [] for k in range(3, 8)}
         for cycle in nx.chordless_cycles(nxg, length_bound=7):
@@ -60,7 +60,7 @@ def test_pruned_diamond_search_and_its_quota_forms_match_vf2():
         n = rng.randint(6, 16)
         g = random_graph(n, rng.choice([0.3, 0.5, 0.7]), rng)
         nxg = nx.Graph()
-        nxg.add_nodes_from(g.vertices())
+        nxg.add_nodes_from(range(g.n))
         nxg.add_edges_from(g.edges)
         matches = GraphMatcher(nxg, diamond).subgraph_isomorphisms_iter()
         expected = sorted({tuple(sorted(m)) for m in matches})

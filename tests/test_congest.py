@@ -336,6 +336,22 @@ class TestViolations:
         assert texts == [f"program one-outbox: node 0 {fault} in round 0"] * 2
 
     @pytest.mark.parametrize(
+        ("dst", "text"),
+        [([1], "[1]"), (True, "True"), (1.0, "1.0")],
+        ids=["list", "bool", "float"],
+    )
+    def test_a_destination_that_is_not_an_int_is_a_non_neighbor(self, dst, text):
+        # True and 1.0 equal neighbour 1 and [1] is unhashable; none is an id.
+        prog = self._one_outbox_program([(dst, "1")])
+        texts = []
+        for runner in (run, reference_run):
+            with pytest.raises(ProtocolViolation) as raised:
+                runner(_complete_graph(4), prog)
+            texts.append(str(raised.value))
+        want = f"program one-outbox: node 0 sent to non-neighbor {text} in round 0"
+        assert texts == [want] * 2
+
+    @pytest.mark.parametrize(
         "outbox",
         [
             pytest.param([(1, "012"), (2, "012")], id="012"),

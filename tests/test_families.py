@@ -11,7 +11,7 @@ import dataclasses
 import hashlib
 import json
 import random
-from itertools import combinations, product
+from itertools import product
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -34,7 +34,6 @@ from congestlab.families import (
     build_cycle_family,
     build_four_cycle_family,
     build_long_cycle_family,
-    colex_subset,
     cycle_cut_size,
     long_cycle_alphabet,
     long_cycle_cut_size,
@@ -77,7 +76,6 @@ BAD_PARAMETERS = {
         lambda: build_cycle_family(2, 5, _pair("000", "000")),
         "pair has 3 bits, family needs 4",
     ),
-    "colex negative rank": (lambda: colex_subset(-1, 2), "must be nonnegative"),
     "alphabet ell below one": (lambda: long_cycle_alphabet(2, 0), "ell >= 1"),
     "long cycle m below zero": (
         lambda: build_long_cycle_family(2, 1, -1, _pair("0000", "0000")),
@@ -95,29 +93,15 @@ def test_a_bad_parameter_is_refused(call, message):
 
 
 class TestColexCodes:
+    # Sub-block i takes the i-th ell-subset of the alphabet in colex order,
+    # which compares subsets from their largest element down.
     def test_first_two_subsets_in_colex_order(self):
-        assert [colex_subset(r, 2) for r in range(4)] == [
-            (0, 1),
-            (0, 2),
-            (1, 2),
-            (0, 3),
-        ]
+        inst = build_long_cycle_family(4, 2, 0, _pair(zeros(16), zeros(16)))
+        assert inst.meta["codes"] == [[0, 1], [0, 2], [1, 2], [0, 3]]
 
     def test_first_three_subsets_in_colex_order(self):
-        assert [colex_subset(r, 3) for r in range(4)] == [
-            (0, 1, 2),
-            (0, 1, 3),
-            (0, 2, 3),
-            (1, 2, 3),
-        ]
-
-    def test_subsets_follow_the_colex_order_of_sorted_combinations(self):
-        # Colex order compares subsets from their largest element down.  Every
-        # rank below comb(n, ell) names a subset of range(n).
-        n = 14
-        for ell in range(1, 6):
-            colex = sorted(combinations(range(n), ell), key=lambda s: s[::-1])
-            assert [colex_subset(r, ell) for r in range(len(colex))] == colex, ell
+        inst = build_long_cycle_family(4, 3, 0, _pair(zeros(16), zeros(16)))
+        assert inst.meta["codes"] == [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]
 
     def test_alphabet_size_is_exact_for_integer_roots(self):
         # ceil(ell * n**(1/ell)) without float error: 2 * 1000**(1/2)

@@ -173,7 +173,7 @@ def test_the_self_checks_raise_under_python_optimize():
         f"diamond family {{'n': 16, 'seed': 1}}: cut has "
         f"{build_diamond_family(fixture, _zeros(fixture.bit_count)).cut_size} edges, "
         "closed form gives -1",
-        "longcycle family (n=2, ell=1): code (1,) needs 2 symbols, alphabet has 1",
+        "longcycle family (n=2, ell=1): needs 2 codes, an alphabet of 1 gives 1",
         f"cycle family {{'n': 2, 'k': 4}}: transcript carries 0 bits, the run moved "
         f"{cut_bits} cut bits",
     ]

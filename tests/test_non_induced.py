@@ -34,7 +34,7 @@ from congestlab.graphs import is_induced_cycle, norm_edge, random_graph
 
 def _first_k_cycle(g, k: int) -> list[int]:
     nxg = nx.Graph(g.edges)
-    nxg.add_nodes_from(g.vertices())
+    nxg.add_nodes_from(range(g.n))
     return next(c for c in nx.simple_cycles(nxg, length_bound=k) if len(c) == k)
 
 
@@ -99,7 +99,7 @@ def _non_induced_four_cycle_program() -> NodeProgram:
 
 def _has_four_cycle(g) -> bool:
     nxg = nx.Graph(g.edges)
-    nxg.add_nodes_from(g.vertices())
+    nxg.add_nodes_from(range(g.n))
     return any(len(c) == 4 for c in nx.simple_cycles(nxg, length_bound=4))
 
 

@@ -63,8 +63,9 @@ def _random_program(fault_rate: float, bandwidth: int, seed: int, wakes=None) ->
     nodes too), or distinct payloads to neighbours in random order.
     With probability *fault_rate* a step flips its output or emits 2,
     and with that probability again one or two listed messages each
-    break a rule or are no (destination, bits) tuple, or the broadcast
-    string is oversize or not bits.  Given a wake schedule, a node draws
+    break a rule, name a destination that is not an int or are no
+    (destination, bits) tuple, or the broadcast string is oversize or
+    not bits.  Given a wake schedule, a node draws
     and acts only in its wake rounds or with mail, and otherwise repeats
     its last output."""
 
@@ -72,7 +73,11 @@ def _random_program(fault_rate: float, bandwidth: int, seed: int, wakes=None) ->
         return "".join(rng.choice("01") for _ in range(rng.randint(0, bandwidth)))
 
     def faulty(rng, outbox, nbrs, n):
-        kind = rng.randrange(5)
+        kind = rng.randrange(6)
+        if kind == 5:
+            # Equal to a neighbour id, or holding one, but not an int.
+            u = rng.choice(nbrs or (0,))
+            return rng.choice(([u], float(u), bool(u))), payload(rng)
         if kind == 3:
             dst = rng.choice(nbrs or (0,))
             return rng.choice(((dst,), (dst, payload(rng), "x"), [dst, payload(rng)]))

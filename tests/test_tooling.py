@@ -10,21 +10,25 @@ private from the engine and import from the package only the names
 their docstrings allow, the engine imports no random module, the
 benchmark's tracer still finds, and reads the results of, every function
 it traces, every defaulted parameter is set by some call outside the
-tests, and every memo in the package has a written, finite bound."""
+tests, every CLI option is passed by some test or README example, and
+every memo in the package has a written, finite bound."""
 
 from __future__ import annotations
 
+import argparse
 import ast
 import importlib
 import importlib.util
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import congestlab
 from congestlab import congest
+from congestlab.cli import build_parser
 
 PACKAGE_DIR = Path(congestlab.__file__).resolve().parent
 
@@ -467,6 +471,28 @@ def test_every_defaulted_parameter_is_set_outside_the_tests():
                 unset.add((path.name, func, param))
     assert sorted(unset - TEST_SEAMS.keys()) == []
     assert sorted(TEST_SEAMS.keys() - unset) == []
+
+
+def test_every_cli_option_is_passed_by_a_test_or_the_readme():
+    """An option that no test and no README example passes is a knob
+    nobody turns: every long option of every subcommand but ``--help``
+    appears as a whole token in some ``tests/*.py`` file or the README."""
+    root = PACKAGE_DIR.parents[1]
+    texts = [p.read_text(encoding="utf-8") for p in (root / "tests").glob("*.py")]
+    texts.append((root / "README.md").read_text(encoding="utf-8"))
+    subcommands = next(
+        a.choices for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    unused = [
+        f"{name} {option}"
+        for name, sub in subcommands.items()
+        for action in sub._actions
+        for option in action.option_strings
+        if option.startswith("--")
+        and option != "--help"
+        and not any(re.search(rf"(?<![\w-]){option}(?![\w-])", t) for t in texts)
+    ]
+    assert unused == []
 
 
 

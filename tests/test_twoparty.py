@@ -88,7 +88,7 @@ class TestViews:
     def test_views_partition_the_graph(self, gs):
         g, side = gs
         va, vb = make_views(g, side)
-        assert va.own_vertices | vb.own_vertices == frozenset(g.vertices())
+        assert va.own_vertices | vb.own_vertices == frozenset(range(g.n))
         assert not va.own_vertices & vb.own_vertices
         assert va.cut_edges == vb.cut_edges
         for e in va.internal_edges:
@@ -100,7 +100,7 @@ class TestViews:
             == g.m
         )
         for view in (va, vb):
-            for v in g.vertices():
+            for v in range(g.n):
                 expected = {u for e in view.cut_edges if v in e for u in e if u != v}
                 got = view.cut_adjacency.get(v, frozenset())
                 assert got == expected
